@@ -292,10 +292,14 @@ let perf_bench () =
     let name = bench.Tpdbt_workloads.Spec.name in
     Printf.eprintf "  %s...\n%!" name;
     ignore (Runner.run_ref bench ~config);
+    (* [Gc.quick_stat] counts minor allocation only at minor collections;
+       emptying the minor heap before each reading makes it exact. *)
+    Gc.minor ();
     let g0 = Gc.quick_stat () in
     let t0 = Unix.gettimeofday () in
     let result = Runner.run_ref bench ~config in
     let seconds = Unix.gettimeofday () -. t0 in
+    Gc.minor ();
     let g1 = Gc.quick_stat () in
     let steps = result.Tpdbt_dbt.Engine.steps in
     (* promoted words are already counted as minor: don't double-count *)

@@ -54,5 +54,6 @@ val to_folded : t -> string
 val to_json : t -> string
 (** [{"version":1,"weight":"guest_steps","roots":[...]}]; every node
     carries label, calls, steps, self_steps, wall_ns, minor_words,
-    major_words, cycles and children.  Wall time is the only
-    nondeterministic field. *)
+    major_words, cycles and children.  Wall time is nondeterministic;
+    major_words counts promotions, so it also depends on when minor
+    collections fall. *)

@@ -48,7 +48,9 @@ val collect : into:Metrics.t -> t
       with no entries are skipped);
     - per span label, counters [span.<label>.count], [.steps] (stamp
       widths), [.minor_words], [.major_words] and a gauge [.seconds]
-      (accumulated wall time — the one nondeterministic instrument);
+      (accumulated wall time — nondeterministic; [.major_words]
+      counts promotions, so it moves with the timing of minor
+      collections);
     - per attribution stage, counters [stage.<stage>.count], [.steps]
       and a gauge [stage.<stage>.cycles]. *)
 

@@ -22,13 +22,14 @@ let enter t label =
   if t.enabled then begin
     t.sink.Sink.emit ~step:(t.clock ()) (Event.Span_begin { span = label });
     (* Sample the clocks *after* emitting so the sink's own cost is not
-       charged to the span. *)
+       charged to the span.  [Gc.minor_words] is exact; [Gc.quick_stat]
+       counts minor allocation only at minor collections. *)
     let st = Gc.quick_stat () in
     t.stack <-
       {
         label;
         wall0 = Unix.gettimeofday ();
-        minor0 = st.Gc.minor_words;
+        minor0 = Gc.minor_words ();
         major0 = st.Gc.major_words;
       }
       :: t.stack
@@ -42,6 +43,7 @@ let leave t _label =
     | [] -> ()
     | f :: rest ->
         let wall = Unix.gettimeofday () in
+        let minor = Gc.minor_words () in
         let st = Gc.quick_stat () in
         t.stack <- rest;
         let wall_ns =
@@ -53,7 +55,7 @@ let leave t _label =
              {
                span = f.label;
                wall_ns;
-               minor_words = int_of_float (st.Gc.minor_words -. f.minor0);
+               minor_words = int_of_float (minor -. f.minor0);
                major_words = int_of_float (st.Gc.major_words -. f.major0);
              })
 

@@ -82,8 +82,10 @@ type t = {
   dec_c : int array;
   dec_imm : int array;
   regs : int array;
-  memory : int array;
-  mem_len : int;
+  mutable memory : int array;
+      (* materialised prefix of data memory: words at or past its length
+         are zero and have never been stored to *)
+  mem_len : int;  (* architectural size, what [Memory_fault] checks use *)
   mutable pc : int;
   ret_stack : int array;  (* return addresses, [0 .. call_depth) live *)
   mutable call_depth : int;
@@ -165,16 +167,30 @@ let decode code =
   done;
   (dec_op, dec_a, dec_b, dec_c, dec_imm)
 
+(* Words materialised up front when nothing higher is bound.  Every
+   suite workload keeps its data below this, so a machine normally never
+   grows; a larger architectural memory costs nothing until it is used. *)
+let prefix_floor = 4096
+
+(* The materialised prefix holding [words] (address, value): enough to
+   cover the highest address and at least [prefix_floor], capped at the
+   architectural size.  [what] names the caller in the range error. *)
+let materialise ~mem_words ~what words =
+  let top =
+    List.fold_left
+      (fun top (addr, _) ->
+        if addr < 0 || addr >= mem_words then
+          invalid_arg
+            (Printf.sprintf "Machine.%s: address %d outside memory" what addr)
+        else max top (addr + 1))
+      prefix_floor words
+  in
+  let memory = Array.make (min mem_words top) 0 in
+  List.iter (fun (addr, v) -> memory.(addr) <- v) words;
+  memory
+
 let create ?(mem_words = 1 lsl 20) ?(seed = 1L) prog =
-  let memory = Array.make mem_words 0 in
-  List.iter
-    (fun (addr, value) ->
-      if addr < 0 || addr >= mem_words then
-        invalid_arg
-          (Printf.sprintf "Machine.create: data binding at %d outside memory"
-             addr)
-      else memory.(addr) <- value)
-    prog.Program.data_init;
+  let memory = materialise ~mem_words ~what:"create" prog.Program.data_init in
   let code = prog.Program.code in
   let dec_op, dec_a, dec_b, dec_c, dec_imm = decode code in
   {
@@ -210,15 +226,37 @@ let last_trap t = t.trap
 let reg t r = t.regs.(Reg.to_int r)
 let set_reg t r v = t.regs.(Reg.to_int r) <- wrap32 v
 
+(* Grow the materialised prefix by doubling until it covers [addr],
+   capped at the architectural size.  Called only for
+   [length <= addr < mem_len]; a prefix shorter than [mem_len] holds at
+   least [prefix_floor] words, so the doubling terminates. *)
+let grow t addr =
+  let len = Array.length t.memory in
+  let n = ref len in
+  while !n <= addr do
+    n := 2 * !n
+  done;
+  let bigger = Array.make (min t.mem_len !n) 0 in
+  Array.blit t.memory 0 bigger 0 len;
+  t.memory <- bigger
+
+(* Word access for an address already checked against [mem_len]. *)
+let load_word t addr =
+  if addr < Array.length t.memory then t.memory.(addr) else 0
+
+let store_word t addr v =
+  if addr >= Array.length t.memory then grow t addr;
+  t.memory.(addr) <- v
+
 let mem t addr =
   if addr < 0 || addr >= t.mem_len then
     invalid_arg (Printf.sprintf "Machine.mem: address %d out of range" addr)
-  else t.memory.(addr)
+  else load_word t addr
 
 let set_mem t addr v =
   if addr < 0 || addr >= t.mem_len then
     invalid_arg (Printf.sprintf "Machine.set_mem: address %d out of range" addr)
-  else t.memory.(addr) <- wrap32 v
+  else store_word t addr (wrap32 v)
 
 let outputs t = Array.to_list (Array.sub t.out_buf 0 t.out_len)
 
@@ -277,7 +315,8 @@ let step_code t =
            arrays are code-length; register operands come out of
            [Reg.to_int] at decode time, and [regs] has [Reg.count]
            elements; memory addresses are explicitly checked against
-           [mem_len] before each access. *)
+           [mem_len] before each access and against the materialised
+           prefix's length before each read or write of it. *)
         let a = Array.unsafe_get t.dec_a pc
         and b = Array.unsafe_get t.dec_b pc
         and c = Array.unsafe_get t.dec_c pc
@@ -296,7 +335,11 @@ let step_code t =
             if addr < 0 || addr >= t.mem_len then
               trapped t (Memory_fault { pc; addr })
             else begin
-              Array.unsafe_set regs a (Array.unsafe_get t.memory addr);
+              let memory = t.memory in
+              Array.unsafe_set regs a
+                (if addr < Array.length memory then
+                   Array.unsafe_get memory addr
+                 else 0);
               t.pc <- pc + 1;
               ev_stepped
             end
@@ -305,6 +348,7 @@ let step_code t =
             if addr < 0 || addr >= t.mem_len then
               trapped t (Memory_fault { pc; addr })
             else begin
+              if addr >= Array.length t.memory then grow t addr;
               Array.unsafe_set t.memory addr (Array.unsafe_get regs a);
               t.pc <- pc + 1;
               ev_stepped
@@ -594,14 +638,14 @@ let step_spec t =
           let addr = regs.(Reg.to_int base) + off in
           if addr < 0 || addr >= t.mem_len then fail (Memory_fault { pc; addr })
           else begin
-            regs.(Reg.to_int rd) <- t.memory.(addr);
+            regs.(Reg.to_int rd) <- load_word t addr;
             continue Stepped
           end
       | Instr.Store (rsrc, base, off) ->
           let addr = regs.(Reg.to_int base) + off in
           if addr < 0 || addr >= t.mem_len then fail (Memory_fault { pc; addr })
           else begin
-            t.memory.(addr) <- regs.(Reg.to_int rsrc);
+            store_word t addr regs.(Reg.to_int rsrc);
             continue Stepped
           end
       | Instr.Br (c, rs1, rs2, target) ->
@@ -672,13 +716,15 @@ type image = {
 }
 
 let capture t =
+  (* Words past the materialised prefix are zero. *)
+  let len = Array.length t.memory in
   let nonzero = ref 0 in
-  for i = 0 to t.mem_len - 1 do
+  for i = 0 to len - 1 do
     if t.memory.(i) <> 0 then incr nonzero
   done;
   let mem = Array.make !nonzero (0, 0) in
   let k = ref 0 in
-  for i = 0 to t.mem_len - 1 do
+  for i = 0 to len - 1 do
     if t.memory.(i) <> 0 then begin
       mem.(!k) <- (i, t.memory.(i));
       incr k
@@ -705,14 +751,10 @@ let restore prog image =
     invalid_arg "Machine.restore: register file has wrong size";
   Array.blit image.im_regs 0 t.regs 0 Reg.count;
   (* [create] applied the program's data bindings; the image holds the
-     complete non-zero memory contents, so start from all zeroes. *)
-  Array.fill t.memory 0 t.mem_len 0;
-  Array.iter
-    (fun (addr, v) ->
-      if addr < 0 || addr >= t.mem_len then
-        invalid_arg "Machine.restore: memory address out of range";
-      t.memory.(addr) <- v)
-    image.im_mem;
+     complete non-zero memory contents, so replace them. *)
+  t.memory <-
+    materialise ~mem_words:t.mem_len ~what:"restore"
+      (Array.to_list image.im_mem);
   t.pc <- image.im_pc;
   let depth = Array.length image.im_ret_stack in
   if depth > max_call_depth then

@@ -56,7 +56,10 @@ type t
 val create : ?mem_words:int -> ?seed:int64 -> Tpdbt_isa.Program.t -> t
 (** Fresh machine at the program entry.  [mem_words] defaults to [2^20];
     [seed] defaults to [1L].  Initial data bindings from the program are
-    applied.
+    applied.  Data memory is architecturally [mem_words] zeroed words,
+    materialised on first store: creation allocates only a small prefix
+    (4096 words, or enough to hold the data bindings), which grows by
+    doubling when a store reaches past it; a load past it reads 0.
     @raise Invalid_argument if a data binding is outside memory. *)
 
 val program : t -> Tpdbt_isa.Program.t

@@ -4,7 +4,8 @@
    - the predecoded dispatch table ([Machine.step]) must be
      step-identical to the retained [Instr.t]-matching reference
      decoder ([Machine.step_spec]) over a population of generated
-     programs, traps and PRNG draws included;
+     programs, traps, PRNG draws and final memory images included, at
+     a memory size whose prefix grows on demand as well;
    - the steady-state interpreter loop must not allocate (a hard
      [Gc.minor_words] budget per million steps — this is the number
      the CI alloc-gate keeps honest end to end);
@@ -129,15 +130,44 @@ let lockstep seed prog ~mem_words =
         (Printf.sprintf "seed %Ld: %s agrees" seed (Reg.to_string reg))
         (Machine.reg spec reg) (Machine.reg fast reg))
     Reg.all;
-  checkb "outputs agree" true (Machine.outputs fast = Machine.outputs spec)
+  checkb "outputs agree" true (Machine.outputs fast = Machine.outputs spec);
+  let image = Machine.capture fast in
+  checkb
+    (Printf.sprintf "seed %Ld: images agree" seed)
+    true
+    (image = Machine.capture spec);
+  image
 
-let test_dispatch_table_identity () =
-  let mem_words = Gen.default.Gen.mem_words in
+(* Words a fresh machine materialises for [prog]: the 4096-word floor or
+   enough to hold its highest data binding. *)
+let initial_prefix prog =
+  List.fold_left
+    (fun top (addr, _) -> max top (addr + 1))
+    4096 prog.Program.data_init
+
+(* Returns how many programs stored above their machine's initial
+   prefix, i.e. ran the memory growth path. *)
+let lockstep_population ~mem_words =
+  let params = { Gen.default with Gen.mem_words } in
+  let grew = ref 0 in
   for seed = 1 to 30 do
     let seed = Int64.of_int (seed * 7919) in
-    let prog = Gen.program (Prng.create ~seed) Gen.default in
-    lockstep seed prog ~mem_words
-  done
+    let prog = Gen.program (Prng.create ~seed) params in
+    let image = lockstep seed prog ~mem_words in
+    if
+      Array.exists
+        (fun (addr, _) -> addr >= initial_prefix prog)
+        image.Machine.im_mem
+    then incr grew
+  done;
+  !grew
+
+let test_dispatch_table_identity () =
+  (* At the fuzzer's 1024 words the whole memory is materialised up
+     front; at 2^16 generated addresses reach past the initial prefix. *)
+  ignore (lockstep_population ~mem_words:Gen.default.Gen.mem_words);
+  checkb "some programs grow memory" true
+    (lockstep_population ~mem_words:(1 lsl 16) > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Steady-state allocation budget                                       *)

@@ -262,8 +262,11 @@ let test_openmetrics_roundtrip () =
 
 let test_openmetrics_determinism () =
   (* Two identical runs must render byte-identical expositions once the
-     wall-clock gauges are dropped. *)
+     wall-clock gauges are dropped.  Span major words count promotions,
+     which depend on when minor collections fall, so each run starts
+     from the same collected heap. *)
   let render () =
+    Gc.full_major ();
     let _, _, metrics = traced hot_loop_src in
     String.split_on_char '\n' (Openmetrics.render metrics)
     |> List.filter (fun l ->

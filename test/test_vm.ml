@@ -371,6 +371,103 @@ let test_data_init_out_of_range () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected Invalid_argument"
 
+(* Data memory is architecturally [mem_words] zeroed words, materialised
+   on first store: the highest word reads 0 before any store and
+   round-trips one, and the word past it traps. *)
+let test_memory_top_word () =
+  let mem_words = 1 lsl 20 in
+  let top = mem_words - 1 in
+  let m =
+    run_src ~mem_words
+      (Printf.sprintf
+         "movi r1, %d\nld r2, [r1]\nmovi r3, -7\nst r3, [r1]\nld r4, [r1]\nhalt"
+         top)
+  in
+  checki "never-written top word reads 0" 0 (Machine.reg m (r 2));
+  checki "store then load at the top round-trips" (-7) (Machine.reg m (r 4));
+  checki "mem reads the stored top word" (-7) (Machine.mem m top);
+  let fresh =
+    Machine.create ~mem_words ~seed:1L (Program.make [| Instr.Halt |])
+  in
+  checki "mem of a fresh top word" 0 (Machine.mem fresh top);
+  checkb "mem past the top is out of range" true
+    (try
+       ignore (Machine.mem fresh mem_words);
+       false
+     with Invalid_argument _ -> true);
+  List.iter
+    (fun access ->
+      let src = Printf.sprintf "movi r1, %d\n%s\nhalt" mem_words access in
+      match run_expect_trap src with
+      | Machine.Memory_fault { addr; _ } when addr = mem_words -> ()
+      | other ->
+          Alcotest.failf "%s: wrong trap %a" access Machine.pp_trap other)
+    [ "ld r2, [r1]"; "st r0, [r1]" ]
+
+(* A run suspended after a store far above the initial prefix, captured
+   and restored, ends exactly where an uninterrupted run does — at every
+   split point, including one inside the loop that keeps storing high. *)
+let test_resume_after_high_store () =
+  let p =
+    Assembler.assemble_exn
+      {|
+    movi r1, 900000
+    movi r2, 41
+    st r2, [r1]
+    movi r4, 5
+loop:
+    ld r3, [r1]
+    addi r3, r3, 1
+    st r3, [r1]
+    st r3, [r1+70000]
+    subi r4, r4, 1
+    bne r4, r0, loop
+    ld r5, [r1+70000]
+    out r5
+    halt
+|}
+  in
+  let run_to_end m =
+    match Machine.run m with
+    | Ok () -> m
+    | Error trap -> Alcotest.failf "trap: %a" Machine.pp_trap trap
+  in
+  let reference = run_to_end (Machine.create ~seed:1L p) in
+  checkb "reference output" true (Machine.outputs reference = [ 46 ]);
+  List.iter
+    (fun split ->
+      let m = Machine.create ~seed:1L p in
+      (match Machine.run ~max_steps:split m with
+      | Ok () -> ()
+      | Error trap -> Alcotest.failf "trap: %a" Machine.pp_trap trap);
+      let resumed = run_to_end (Machine.restore p (Machine.capture m)) in
+      checkb
+        (Printf.sprintf "split at %d ends identical" split)
+        true
+        (Machine.capture resumed = Machine.capture reference))
+    [ 3; 8; 15 ]
+
+(* Creating an engine at the default 2^20-word memory must not allocate
+   the memory up front.  Emptying the minor heap before each reading
+   makes [Gc.quick_stat]'s counts exact. *)
+let test_engine_create_allocation () =
+  let bench = Option.get (Tpdbt_workloads.Suite.find "gzip") in
+  let program, input, _ = Tpdbt_workloads.Spec.build bench in
+  let program = Tpdbt_workloads.Spec.apply_input program input in
+  let words () =
+    Gc.minor ();
+    let st = Gc.quick_stat () in
+    st.Gc.minor_words +. st.Gc.major_words -. st.Gc.promoted_words
+  in
+  let before = words () in
+  let engine =
+    Tpdbt_dbt.Engine.create ~seed:input.Tpdbt_workloads.Spec.seed program
+  in
+  let allocated = words () -. before in
+  ignore (Sys.opaque_identity engine);
+  if allocated >= 65536.0 then
+    Alcotest.failf "Engine.create allocated %.0f words (budget 65536)" allocated
+
 let test_shift_masking () =
   (* Shift amounts are masked to 5 bits (land 31), as on real 32-bit
      hardware. *)
@@ -478,6 +575,9 @@ let suite =
     ("max steps", `Quick, test_max_steps);
     ("fall off end", `Quick, test_fall_off_end);
     ("data init out of range", `Quick, test_data_init_out_of_range);
+    ("memory top word", `Quick, test_memory_top_word);
+    ("resume after high store", `Quick, test_resume_after_high_store);
+    ("engine create allocation", `Quick, test_engine_create_allocation);
     ("shift masking", `Quick, test_shift_masking);
     ("arithmetic shift right", `Quick, test_arithmetic_shift_right);
     ("machines independent", `Quick, test_machines_independent);
