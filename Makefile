@@ -190,7 +190,9 @@ fuzz-smoke: build
 # --resume-run, must end with stdout and checkpoint bytes identical to
 # a sweep that was never interrupted — the CLI form of the
 # docs/snapshots.md guarantee.  `tpdbt snapshot info` must read the
-# suspended slot cleanly in between.
+# suspended slot cleanly in between, and must report a copy with one
+# bit flipped in its bench line as a crc mismatch (exit 2), not as a
+# checkpoint for an unknown benchmark.
 SNAPSHOT_SMOKE_DIR := _build/snapshot-smoke
 
 snapshot-smoke: build
@@ -207,6 +209,15 @@ snapshot-smoke: build
 		|| { echo "snapshot-smoke: sweep did not suspend"; exit 1; }
 	$(DUNE) exec bin/tpdbt.exe -- snapshot info \
 		$(SNAPSHOT_SMOKE_DIR)/sus-ckpt/gzip.ckpt > /dev/null
+	sed 's/^bench gzip$$/bench gziq/' $(SNAPSHOT_SMOKE_DIR)/sus-ckpt/gzip.ckpt \
+		> $(SNAPSHOT_SMOKE_DIR)/damaged.ckpt
+	$(DUNE) exec bin/tpdbt.exe -- snapshot info \
+		$(SNAPSHOT_SMOKE_DIR)/damaged.ckpt \
+		> /dev/null 2> $(SNAPSHOT_SMOKE_DIR)/damaged.err; \
+	test $$? -eq 2 \
+		|| { echo "snapshot-smoke: damaged checkpoint did not exit 2"; exit 1; }
+	grep -q "crc mismatch" $(SNAPSHOT_SMOKE_DIR)/damaged.err \
+		|| { echo "snapshot-smoke: damaged checkpoint not reported as a crc mismatch"; exit 1; }
 	$(DUNE) exec bin/tpdbt.exe -- sweep -b gzip --jobs 1 \
 		--checkpoint $(SNAPSHOT_SMOKE_DIR)/sus-ckpt --resume-run \
 		> $(SNAPSHOT_SMOKE_DIR)/res.out

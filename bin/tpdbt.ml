@@ -15,11 +15,7 @@ let exit_usage = 1
 let exit_invalid = 2
 let exit_regression = 3
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+let read_file = Tpdbt_durable.Durable.read_file
 
 let write_file path contents =
   let oc = open_out path in
@@ -307,26 +303,22 @@ let dbt_cmd =
     let engine =
       match resume_run with
       | None -> Engine.create ~config ~seed program
-      | Some snap_file -> (
-          match Snap.of_string (read_file snap_file) with
-          | Snap.Corrupt reason ->
-              prerr_endline ("corrupt snapshot: " ^ reason);
-              exit exit_invalid
-          | Snap.Stale_version line ->
-              prerr_endline ("stale snapshot version: " ^ line);
-              exit exit_invalid
-          | Snap.Snapshot parsed -> (
-              match Snap.restore ~config ~program parsed with
-              | Ok engine -> engine
-              | Error msg ->
-                  prerr_endline ("snapshot rejected: " ^ msg);
-                  exit exit_invalid))
+      | Some snap_file ->
+          let parsed =
+            or_die
+              (Tpdbt_durable.Durable.to_result ~what:"snapshot"
+                 (Snap.of_string (read_file snap_file)))
+          in
+          or_die
+            (Result.map_error
+               (fun msg -> "snapshot rejected: " ^ msg)
+               (Snap.restore ~config ~program parsed))
     in
     let write_snapshot steps =
       match snapshot_file with
       | None -> ()
       | Some f ->
-          write_file f
+          Tpdbt_durable.Durable.atomic_write f
             (Snap.to_string ~config ~program (Engine.capture engine));
           Printf.eprintf "snapshot: %d steps -> %s\n%!" steps f
     in
@@ -1785,25 +1777,7 @@ let snapshot_cmd =
     Printf.printf "config digest      %s\n" i.Snap.config_digest;
     Printf.printf "program digest     %s\n" i.Snap.program_digest
   in
-  let embedded_info text =
-    match Snap.of_string text with
-    | Snap.Snapshot parsed -> print_snap_info (Snap.info parsed)
-    | Snap.Stale_version v ->
-        Printf.eprintf "error: embedded snapshot has stale version %s\n" v;
-        exit exit_invalid
-    | Snap.Corrupt reason ->
-        Printf.eprintf "error: embedded snapshot corrupt: %s\n" reason;
-        exit exit_invalid
-  in
-  let ckpt_bench text =
-    (* Checkpoints reference the benchmark by name; recover the spec
-       from the suite so the full validation path can run. *)
-    String.split_on_char '\n' text
-    |> List.find_map (fun line ->
-           match String.split_on_char ' ' line with
-           | [ "bench"; name ] -> Tpdbt_workloads.Suite.find name
-           | _ -> None)
-  in
+  let classified what c = or_die (Tpdbt_durable.Durable.to_result ~what c) in
   let run file =
     let text =
       try read_file file
@@ -1811,59 +1785,43 @@ let snapshot_cmd =
         prerr_endline ("error: " ^ msg);
         exit exit_usage
     in
-    let starts prefix =
-      String.length text >= String.length prefix
-      && String.sub text 0 (String.length prefix) = prefix
-    in
-    if starts "TPDBT-SNAP" then begin
+    if String.starts_with ~prefix:"TPDBT-SNAP" text then begin
       Printf.printf "file               %s\n" file;
       Printf.printf "kind               engine snapshot\n";
-      match Snap.of_string text with
-      | Snap.Snapshot parsed -> print_snap_info (Snap.info parsed)
-      | Snap.Stale_version v ->
-          Printf.eprintf "error: stale snapshot version %s\n" v;
-          exit exit_invalid
-      | Snap.Corrupt reason ->
-          Printf.eprintf "error: corrupt snapshot: %s\n" reason;
-          exit exit_invalid
+      print_snap_info (Snap.info (classified "snapshot" (Snap.of_string text)))
     end
-    else if starts "TPDBT-CKPT" then begin
+    else if String.starts_with ~prefix:"TPDBT-CKPT" text then begin
+      (* Checkpoints reference the benchmark by name, and the name is
+         read only from a payload whose frame has verified: a damaged
+         file reports its damage, not a misleading unknown name. *)
+      let name = classified "checkpoint" (Checkpoint.bench_name text) in
       let spec =
-        match ckpt_bench text with
+        match Tpdbt_workloads.Suite.find name with
         | Some spec -> spec
         | None ->
-            prerr_endline
-              "error: checkpoint names no benchmark known to the suite";
-            exit exit_invalid
+            or_die (Error "checkpoint names no benchmark known to the suite")
       in
       Printf.printf "file               %s\n" file;
-      Printf.printf "bench              %s\n" spec.Tpdbt_workloads.Spec.name;
+      Printf.printf "bench              %s\n" name;
       (* No ~thresholds: accept whatever list the file was recorded
          under — info inspects, it does not resume. *)
-      match Checkpoint.data_of_string spec text with
-      | Checkpoint.Valid (Checkpoint.Finished data) ->
+      match classified "checkpoint" (Checkpoint.data_of_string spec text) with
+      | Checkpoint.Finished data ->
           Printf.printf "kind               finished checkpoint\n";
           Printf.printf "thresholds         %d\n"
             (List.length data.Runner.runs);
           Printf.printf "avep steps         %d\n"
             data.Runner.avep.Tpdbt_dbt.Engine.steps
-      | Checkpoint.Valid (Checkpoint.Suspended partial) ->
+      | Checkpoint.Suspended partial ->
           Printf.printf "kind               suspended checkpoint\n";
           Printf.printf "stages done        %d\n"
             (List.length partial.Runner.p_done);
           Printf.printf "next stage         %s\n"
             (Runner.stage_label partial.Runner.p_next);
-          embedded_info partial.Runner.p_snapshot
-      | Checkpoint.Missing ->
-          (* data_of_string never returns Missing; keep the match total. *)
-          prerr_endline "error: empty checkpoint";
-          exit exit_invalid
-      | Checkpoint.Stale_version v ->
-          Printf.eprintf "error: stale checkpoint version %s\n" v;
-          exit exit_invalid
-      | Checkpoint.Corrupt reason ->
-          Printf.eprintf "error: corrupt checkpoint: %s\n" reason;
-          exit exit_invalid
+          print_snap_info
+            (Snap.info
+               (classified "embedded snapshot"
+                  (Snap.of_string partial.Runner.p_snapshot)))
     end
     else begin
       prerr_endline

@@ -1,57 +1,19 @@
 module Machine = Tpdbt_vm.Machine
 module Fault = Tpdbt_faults.Fault
+module Durable = Tpdbt_durable.Durable
 
 (* Version 1: deterministic text serialisation of a mid-run engine
-   image, CRC-guarded with the same crash-consistency scheme as the
-   checkpoint store (magic line, then "crc <hex> <len>", then exactly
-   <len> payload bytes).  Floats travel as %h so they round-trip
-   bit-exactly; the config and program are not stored, only digests —
-   restore recomputes all derived state from the caller's copies and
-   the digests guard against resuming under the wrong ones. *)
+   image, sealed as a durable record.  Floats travel as %h so they
+   round-trip bit-exactly; the config and program are not stored, only
+   digests — restore recomputes all derived state from the caller's
+   copies and the digests guard against resuming under the wrong ones. *)
 let magic = "TPDBT-SNAP 1"
-let magic_prefix = "TPDBT-SNAP "
 
 type parsed = {
   sn_config_digest : string;
   sn_program_digest : string;
   sn_image : Engine.image;
 }
-
-type classified =
-  | Snapshot of parsed
-  | Stale_version of string
-  | Corrupt of string
-
-(* ---- CRC32 ------------------------------------------------------------- *)
-
-(* Table-driven CRC32 (IEEE 802.3, reflected), local so the format
-   stays dependency-free — the same idiom as the checkpoint store. *)
-let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref (Int32.of_int n) in
-         for _ = 0 to 7 do
-           c :=
-             if Int32.logand !c 1l <> 0l then
-               Int32.logxor (Int32.shift_right_logical !c 1) 0xEDB88320l
-             else Int32.shift_right_logical !c 1
-         done;
-         !c))
-
-let crc32 s =
-  let table = Lazy.force crc_table in
-  let c = ref 0xFFFFFFFFl in
-  String.iter
-    (fun ch ->
-      let idx =
-        Int32.to_int
-          (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code ch))) 0xFFl)
-      in
-      c := Int32.logxor table.(idx) (Int32.shift_right_logical !c 8))
-    s;
-  Int32.logxor !c 0xFFFFFFFFl
-
-let crc_hex s = Printf.sprintf "%08lx" (crc32 s)
 
 (* ---- digests ----------------------------------------------------------- *)
 
@@ -62,7 +24,7 @@ let crc_hex s = Printf.sprintf "%08lx" (crc32 s)
    injector's full cursor instead). *)
 let config_digest (c : Engine.config) =
   let p = c.Engine.perf in
-  crc_hex
+  Durable.crc_hex
     (Printf.sprintf
        "%d %d %h %d %b %b %b %b %b %h %d %d %h %h %h %h %h %h %h %h %h %d %d \
         %s %s %d %d %d"
@@ -94,18 +56,6 @@ let role_code = function
   | Region.Taken -> "t"
   | Region.Not_taken -> "n"
   | Region.Always -> "a"
-
-let counters_to_line (c : Perf_model.counters) =
-  Printf.sprintf
-    "counters %h %d %d %d %d %d %d %d %d %d %d %d %d %d %d %d %d %d %d %d %d \
-     %d"
-    c.Perf_model.cycles c.blocks_translated c.regions_formed c.region_entries
-    c.region_completions c.loop_backs c.side_exits c.optimization_rounds
-    c.regions_dissolved c.faults_injected c.retrans_retries c.fault_dissolves
-    c.blocks_retranslated c.cache_evictions c.cache_flushes
-    c.cache_evicted_instrs c.cache_peak_instrs c.shadow_replays
-    c.shadow_divergences c.corrupted_entries c.regions_quarantined
-    c.watchdog_degraded
 
 let payload ~config_digest:cd ~program_digest:pd (im : Engine.image) =
   let buf = Buffer.create 16384 in
@@ -198,7 +148,7 @@ let payload ~config_digest:cd ~program_digest:pd (im : Engine.image) =
     im.Engine.ex_cache;
   let ev, fl, ei, pk = im.Engine.ex_cache_stats in
   add "cache_stats %d %d %d %d" ev fl ei pk;
-  Buffer.add_string buf (counters_to_line im.Engine.ex_counters ^ "\n");
+  add "%s" (Perf_model.counters_to_line im.Engine.ex_counters);
   add "pending %d" (List.length im.Engine.ex_pending);
   List.iter add_arm im.Engine.ex_pending;
   add "fired %d" (List.length im.Engine.ex_fired);
@@ -212,11 +162,9 @@ let payload ~config_digest:cd ~program_digest:pd (im : Engine.image) =
   Buffer.contents buf
 
 let to_string ~config ~program image =
-  let p =
-    payload ~config_digest:(config_digest config)
-      ~program_digest:(program_digest program) image
-  in
-  Printf.sprintf "%s\ncrc %s %d\n%s" magic (crc_hex p) (String.length p) p
+  Durable.seal ~magic
+    (payload ~config_digest:(config_digest config)
+       ~program_digest:(program_digest program) image)
 
 (* ---- parsing ----------------------------------------------------------- *)
 
@@ -405,39 +353,9 @@ let parse_payload text =
       | _ -> raise (Malformed "bad cache_stats line")
     in
     let ex_counters =
-      match words () with
-      | [
-          "counters"; cy; a; b; c; d; e; f; g; h; i; j; k; l; m; n; o; p; q;
-          r; s; u; v;
-        ] -> (
-          match float_of_string_opt cy with
-          | None -> raise (Malformed "bad cycles value")
-          | Some cycles ->
-              {
-                Perf_model.cycles;
-                blocks_translated = int_exn a;
-                regions_formed = int_exn b;
-                region_entries = int_exn c;
-                region_completions = int_exn d;
-                loop_backs = int_exn e;
-                side_exits = int_exn f;
-                optimization_rounds = int_exn g;
-                regions_dissolved = int_exn h;
-                faults_injected = int_exn i;
-                retrans_retries = int_exn j;
-                fault_dissolves = int_exn k;
-                blocks_retranslated = int_exn l;
-                cache_evictions = int_exn m;
-                cache_flushes = int_exn n;
-                cache_evicted_instrs = int_exn o;
-                cache_peak_instrs = int_exn p;
-                shadow_replays = int_exn q;
-                shadow_divergences = int_exn r;
-                corrupted_entries = int_exn s;
-                regions_quarantined = int_exn u;
-                watchdog_degraded = int_exn v;
-              })
-      | _ -> raise (Malformed "bad counters line")
+      match Perf_model.counters_of_line (next ()) with
+      | Ok c -> c
+      | Error reason -> raise (Malformed reason)
     in
     let npending = int1 "pending" in
     if npending < 0 then raise (Malformed "negative pending count");
@@ -475,7 +393,7 @@ let parse_payload text =
     | _ -> raise (Malformed "missing end marker"));
     if not (!cursor = Array.length lines - 1 && lines.(!cursor) = "") then
       raise (Malformed "trailing garbage after end marker");
-    Snapshot
+    Durable.Valid
       {
         sn_config_digest;
         sn_program_digest;
@@ -516,54 +434,9 @@ let parse_payload text =
             ex_fired;
           };
       }
-  with Malformed reason -> Corrupt reason
+  with Malformed reason -> Durable.Corrupt reason
 
-let split_line s pos =
-  match String.index_from_opt s pos '\n' with
-  | None -> None
-  | Some i -> Some (String.sub s pos (i - pos), i + 1)
-
-let of_string text =
-  if String.trim text = "" then Corrupt "empty file"
-  else
-    match split_line text 0 with
-    | None -> Corrupt "missing newline after magic"
-    | Some (line1, p1) -> (
-        if String.equal line1 magic then
-          match split_line text p1 with
-          | None -> Corrupt "missing crc header"
-          | Some (line2, p2) -> (
-              match String.split_on_char ' ' line2 with
-              | [ "crc"; hex; len ] -> (
-                  match int_of_string_opt len with
-                  | None -> Corrupt "malformed crc header"
-                  | Some len when len < 0 -> Corrupt "malformed crc header"
-                  | Some len ->
-                      let avail = String.length text - p2 in
-                      if avail < len then
-                        Corrupt
-                          (Printf.sprintf "truncated: %d of %d payload bytes"
-                             avail len)
-                      else if avail > len then
-                        Corrupt
-                          (Printf.sprintf
-                             "trailing garbage: %d bytes past the payload"
-                             (avail - len))
-                      else
-                        let p = String.sub text p2 len in
-                        let actual = crc_hex p in
-                        if not (String.equal actual hex) then
-                          Corrupt
-                            (Printf.sprintf
-                               "crc mismatch: header %s, payload %s" hex actual)
-                        else parse_payload p)
-              | _ -> Corrupt "malformed crc header")
-        else if
-          String.length line1 >= String.length magic_prefix
-          && String.equal (String.sub line1 0 (String.length magic_prefix))
-               magic_prefix
-        then Stale_version line1
-        else Corrupt "unrecognised header")
+let of_string text = Durable.bind (Durable.unseal ~magic text) parse_payload
 
 (* ---- restore ----------------------------------------------------------- *)
 

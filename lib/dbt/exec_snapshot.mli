@@ -1,13 +1,11 @@
 (** Serialized mid-run engine images — the wire/disk format behind
     suspend/resume.
 
-    An {!Engine.image} travels as deterministic text: a magic line
-    ([TPDBT-SNAP 1]), a [crc <hex> <len>] header, then exactly [len]
-    payload bytes.  Floats are printed with [%h] so cycle totals
-    round-trip bit-exactly; the whole payload is guarded by the same
-    CRC32 scheme as the checkpoint store, so truncation, bit flips and
-    trailing garbage are {e detected} ({!classified}) rather than
-    parsed into wrong state.
+    An {!Engine.image} travels as deterministic text sealed as a
+    {!Tpdbt_durable.Durable} record under the magic [TPDBT-SNAP 1].
+    Floats are printed with [%h] so cycle totals round-trip
+    bit-exactly; truncation, bit flips and trailing garbage are
+    {e detected} (classified) rather than parsed into wrong state.
 
     The config and program are {e not} stored — only digests of them.
     {!restore} recomputes every piece of derived state (block map,
@@ -20,11 +18,6 @@ type parsed = {
   sn_program_digest : string;
   sn_image : Engine.image;
 }
-
-type classified =
-  | Snapshot of parsed
-  | Stale_version of string  (** a [TPDBT-SNAP] file of another version *)
-  | Corrupt of string  (** damage, with the detection reason *)
 
 val config_digest : Engine.config -> string
 (** CRC32 over every config field that steers execution.  The
@@ -40,10 +33,9 @@ val to_string : config:Engine.config -> program:Tpdbt_isa.Program.t ->
 (** @raise Invalid_argument if the image lists a region without a
     monitor entry (it cannot have come from {!Engine.capture}). *)
 
-val of_string : string -> classified
-(** Total: never raises.  Validates the magic, the CRC header, the
-    payload grammar and each region's structure
-    ({!Region.validate}). *)
+val of_string : string -> parsed Tpdbt_durable.Durable.classified
+(** Total: never raises, never [Missing].  Validates the frame, the
+    payload grammar and each region's structure ({!Region.validate}). *)
 
 val restore :
   config:Engine.config ->

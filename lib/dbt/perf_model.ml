@@ -103,3 +103,60 @@ let record c registry =
       ("regions_quarantined", c.regions_quarantined);
       ("watchdog_degraded", c.watchdog_degraded);
     ]
+
+let counters_to_line c =
+  (* %h round-trips the float exactly; every other field is an int. *)
+  Printf.sprintf
+    "counters %h %d %d %d %d %d %d %d %d %d %d %d %d %d %d %d %d %d %d %d %d \
+     %d"
+    c.cycles c.blocks_translated c.regions_formed c.region_entries
+    c.region_completions c.loop_backs c.side_exits c.optimization_rounds
+    c.regions_dissolved c.faults_injected c.retrans_retries c.fault_dissolves
+    c.blocks_retranslated c.cache_evictions c.cache_flushes
+    c.cache_evicted_instrs c.cache_peak_instrs c.shadow_replays
+    c.shadow_divergences c.corrupted_entries c.regions_quarantined
+    c.watchdog_degraded
+
+let counters_of_line line =
+  let exception Bad of string in
+  let int_exn s =
+    match int_of_string_opt s with
+    | Some v -> v
+    | None -> raise (Bad (Printf.sprintf "not an integer: %S" s))
+  in
+  match String.split_on_char ' ' line with
+  | [
+      "counters"; cy; a; b; c; d; e; f; g; h; i; j; k; l; m; n; o; p; q; r; s;
+      u; v;
+    ] -> (
+      match float_of_string_opt cy with
+      | None -> Error "bad cycles value"
+      | Some cycles -> (
+          try
+            Ok
+              {
+                cycles;
+                blocks_translated = int_exn a;
+                regions_formed = int_exn b;
+                region_entries = int_exn c;
+                region_completions = int_exn d;
+                loop_backs = int_exn e;
+                side_exits = int_exn f;
+                optimization_rounds = int_exn g;
+                regions_dissolved = int_exn h;
+                faults_injected = int_exn i;
+                retrans_retries = int_exn j;
+                fault_dissolves = int_exn k;
+                blocks_retranslated = int_exn l;
+                cache_evictions = int_exn m;
+                cache_flushes = int_exn n;
+                cache_evicted_instrs = int_exn o;
+                cache_peak_instrs = int_exn p;
+                shadow_replays = int_exn q;
+                shadow_divergences = int_exn r;
+                corrupted_entries = int_exn s;
+                regions_quarantined = int_exn u;
+                watchdog_degraded = int_exn v;
+              }
+          with Bad reason -> Error reason))
+  | _ -> Error "bad counters line"

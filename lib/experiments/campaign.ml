@@ -225,12 +225,6 @@ let render_chaos ppf c =
   Format.fprintf ppf "verdict: %s@]"
     (if chaos_ok c then "survived" else "FAILED")
 
-let chaos_read_file file =
-  let ic = open_in_bin file in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let chaos_write_file file s =
   let oc = open_out_bin file in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc s)
@@ -324,7 +318,7 @@ let chaos ?(jobs = 1) ?benches ?thresholds ?max_steps ?progress ~dir ~seed ()
     ckpt_save d;
     let file = Checkpoint.path ~dir d.Runner.bench in
     let damage f =
-      let text = chaos_read_file file in
+      let text = Tpdbt_durable.Durable.read_file file in
       let len = String.length text in
       f text len
     in

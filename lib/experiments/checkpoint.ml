@@ -3,74 +3,28 @@ module Perf_model = Tpdbt_dbt.Perf_model
 module Spec = Tpdbt_workloads.Spec
 module Suite = Tpdbt_workloads.Suite
 module Profile_io = Tpdbt_profiles.Profile_io
+module Durable = Tpdbt_durable.Durable
 
 (* Version 4 lets the store hold mid-run state: a file is either a
    finished benchmark (the v3 payload behind a "kind finished" line)
    or a suspended one — the completed stages plus the in-flight
    engine's serialized image — so a killed sweep resumes at
    guest-instruction granularity instead of re-running.  Version 3
-   made the store crash-consistent: the header carries a CRC32 and
-   byte length of the payload, saves fsync before the atomic rename,
-   and loads classify damage (truncation, bit flips, trailing garbage,
-   stale versions) instead of conflating it with absence.  Version 2
-   widened the counters line with the code-cache and shadow-oracle
-   fields. *)
+   made the store crash-consistent: a sealed durable record, published
+   atomically, whose damage loads classify instead of conflating it
+   with absence.  Version 2 widened the counters line with the
+   code-cache and shadow-oracle fields. *)
 let magic = "TPDBT-CKPT 4"
-let magic_prefix = "TPDBT-CKPT "
 
 type stored = Finished of Runner.data | Suspended of Runner.partial
 
-type classified =
-  | Valid of stored
+type 'a classified = 'a Durable.classified =
+  | Valid of 'a
   | Missing
   | Stale_version of string
   | Corrupt of string
 
-(* ---- CRC32 ------------------------------------------------------------- *)
-
-(* Table-driven CRC32 (IEEE 802.3, reflected — the zlib/PNG polynomial),
-   local so the store stays dependency-free. *)
-let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref (Int32.of_int n) in
-         for _ = 0 to 7 do
-           c :=
-             if Int32.logand !c 1l <> 0l then
-               Int32.logxor (Int32.shift_right_logical !c 1) 0xEDB88320l
-             else Int32.shift_right_logical !c 1
-         done;
-         !c))
-
-let crc32 s =
-  let table = Lazy.force crc_table in
-  let c = ref 0xFFFFFFFFl in
-  String.iter
-    (fun ch ->
-      let idx =
-        Int32.to_int
-          (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code ch))) 0xFFl)
-      in
-      c := Int32.logxor table.(idx) (Int32.shift_right_logical !c 8))
-    s;
-  Int32.logxor !c 0xFFFFFFFFl
-
-let crc_hex s = Printf.sprintf "%08lx" (crc32 s)
-
 (* ---- serialisation ----------------------------------------------------- *)
-
-let counters_to_line (c : Perf_model.counters) =
-  (* %h round-trips the float exactly; every other field is an int. *)
-  Printf.sprintf
-    "counters %h %d %d %d %d %d %d %d %d %d %d %d %d %d %d %d %d %d %d %d %d \
-     %d"
-    c.Perf_model.cycles c.blocks_translated c.regions_formed c.region_entries
-    c.region_completions c.loop_backs c.side_exits c.optimization_rounds
-    c.regions_dissolved c.faults_injected c.retrans_retries c.fault_dissolves
-    c.blocks_retranslated c.cache_evictions c.cache_flushes
-    c.cache_evicted_instrs c.cache_peak_instrs c.shadow_replays
-    c.shadow_divergences c.corrupted_entries c.regions_quarantined
-    c.watchdog_degraded
 
 let result_to_buf buf (r : Engine.result) =
   let add fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
@@ -79,7 +33,7 @@ let result_to_buf buf (r : Engine.result) =
   add "outputs %d%s" (List.length r.Engine.outputs)
     (String.concat ""
        (List.map (fun v -> " " ^ string_of_int v) r.Engine.outputs));
-  Buffer.add_string buf (counters_to_line r.Engine.counters ^ "\n");
+  add "%s" (Perf_model.counters_to_line r.Engine.counters);
   add "regstats %d" (List.length r.Engine.region_stats);
   List.iter
     (fun (id, (s : Engine.region_stats)) ->
@@ -144,12 +98,10 @@ let payload_of_partial (p : Runner.partial) =
   add "end";
   Buffer.contents buf
 
-let seal payload =
-  Printf.sprintf "%s\ncrc %s %d\n%s" magic (crc_hex payload)
-    (String.length payload) payload
+let data_to_string (d : Runner.data) = Durable.seal ~magic (payload_of_data d)
 
-let data_to_string (d : Runner.data) = seal (payload_of_data d)
-let partial_to_string (p : Runner.partial) = seal (payload_of_partial p)
+let partial_to_string (p : Runner.partial) =
+  Durable.seal ~magic (payload_of_partial p)
 
 (* ---- parsing ----------------------------------------------------------- *)
 
@@ -192,39 +144,9 @@ let parse_payload ?expect_thresholds spec text =
       | _ -> raise (Malformed "bad outputs line")
     in
     let counters =
-      match words () with
-      | [
-          "counters"; cy; a; b; c; d; e; f; g; h; i; j; k; l; m; n; o; p; q;
-          r; s; u; v;
-        ] -> (
-          match float_of_string_opt cy with
-          | None -> raise (Malformed "bad cycles value")
-          | Some cycles ->
-              {
-                Perf_model.cycles;
-                blocks_translated = int_exn a;
-                regions_formed = int_exn b;
-                region_entries = int_exn c;
-                region_completions = int_exn d;
-                loop_backs = int_exn e;
-                side_exits = int_exn f;
-                optimization_rounds = int_exn g;
-                regions_dissolved = int_exn h;
-                faults_injected = int_exn i;
-                retrans_retries = int_exn j;
-                fault_dissolves = int_exn k;
-                blocks_retranslated = int_exn l;
-                cache_evictions = int_exn m;
-                cache_flushes = int_exn n;
-                cache_evicted_instrs = int_exn o;
-                cache_peak_instrs = int_exn p;
-                shadow_replays = int_exn q;
-                shadow_divergences = int_exn r;
-                corrupted_entries = int_exn s;
-                regions_quarantined = int_exn u;
-                watchdog_degraded = int_exn v;
-              })
-      | _ -> raise (Malformed "bad counters line")
+      match Perf_model.counters_of_line (next ()) with
+      | Ok c -> c
+      | Error reason -> raise (Malformed reason)
     in
     let nstats =
       match words () with
@@ -368,12 +290,12 @@ let parse_payload ?expect_thresholds spec text =
         (* The embedded engine snapshot carries its own magic and CRC —
            validate it now so a damaged one classifies the whole store
            entry as corrupt instead of failing at resume time. *)
-        (match Tpdbt_dbt.Exec_snapshot.of_string p_snapshot with
-        | Tpdbt_dbt.Exec_snapshot.Snapshot _ -> ()
-        | Tpdbt_dbt.Exec_snapshot.Stale_version line ->
-            raise (Malformed ("embedded snapshot is stale: " ^ line))
-        | Tpdbt_dbt.Exec_snapshot.Corrupt reason ->
-            raise (Malformed ("embedded snapshot rejected: " ^ reason)));
+        (match
+           Durable.to_result ~what:"snapshot"
+             (Tpdbt_dbt.Exec_snapshot.of_string p_snapshot)
+         with
+        | Ok _ -> ()
+        | Error msg -> raise (Malformed ("embedded " ^ msg)));
         finish_checks ();
         Valid
           (Suspended
@@ -387,106 +309,43 @@ let parse_payload ?expect_thresholds spec text =
     | k -> raise (Malformed (Printf.sprintf "unknown kind %S" k))
   with Malformed reason -> Corrupt reason
 
-let split_line s pos =
-  match String.index_from_opt s pos '\n' with
-  | None -> None
-  | Some i -> Some (String.sub s pos (i - pos), i + 1)
-
 let data_of_string ?thresholds spec text =
-  if String.trim text = "" then Corrupt "empty file"
-  else
-    match split_line text 0 with
-    | None -> Corrupt "missing newline after magic"
-    | Some (line1, p1) -> (
-        if String.equal line1 magic then
-          match split_line text p1 with
-          | None -> Corrupt "missing crc header"
-          | Some (line2, p2) -> (
-              match String.split_on_char ' ' line2 with
-              | [ "crc"; hex; len ] -> (
-                  match int_of_string_opt len with
-                  | None -> Corrupt "malformed crc header"
-                  | Some len when len < 0 -> Corrupt "malformed crc header"
-                  | Some len ->
-                      let avail = String.length text - p2 in
-                      if avail < len then
-                        Corrupt
-                          (Printf.sprintf "truncated: %d of %d payload bytes"
-                             avail len)
-                      else if avail > len then
-                        Corrupt
-                          (Printf.sprintf
-                             "trailing garbage: %d bytes past the payload"
-                             (avail - len))
-                      else
-                        let payload = String.sub text p2 len in
-                        let actual = crc_hex payload in
-                        if not (String.equal actual hex) then
-                          Corrupt
-                            (Printf.sprintf "crc mismatch: header %s, payload %s"
-                               hex actual)
-                        else parse_payload ?expect_thresholds:thresholds spec payload
-                  )
-              | _ -> Corrupt "malformed crc header")
-        else if
-          String.length line1 >= String.length magic_prefix
-          && String.equal (String.sub line1 0 (String.length magic_prefix))
-               magic_prefix
-        then Stale_version line1
-        else Corrupt "unrecognised header")
+  Durable.bind (Durable.unseal ~magic text)
+    (parse_payload ?expect_thresholds:thresholds spec)
+
+let bench_name text =
+  Durable.bind (Durable.unseal ~magic text) (fun payload ->
+      let first =
+        match String.index_opt payload '\n' with
+        | Some i -> String.sub payload 0 i
+        | None -> payload
+      in
+      match String.split_on_char ' ' first with
+      | [ "bench"; name ] -> Valid name
+      | _ -> Corrupt "bad bench line")
 
 (* ---- files ------------------------------------------------------------- *)
 
 let path ~dir spec = Filename.concat dir (spec.Spec.name ^ ".ckpt")
 
-let write_atomic ~dir final text =
+let write ~dir spec text =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  let tmp = final ^ ".tmp" in
-  let oc = open_out tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc text;
-      (* Crash consistency: the payload must be durable before the
-         rename publishes it, or a power cut can leave a complete-
-         looking file full of zeroes. *)
-      flush oc;
-      Unix.fsync (Unix.descr_of_out_channel oc));
-  Sys.rename tmp final;
-  (* The rename itself lives in the directory: without fsyncing it, a
-     power cut can forget the new name (or resurrect the old file)
-     even though the data blocks are safe.  Directories cannot be
-     opened for writing; O_RDONLY is the documented way to fsync one.
-     Filesystems that refuse (EINVAL and friends) get the rename's
-     usual eventual durability — no worse than before. *)
-  (match Unix.openfile dir [ Unix.O_RDONLY ] 0 with
-  | exception Unix.Unix_error _ -> ()
-  | dfd ->
-      Fun.protect
-        ~finally:(fun () -> try Unix.close dfd with Unix.Unix_error _ -> ())
-        (fun () -> try Unix.fsync dfd with Unix.Unix_error _ -> ()))
+  Durable.atomic_write (path ~dir spec) text
 
-let save ~dir (d : Runner.data) =
-  write_atomic ~dir (path ~dir d.Runner.bench) (data_to_string d)
+let save ~dir (d : Runner.data) = write ~dir d.Runner.bench (data_to_string d)
 
 (* A mid-run snapshot lives in the same per-benchmark slot the
    finished result will occupy: the file monotonically progresses
    suspended -> ... -> suspended -> finished, and a crash at any point
    leaves the previous (complete, CRC-guarded) state. *)
 let save_suspended ~dir (p : Runner.partial) =
-  write_atomic ~dir (path ~dir p.Runner.p_bench) (partial_to_string p)
-
-let read_file file =
-  let ic = open_in_bin file in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+  write ~dir p.Runner.p_bench (partial_to_string p)
 
 let classify ?(thresholds = Suite.thresholds) ~dir spec =
   let file = path ~dir spec in
   if not (Sys.file_exists file) then Missing
   else
-    match read_file file with
+    match Durable.read_file file with
     | text -> data_of_string ~thresholds spec text
     | exception Sys_error reason -> Corrupt reason
 

@@ -16,22 +16,20 @@
     its last snapshot — and, by the engine's capture/restore guarantee,
     still produces byte-identical final results.
 
-    The store is crash-consistent (since v3): files carry a CRC32 and
-    byte length over the payload, are written to a temp file, fsynced
-    and atomically renamed into place — a sweep killed (or a machine
-    losing power) mid-write never publishes a partial checkpoint.  On
-    load, damage is {e classified}: a truncated, bit-flipped,
-    trailing-garbage or empty file is {!Corrupt}, an older format is
-    {!Stale_version}, and either way resume re-runs exactly the
-    damaged entries instead of trusting them — so the repaired sweep
+    Files are {!Tpdbt_durable.Durable} records (magic [TPDBT-CKPT 4],
+    since v3): sealed with a CRC32 and byte length, published by an
+    atomic write, and {e classified} on load — a truncated,
+    bit-flipped, trailing-garbage or empty file is {!Corrupt}, an older
+    format is {!Stale_version}, and either way resume re-runs exactly
+    the damaged entries instead of trusting them, so the repaired sweep
     is byte-identical to one that never lost the file. *)
 
 type stored =
   | Finished of Runner.data  (** a completed benchmark's results *)
   | Suspended of Runner.partial  (** mid-run state, resumable *)
 
-type classified =
-  | Valid of stored  (** header, CRC, length and payload all check out *)
+type 'a classified = 'a Tpdbt_durable.Durable.classified =
+  | Valid of 'a  (** header, CRC, length and payload all check out *)
   | Missing  (** no checkpoint file *)
   | Stale_version of string
       (** an earlier format's magic line — sound when written, but not
@@ -45,9 +43,8 @@ val path : dir:string -> Tpdbt_workloads.Spec.t -> string
 (** [<dir>/<bench-name>.ckpt]. *)
 
 val save : dir:string -> Runner.data -> unit
-(** Write the benchmark's finished checkpoint crash-consistently (temp
-    file, fsync, atomic rename, then fsync of [dir] so the rename
-    itself survives a power cut), creating [dir] if needed.
+(** Write the benchmark's finished checkpoint with
+    {!Tpdbt_durable.Durable.atomic_write}, creating [dir] if needed.
     @raise Sys_error on I/O failure. *)
 
 val save_suspended : dir:string -> Runner.partial -> unit
@@ -60,7 +57,7 @@ val classify :
   ?thresholds:(string * int) list ->
   dir:string ->
   Tpdbt_workloads.Spec.t ->
-  classified
+  stored classified
 (** Inspect the benchmark's checkpoint without committing to a
     boolean: callers that only care whether to re-run use {!load};
     the supervisor uses the classification to count and report
@@ -181,9 +178,14 @@ val data_of_string :
   ?thresholds:(string * int) list ->
   Tpdbt_workloads.Spec.t ->
   string ->
-  classified
+  stored classified
 (** The serialisation itself, for tests.  [data_of_string] needs the
     spec because checkpoints reference the benchmark by name rather
     than re-encoding the descriptor.  It never returns {!Missing} (the
     text exists; an empty string is {!Corrupt}); [thresholds], when
     given, must match the recorded list exactly. *)
+
+val bench_name : string -> string classified
+(** The benchmark a checkpoint text names, read only once the frame has
+    verified — the first step of inspecting a file whose benchmark is
+    not known in advance ([tpdbt snapshot info]). *)

@@ -128,16 +128,16 @@ let run_benchmark_result ?(thresholds = Suite.thresholds) ?max_steps ?deadline
     let* engine =
       match resume with
       | Some p when p.p_next = stage -> (
-          match Exec_snapshot.of_string p.p_snapshot with
-          | Exec_snapshot.Snapshot parsed -> (
+          match
+            Tpdbt_durable.Durable.to_result ~what:"snapshot"
+              (Exec_snapshot.of_string p.p_snapshot)
+          with
+          | Ok parsed -> (
               match Exec_snapshot.restore ~config ~program:aprogram parsed with
               | Ok t -> Ok t
               | Error reason ->
                   Error (Error.Io_error ("snapshot rejected: " ^ reason)))
-          | Exec_snapshot.Stale_version line ->
-              Error (Error.Io_error ("stale snapshot version: " ^ line))
-          | Exec_snapshot.Corrupt reason ->
-              Error (Error.Io_error ("corrupt snapshot: " ^ reason)))
+          | Error msg -> Error (Error.Io_error msg))
       | _ -> Ok (Engine.create ~config ~seed:input.Spec.seed aprogram)
     in
     let rec go () =

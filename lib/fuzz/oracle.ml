@@ -271,8 +271,11 @@ let check ?(perturb = fun ~arm:_ fp -> fp) ~seed program =
                       Snap.to_string ~config:sus_config ~program
                         (Engine.capture eng)
                     in
-                    match Snap.of_string text with
-                    | Snap.Snapshot parsed -> (
+                    match
+                      Tpdbt_durable.Durable.to_result ~what:"snapshot"
+                        (Snap.of_string text)
+                    with
+                    | Ok parsed -> (
                         (* The resume re-arms no triggers; the digest
                            check must accept that (triggers are
                            excluded from it by design). *)
@@ -281,9 +284,7 @@ let check ?(perturb = fun ~arm:_ fp -> fp) ~seed program =
                             let fin = Engine.run resumed in
                             Ok (Some (fin, Engine.machine resumed))
                         | Error msg -> Error ("restore rejected: " ^ msg))
-                    | Snap.Stale_version v -> Error ("stale version: " ^ v)
-                    | Snap.Corrupt reason ->
-                        Error ("round-trip corrupt: " ^ reason))
+                    | Error msg -> Error msg)
                 | _ ->
                     (* The program halted before the next dispatch
                        poll; nothing was interrupted. *)

@@ -213,13 +213,6 @@ let write_file path p =
     (fun () -> output_bytes oc (encode_program p))
 
 let read_file path =
-  match open_in_bin path with
+  match Tpdbt_durable.Durable.read_file path with
   | exception Sys_error msg -> Error msg
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () ->
-          let len = in_channel_length ic in
-          let buf = Bytes.create len in
-          really_input ic buf 0 len;
-          decode_program buf)
+  | text -> decode_program (Bytes.of_string text)

@@ -225,12 +225,20 @@ let of_string text =
                   | _ -> fail ~line ~field:"regions" "expected regions header")
               | [] -> fail ~line:0 ~field:"regions" "truncated before regions"
             in
+            (* Ids key every region lookup downstream: with a duplicate,
+               a lookup finds the wrong region and reads, or indexes
+               past, its slots. *)
+            let seen = Hashtbl.create 16 in
             let read_region rest =
               match rest with
               | (rline, text) :: rest -> (
                   match String.split_on_char ' ' text with
                   | [ "region"; id; kind; nslots ] ->
                       let id = int_exn ~line:rline ~field:"region.id" id in
+                      if Hashtbl.mem seen id then
+                        fail ~line:rline ~field:"region"
+                          (Printf.sprintf "duplicate region id %d" id);
+                      Hashtbl.add seen id ();
                       let kind =
                         match kind with
                         | "trace" -> Region.Trace
@@ -362,11 +370,6 @@ let save path snapshot =
     (fun () -> output_string oc (to_string snapshot))
 
 let load path =
-  match open_in path with
+  match Tpdbt_durable.Durable.read_file path with
   | exception Sys_error msg -> Error (Error.Io_error msg)
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () ->
-          let len = in_channel_length ic in
-          of_string (really_input_string ic len))
+  | text -> of_string text

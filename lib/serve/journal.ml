@@ -1,35 +1,6 @@
+module Durable = Tpdbt_durable.Durable
+
 let magic = "TPDBT-JRNL 1"
-
-(* Table-driven CRC32 (IEEE 802.3, reflected) — the same polynomial as
-   the checkpoint store, duplicated locally so the journal stays a
-   leaf module with no dependency on the experiments layer's
-   internals. *)
-let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref (Int32.of_int n) in
-         for _ = 0 to 7 do
-           c :=
-             if Int32.logand !c 1l <> 0l then
-               Int32.logxor (Int32.shift_right_logical !c 1) 0xEDB88320l
-             else Int32.shift_right_logical !c 1
-         done;
-         !c))
-
-let crc32 s =
-  let table = Lazy.force crc_table in
-  let c = ref 0xFFFFFFFFl in
-  String.iter
-    (fun ch ->
-      let idx =
-        Int32.to_int
-          (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code ch))) 0xFFl)
-      in
-      c := Int32.logxor table.(idx) (Int32.shift_right_logical !c 8))
-    s;
-  Int32.logxor !c 0xFFFFFFFFl
-
-let crc_hex s = Printf.sprintf "%08lx" (crc32 s)
 
 type record =
   | Sweep_begin of { id : int; benches : string list }
@@ -72,8 +43,8 @@ let record_of_string s =
 
 let frame_record r =
   let payload = record_to_string r in
-  Printf.sprintf "R %s %d %s\n" (crc_hex payload) (String.length payload)
-    payload
+  Printf.sprintf "R %s %d %s\n" (Durable.crc_hex payload)
+    (String.length payload) payload
 
 (* One framed line -> record, or None on any damage. *)
 let parse_line line =
@@ -85,26 +56,11 @@ let parse_line line =
           match int_of_string_opt len with
           | Some n
             when n = String.length payload
-                 && String.equal (crc_hex payload) crc ->
+                 && String.equal (Durable.crc_hex payload) crc ->
               record_of_string payload
           | _ -> None)
       | _ -> None)
   | _ -> None
-
-let fsync_dir path =
-  let dir = Filename.dirname path in
-  match Unix.openfile dir [ Unix.O_RDONLY ] 0 with
-  | fd ->
-      Fun.protect
-        ~finally:(fun () -> Unix.close fd)
-        (fun () -> try Unix.fsync fd with Unix.Unix_error _ -> ())
-  | exception Unix.Unix_error _ -> ()
-
-let read_all path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
 
 (* Scan the file text: return (good_prefix_length, records, inflight).
    Stops at the first damaged line; everything after it is torn. *)
@@ -171,28 +127,23 @@ let scan text =
   end
 
 let open_ ~path =
-  let fresh () =
-    let oc = open_out_bin path in
-    output_string oc (magic ^ "\n");
-    flush oc;
-    Unix.fsync (Unix.descr_of_out_channel oc);
-    fsync_dir path;
-    ({ oc }, { records = 0; torn = 0; inflight = []; snapshot_refs = [] })
+  let append () =
+    { oc = open_out_gen [ Open_wronly; Open_append; Open_binary ] 0o644 path }
   in
-  if not (Sys.file_exists path) then fresh ()
+  let fresh ~torn =
+    Durable.atomic_write path (magic ^ "\n");
+    (append (), { records = 0; torn; inflight = []; snapshot_refs = [] })
+  in
+  if not (Sys.file_exists path) then fresh ~torn:0
   else
-    match scan (read_all path) with
+    match scan (Durable.read_file path) with
     | None ->
         (* Unrecognised header: the file is not ours (or is damaged
            beyond its first line).  Crash-only: start over. *)
-        let t, r = fresh () in
-        (t, { r with torn = 1 })
+        fresh ~torn:1
     | Some (good, records, inflight, snapshot_refs, damaged) ->
         if damaged then Unix.truncate path good;
-        let oc =
-          open_out_gen [ Open_wronly; Open_append; Open_binary ] 0o644 path
-        in
-        ( { oc },
+        ( append (),
           {
             records;
             torn = (if damaged then 1 else 0);

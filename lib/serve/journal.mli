@@ -2,11 +2,13 @@
 
     The daemon journals the lifecycle of every stateful request (today:
     sweeps) so that a killed process can recover its in-flight work on
-    restart.  The discipline is the {!Tpdbt_experiments.Checkpoint} v3
-    one, adapted to appends: every record line carries a CRC32 and byte
-    length over its payload, each append is flushed and fsynced before
-    it is acknowledged, and the file's containing directory is fsynced
-    at creation so the journal itself cannot vanish in a crash.
+    restart.  It is the append-only variant of a
+    {!Tpdbt_durable.Durable} record: after the [TPDBT-JRNL 1] magic
+    line, every record is one [R <crc> <len> <payload>] line carrying
+    the CRC32 and byte length of its own payload; each append is
+    flushed and fsynced before it is acknowledged, and the journal is
+    created (or started over) with an atomic write, so it cannot
+    vanish or be left with a torn header in a crash.
 
     Recovery is {e crash-only}: opening an existing journal scans
     records in order and stops at the first damaged one — a torn final

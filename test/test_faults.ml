@@ -324,12 +324,7 @@ let test_checkpoint_rejects_stale () =
         (Checkpoint.load ~thresholds:mini_thresholds ~dir (mini "other") = None);
       (* Truncate the file: must read as absent, not crash. *)
       let path = Checkpoint.path ~dir bench in
-      let text =
-        let ic = open_in path in
-        Fun.protect
-          ~finally:(fun () -> close_in ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      in
+      let text = Tpdbt_durable.Durable.read_file path in
       let oc = open_out path in
       output_string oc (String.sub text 0 (String.length text / 2));
       close_out oc;

@@ -30,11 +30,7 @@ let contains haystack needle =
   let rec at i = i + n <= m && (String.sub haystack i n = needle || at (i + 1)) in
   at 0
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+let read_file = Tpdbt_durable.Durable.read_file
 
 let with_temp_dir f =
   let dir = Filename.temp_file "tpdbt-fuzz" "" in

@@ -18,6 +18,7 @@ let () =
       ("parallel", Test_parallel.suite);
       ("robustness", Test_robustness.suite);
       ("snapshots", Test_snapshots.suite);
+      ("durable", Test_durable.suite);
       ("serve", Test_serve.suite);
       ("fuzz", Test_fuzz.suite);
       ("hotpath", Test_hotpath.suite);

@@ -387,11 +387,7 @@ let with_temp_dir f =
       Sys.rmdir dir)
     (fun () -> f dir)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+let read_file = Tpdbt_durable.Durable.read_file
 
 let checkpoint_bytes dir benches =
   String.concat "\x00"

@@ -597,6 +597,28 @@ let test_profile_io_typed_rejections () =
   expect_field
     "TPDBT-PROFILE 1\nblocks 1 entry 0\nblock 0 0 0 stop\ncounters\n0 1 0\nregions 1\nregion 0 trace 1\nslot 0 9 1 0\n"
     "slot.block" 8;
+  (* two regions under one id: the analysis looks regions up by id *)
+  let duplicate_ids =
+    "TPDBT-PROFILE 1\nblocks 1 entry 0\nblock 0 0 0 stop\ncounters\n0 1 0\nregions 2\nregion 0 trace 1\nslot 0 0 1 0\nregion 0 trace 1\nslot 0 0 1 0\n"
+  in
+  expect_field duplicate_ids "region" 9;
+  let tpdbt = Filename.concat (Filename.concat ".." "bin") "tpdbt.exe" in
+  if Sys.file_exists tpdbt then begin
+    let path = Filename.temp_file "tpdbt-dup" ".prof" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        Out_channel.with_open_bin path (fun oc ->
+            output_string oc duplicate_ids);
+        checki "tpdbt analyze rejects it as invalid input" 2
+          (match
+             Unix.system
+               (Filename.quote_command tpdbt [ "analyze"; path; path ]
+                  ~stdout:Filename.null ~stderr:Filename.null)
+           with
+          | Unix.WEXITED n -> n
+          | Unix.WSIGNALED _ | Unix.WSTOPPED _ -> -1))
+  end;
   (* load of a missing file is a typed I/O error *)
   match Tpdbt_profiles.Profile_io.load "/nonexistent/tpdbt.prof" with
   | Error (Tpdbt_dbt.Error.Io_error _) -> ()

@@ -1,8 +1,9 @@
 (* Robustness of supervised sweeps: engine step deadlines, the
    checkpoint corruption matrix (truncation, bit flips, stale versions,
-   empty and garbage-trailed files are classified, re-run and repaired
-   byte-identically at every job count), and the chaos harness's
-   deterministic survival of combined task/worker/storage faults. *)
+   empty and garbage-trailed files are classified, on disk and as text,
+   re-run and repaired byte-identically at every job count), and the
+   chaos harness's deterministic survival of combined
+   task/worker/storage faults. *)
 
 module Error = Tpdbt_dbt.Error
 module Sup = Tpdbt_parallel.Supervisor
@@ -58,11 +59,7 @@ let with_temp_dir f =
       Sys.rmdir dir)
     (fun () -> f dir)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+let read_file = Tpdbt_durable.Durable.read_file
 
 let write_file path s =
   let oc = open_out_bin path in
@@ -165,38 +162,21 @@ let test_corruption_classified () =
         (class_name
            (Checkpoint.classify ~thresholds:mini_thresholds ~dir bench)))
 
+(* The checkpoint text as [data_of_string] sees it, finished and
+   suspended: the sealed-frame property over both. *)
 let test_data_of_string_rejects () =
-  let bench = mini "rob-reject" in
-  let data =
-    match Runner.run_benchmark_result ~thresholds:mini_thresholds bench with
-    | Ok d -> d
+  let bench = Test_snapshots.mini
+  and thresholds = Test_snapshots.mini_thresholds in
+  let finished =
+    match Runner.run_benchmark_result ~thresholds bench with
+    | Ok d -> Checkpoint.data_to_string d
     | Error e -> Alcotest.fail (Error.to_string e)
   in
-  let text = Checkpoint.data_to_string data in
-  let classify s =
-    class_name (Checkpoint.data_of_string ~thresholds:mini_thresholds bench s)
-  in
-  checks "round trip" "valid" (classify text);
-  checks "empty string" "corrupt" (classify "");
-  checks "whitespace only" "corrupt" (classify " \n \n");
-  checks "trailing garbage" "corrupt" (classify (text ^ "junk\n"));
-  checks "truncated" "corrupt"
-    (classify (String.sub text 0 (String.length text / 2)));
-  checks "older version" "stale"
-    (classify "TPDBT-CKPT 2\nbench rob-reject\n");
-  checks "foreign text" "corrupt" (classify "not a checkpoint at all\n");
-  (* The corrupt constructor carries a diagnosable reason. *)
-  (match Checkpoint.data_of_string ~thresholds:mini_thresholds bench "" with
-  | Checkpoint.Corrupt reason -> checks "empty reason" "empty file" reason
-  | _ -> Alcotest.fail "empty input not corrupt");
-  match
-    Checkpoint.data_of_string ~thresholds:mini_thresholds bench (text ^ "x")
-  with
-  | Checkpoint.Corrupt reason ->
-      checkb "trailing reason mentions garbage" true
-        (String.length reason > 0
-        && String.sub reason 0 (min 8 (String.length reason)) = "trailing")
-  | _ -> Alcotest.fail "trailing input not corrupt"
+  let classify = Checkpoint.data_of_string ~thresholds bench in
+  Sealed_frames.check "finished checkpoint" finished classify;
+  Sealed_frames.check "suspended checkpoint"
+    (Checkpoint.partial_to_string (Test_snapshots.suspended_partial ()))
+    classify
 
 let test_damaged_store_repaired_across_jobs () =
   (* Four checkpoints, two damaged: the supervised resume must classify

@@ -1,8 +1,10 @@
 (* Mid-run snapshot/suspend/resume: the engine's capture/restore
    byte-identity, the serialized snapshot's corruption matrix, the v4
-   suspended-checkpoint store's corruption matrix, the journal's
-   snapshot breadcrumbs and damaged-header recovery, and the request
-   client's deterministic backoff schedule. *)
+   suspended-checkpoint store on disk, the
+   single-run CLI's suspend/resume cycle, the journal's snapshot
+   breadcrumbs and damaged-header recovery, and the request client's
+   deterministic backoff schedule.  Damage to the serialized snapshot
+   text is the sealed-frame property (sealed_frames.ml). *)
 
 module Engine = Tpdbt_dbt.Engine
 module Snap = Tpdbt_dbt.Exec_snapshot
@@ -12,6 +14,7 @@ module Runner = Tpdbt_experiments.Runner
 module Checkpoint = Tpdbt_experiments.Checkpoint
 module Journal = Tpdbt_serve.Journal
 module Spec = Tpdbt_workloads.Spec
+module Durable = Tpdbt_durable.Durable
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
@@ -29,21 +32,14 @@ let with_temp_dir f =
       Sys.rmdir dir)
     (fun () -> f dir)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let write_file path s =
   let oc = open_out_bin path in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc s)
 
 (* A guest program busy enough to cross the optimisation phase (two
    loops, a branchy body) yet cheap enough for a unit test. *)
-let program =
-  Tpdbt_isa.Assembler.assemble_exn
-    {|
+let program_source =
+  {|
 .entry main
 main:
     movi r1, 400
@@ -63,6 +59,8 @@ skip:
     out r2
     halt
 |}
+
+let program = Tpdbt_isa.Assembler.assemble_exn program_source
 
 let config = Engine.config ~pool_trigger:4 ~threshold:2 ()
 let seed = 11L
@@ -123,13 +121,12 @@ let test_serialized_resume_identity () =
      trigger) -> complete. *)
   let text = Snap.to_string ~config:sus_config ~program (Engine.capture eng) in
   let resumed =
-    match Snap.of_string text with
-    | Snap.Snapshot parsed -> (
+    match Durable.to_result ~what:"snapshot" (Snap.of_string text) with
+    | Ok parsed -> (
         match Snap.restore ~config ~program parsed with
         | Ok eng2 -> eng2
         | Error msg -> Alcotest.fail ("restore rejected: " ^ msg))
-    | Snap.Stale_version v -> Alcotest.fail ("stale: " ^ v)
-    | Snap.Corrupt reason -> Alcotest.fail ("corrupt: " ^ reason)
+    | Error msg -> Alcotest.fail msg
   in
   same_result "serialized resume" reference (Engine.run resumed)
 
@@ -144,7 +141,7 @@ let test_restore_refuses_mismatch () =
       Snap.of_string
         (Snap.to_string ~config:sus_config ~program (Engine.capture eng))
     with
-    | Snap.Snapshot p -> p
+    | Durable.Valid p -> p
     | _ -> Alcotest.fail "round trip failed"
   in
   (* A config that steers execution differently must be refused... *)
@@ -173,43 +170,18 @@ let snapshot_text () =
   ignore (Engine.run eng);
   Snap.to_string ~config:sus_config ~program (Engine.capture eng)
 
-let corrupt_of = function
-  | Snap.Corrupt _ -> true
-  | Snap.Snapshot _ | Snap.Stale_version _ -> false
-
 let test_snapshot_text_corruption_matrix () =
   let text = snapshot_text () in
   (match Snap.of_string text with
-  | Snap.Snapshot parsed ->
+  | Durable.Valid parsed ->
       let i = Snap.info parsed in
       checkb "info reports the suspension point" true (i.Snap.steps > 0);
       checkb "not halted mid-run" false i.Snap.halted
   | _ -> Alcotest.fail "intact snapshot rejected");
-  checkb "zero-length is corrupt" true (corrupt_of (Snap.of_string ""));
-  checkb "truncated is corrupt" true
-    (corrupt_of
-       (Snap.of_string (String.sub text 0 (String.length text * 2 / 3))));
-  let flipped =
-    let b = Bytes.of_string text in
-    let i = (Bytes.length b * 3 / 4) + 1 in
-    Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x08));
-    Bytes.to_string b
-  in
-  checkb "bit flip is corrupt" true (corrupt_of (Snap.of_string flipped));
-  checkb "trailing garbage is corrupt" true
-    (corrupt_of (Snap.of_string (text ^ "tail")));
-  let stale =
-    "TPDBT-SNAP 0"
-    ^ String.sub text (String.length "TPDBT-SNAP 1")
-        (String.length text - String.length "TPDBT-SNAP 1")
-  in
-  checkb "older version is stale, not corrupt" true
-    (match Snap.of_string stale with
-    | Snap.Stale_version _ -> true
-    | Snap.Snapshot _ | Snap.Corrupt _ -> false)
+  Sealed_frames.check "engine snapshot" text Snap.of_string
 
 (* ------------------------------------------------------------------ *)
-(* v4 suspended-checkpoint corruption matrix                            *)
+(* v4 suspended-checkpoint store                                        *)
 (* ------------------------------------------------------------------ *)
 
 let mini =
@@ -245,15 +217,12 @@ let suspended_partial () =
   | Ok _ -> Alcotest.fail "benchmark finished under a 2k deadline"
   | Error e -> Alcotest.fail ("unexpected error: " ^ Error.to_string e)
 
-let classify_text text =
-  Checkpoint.data_of_string ~thresholds:mini_thresholds mini text
-
 let test_suspended_store_corruption_matrix () =
   with_temp_dir (fun dir ->
       let partial = suspended_partial () in
       Checkpoint.save_suspended ~dir partial;
       let path = Checkpoint.path ~dir mini in
-      let text = read_file path in
+      let text = Durable.read_file path in
       (match Checkpoint.classify ~thresholds:mini_thresholds ~dir mini with
       | Checkpoint.Valid (Checkpoint.Suspended p) ->
           checks "round-tripped snapshot text" partial.Runner.p_snapshot
@@ -267,35 +236,25 @@ let test_suspended_store_corruption_matrix () =
       checkb "load (finished) refuses it" true
         (Option.is_none
            (Checkpoint.load ~thresholds:mini_thresholds ~dir mini));
+      (* Damage on disk reaches the store's classification and keeps the
+         slot from resuming; every damage class is the property test's. *)
       let damage name text expect_stale =
-        (match classify_text text with
-        | Checkpoint.Corrupt _ ->
-            checkb (name ^ " classified corrupt") false expect_stale
-        | Checkpoint.Stale_version _ ->
-            checkb (name ^ " classified stale") true expect_stale
-        | Checkpoint.Valid _ -> Alcotest.fail (name ^ " accepted")
-        | Checkpoint.Missing -> Alcotest.fail (name ^ " reported missing"));
         write_file path text;
+        (match Checkpoint.classify ~thresholds:mini_thresholds ~dir mini with
+        | Checkpoint.Corrupt _ -> checkb (name ^ " corrupt") false expect_stale
+        | Checkpoint.Stale_version _ ->
+            checkb (name ^ " stale") true expect_stale
+        | Checkpoint.Valid _ | Checkpoint.Missing ->
+            Alcotest.fail (name ^ " not classified as damage"));
         checkb (name ^ ": load_suspended refuses") true
           (Option.is_none
              (Checkpoint.load_suspended ~thresholds:mini_thresholds ~dir mini))
       in
-      damage "zero-length" "" false;
       damage "truncation" (String.sub text 0 (String.length text / 2)) false;
-      let flipped =
-        let b = Bytes.of_string text in
-        let i = Bytes.length b * 2 / 3 in
-        Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x04));
-        Bytes.to_string b
-      in
-      damage "bit flip" flipped false;
-      damage "trailing garbage" (text ^ "x") false;
-      let v3 =
-        "TPDBT-CKPT 3"
-        ^ String.sub text (String.length "TPDBT-CKPT 4")
-            (String.length text - String.length "TPDBT-CKPT 4")
-      in
-      damage "stale v3 magic" v3 true)
+      let n = String.length "TPDBT-CKPT 4" in
+      damage "stale v3 magic"
+        ("TPDBT-CKPT 3" ^ String.sub text n (String.length text - n))
+        true)
 
 let test_suspended_resume_byte_identity () =
   with_temp_dir (fun dir ->
@@ -321,6 +280,50 @@ let test_suspended_resume_byte_identity () =
       checks "resumed data serializes byte-identically"
         (Checkpoint.data_to_string straight)
         (Checkpoint.data_to_string resumed))
+
+(* ------------------------------------------------------------------ *)
+(* Single-run CLI: tpdbt dbt --suspend-after / --snapshot / --resume-run *)
+(* ------------------------------------------------------------------ *)
+
+let tpdbt = Filename.concat (Filename.concat ".." "bin") "tpdbt.exe"
+
+let tpdbt_ok ~stdout args =
+  match
+    Unix.system
+      (Filename.quote_command tpdbt args ~stdout ~stderr:Filename.null)
+  with
+  | Unix.WEXITED 0 -> ()
+  | _ -> Alcotest.failf "tpdbt %s failed" (String.concat " " args)
+
+let test_cli_snapshot_rewrite_atomic () =
+  if not (Sys.file_exists tpdbt) then Alcotest.skip ()
+  else
+    with_temp_dir (fun dir ->
+        let src = Filename.concat dir "loop.s" in
+        let snap = Filename.concat dir "run.snap" in
+        let out name = Filename.concat dir name in
+        write_file src program_source;
+        tpdbt_ok ~stdout:(out "ref.out") [ "dbt"; src ];
+        tpdbt_ok ~stdout:Filename.null
+          [ "dbt"; src; "--suspend-after"; "2000"; "--snapshot"; snap ];
+        let inode () = (Unix.stat snap).Unix.st_ino in
+        let before = inode () in
+        (* Resuming from F and snapshotting into F again: an in-place
+           rewrite would destroy the only copy of the state if killed
+           mid-write. *)
+        tpdbt_ok ~stdout:Filename.null
+          [
+            "dbt"; src; "--resume-run"; snap; "--suspend-after"; "6000";
+            "--snapshot"; snap;
+          ];
+        checkb "snapshot replaced by rename, not rewritten in place" true
+          (inode () <> before);
+        checkb "no temp file left behind" false
+          (Sys.file_exists (snap ^ ".tmp"));
+        tpdbt_ok ~stdout:(out "res.out") [ "dbt"; src; "--resume-run"; snap ];
+        checks "twice-resumed run prints the uninterrupted output"
+          (Durable.read_file (out "ref.out"))
+          (Durable.read_file (out "res.out")))
 
 (* ------------------------------------------------------------------ *)
 (* Journal: snapshot refs and damaged-header recovery                   *)
@@ -423,6 +426,8 @@ let suite =
       test_suspended_store_corruption_matrix;
     Alcotest.test_case "suspended resume byte identity" `Quick
       test_suspended_resume_byte_identity;
+    Alcotest.test_case "dbt --snapshot rewrites atomically" `Quick
+      test_cli_snapshot_rewrite_atomic;
     Alcotest.test_case "journal snapshot refs" `Quick
       test_journal_snapshot_refs;
     Alcotest.test_case "journal zero-length and torn header" `Quick
