@@ -43,9 +43,10 @@ cache-smoke: build
 	$(DUNE) exec bin/tpdbt.exe -- cache perlbmk --frac 0.25 --expect-evictions
 
 # Determinism smoke: the full sweep over two benchmarks, sequential vs
-# -j $(PAR_JOBS), must agree byte-for-byte — stdout tables, CSV files
-# and checkpoint files alike.  Any scheduling leak into the results
-# shows up here as a diff.
+# -j $(PAR_JOBS), and -j $(PAR_JOBS) under --supervise, must agree
+# byte-for-byte — stdout tables, CSV files and checkpoint files alike.
+# Any scheduling or supervision-policy leak into the results shows up
+# here as a diff.
 par-smoke: build
 	rm -rf $(PAR_SMOKE_DIR)
 	mkdir -p $(PAR_SMOKE_DIR)
@@ -57,10 +58,18 @@ par-smoke: build
 		--csv $(PAR_SMOKE_DIR)/par-csv \
 		--checkpoint $(PAR_SMOKE_DIR)/par-ckpt \
 		> $(PAR_SMOKE_DIR)/par.out
+	$(DUNE) exec bin/tpdbt.exe -- sweep -b gzip -b swim --jobs $(PAR_JOBS) \
+		--supervise \
+		--csv $(PAR_SMOKE_DIR)/sup-csv \
+		--checkpoint $(PAR_SMOKE_DIR)/sup-ckpt \
+		> $(PAR_SMOKE_DIR)/sup.out
 	cmp $(PAR_SMOKE_DIR)/seq.out $(PAR_SMOKE_DIR)/par.out
 	diff -r $(PAR_SMOKE_DIR)/seq-csv $(PAR_SMOKE_DIR)/par-csv
 	diff -r $(PAR_SMOKE_DIR)/seq-ckpt $(PAR_SMOKE_DIR)/par-ckpt
-	@echo "par-smoke: sequential and -j $(PAR_JOBS) sweeps are byte-identical"
+	cmp $(PAR_SMOKE_DIR)/seq.out $(PAR_SMOKE_DIR)/sup.out
+	diff -r $(PAR_SMOKE_DIR)/seq-csv $(PAR_SMOKE_DIR)/sup-csv
+	diff -r $(PAR_SMOKE_DIR)/seq-ckpt $(PAR_SMOKE_DIR)/sup-ckpt
+	@echo "par-smoke: sequential, -j $(PAR_JOBS) and supervised -j $(PAR_JOBS) sweeps are byte-identical"
 
 # Chaos smoke: a supervised checkpointed sweep under injected faults —
 # a stalled workload, a worker-domain crash, a panicking task, a kill

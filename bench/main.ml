@@ -130,16 +130,17 @@ let run_sweep ~quick ~jobs =
   Printf.eprintf "running the threshold sweep over %d benchmarks (%d jobs)...\n%!"
     (List.length benches) jobs;
   let t0 = Unix.gettimeofday () in
-  let sweep =
-    Runner.run_many_par ~jobs
+  let sweep, supervision =
+    Runner.run_sweep ~jobs
       ~progress:(fun n status ->
         Printf.eprintf "  %s (%s)\n%!" n (Runner.status_name status))
-      ~report:(fun stats ->
-        Printf.eprintf "  parallel: %d jobs, %d steals, speedup %.2fx\n%!"
-          stats.Tpdbt_parallel.Pool.jobs stats.Tpdbt_parallel.Pool.steals
-          (Tpdbt_parallel.Pool.speedup stats))
       benches
   in
+  let s = supervision.Runner.sup in
+  if jobs > 1 then
+    Printf.eprintf "  parallel: %d jobs, speedup %.2fx\n%!"
+      s.Tpdbt_parallel.Supervisor.jobs
+      (s.Tpdbt_parallel.Supervisor.busy /. s.Tpdbt_parallel.Supervisor.elapsed);
   List.iter
     (fun { Runner.failed; error } ->
       Printf.eprintf "  failed %s: %s\n%!" failed.Tpdbt_workloads.Spec.name
@@ -198,7 +199,7 @@ let parallel_bench ~quick () =
   let measure jobs =
     Printf.eprintf "  sweep at -j %d...\n%!" jobs;
     let t0 = Unix.gettimeofday () in
-    let sweep = Runner.run_many_par ~jobs benches in
+    let sweep, _ = Runner.run_sweep ~jobs benches in
     let seconds = Unix.gettimeofday () -. t0 in
     List.iter
       (fun { Runner.failed; error } ->

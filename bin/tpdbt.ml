@@ -186,13 +186,6 @@ let jobs_arg =
            recommended domain count).  1 runs sequentially in-process; any \
            value produces byte-identical results.")
 
-let report_parallel jobs stats =
-  if jobs > 1 then
-    Printf.eprintf "parallel: %d jobs, %d tasks, %d steals, speedup %.2fx\n%!"
-      stats.Tpdbt_parallel.Pool.jobs stats.Tpdbt_parallel.Pool.tasks
-      stats.Tpdbt_parallel.Pool.steals
-      (Tpdbt_parallel.Pool.speedup stats)
-
 let shadow_arg =
   Arg.(
     value & opt int 0
@@ -494,11 +487,12 @@ let sweep_cmd =
       & opt (some int) None
       & info [ "deadline" ] ~docv:"N"
           ~doc:
-            "With $(b,--supervise): fail any constituent run that executes \
-             more than N guest instructions with a fatal deadline error \
-             (default: no deadline).  With $(b,--snapshot-every) armed, the \
-             blown deadline instead suspends the run resumably (also \
-             honoured without $(b,--supervise)).")
+            "Fail any constituent run that executes more than N guest \
+             instructions with a fatal deadline error (default: no \
+             deadline).  The benchmark fails on its single attempt, or, \
+             with $(b,--supervise), is retried and then quarantined.  With \
+             $(b,--snapshot-every) armed, the blown deadline instead \
+             suspends the run resumably.")
   in
   let retries =
     Arg.(
@@ -554,63 +548,49 @@ let sweep_cmd =
       prerr_endline "--snapshot-every/--resume-run require --checkpoint DIR";
       exit exit_usage
     end;
+    if retries <> None && not supervise then begin
+      prerr_endline "--retries requires --supervise";
+      exit exit_usage
+    end;
     (* With snapshots armed, a blown deadline parks the benchmark
        resumably instead of failing it. *)
     let suspend_on_deadline = snapshot_every > 0 && deadline <> None in
-    let on_snapshot_saved name =
-      Printf.eprintf "snapshot: %s\n%!" name
+    let on_snapshot_saved name = Printf.eprintf "snapshot: %s\n%!" name in
+    let policy =
+      match (supervise, retries) with
+      | false, _ -> Sup.one_attempt
+      | true, None -> Sup.default_policy
+      | true, Some n -> { Sup.default_policy with Sup.max_attempts = max 1 n }
     in
-    let report = report_parallel jobs in
-    let sweep =
-      if supervise then begin
-        let policy =
-          match retries with
-          | None -> Sup.default_policy
-          | Some n -> { Sup.default_policy with Sup.max_attempts = max 1 n }
-        in
-        let report (s : Sup.stats) =
-          if jobs > 1 || s.Sup.retries > 0 || s.Sup.poisoned > 0 then
-            Printf.eprintf
-              "supervised: %d tasks, %d attempts, %d retries, %d poisoned, \
-               %d crashes%s\n\
-               %!"
-              s.Sup.tasks s.Sup.attempts s.Sup.retries s.Sup.poisoned
-              s.Sup.crashes
-              (if s.Sup.degraded then " (pool degraded)" else "")
-        in
-        let sweep, supervision =
-          match checkpoint_dir with
-          | Some dir ->
-              Tpdbt_experiments.Checkpoint.run_many_supervised ?max_steps
-                ?deadline ~snapshot_every ~suspend_on_deadline
-                ~resume_suspended:resume_run ~on_snapshot_saved ~jobs ~policy
-                ~progress ~report ~dir selected
-          | None ->
-              Runner.run_many_supervised ?max_steps ?deadline ~jobs ~policy
-                ~progress ~report selected
-        in
-        List.iter
-          (fun (name, reason) ->
-            Printf.eprintf "corrupt checkpoint %s: %s (re-ran)\n%!" name reason)
-          supervision.Runner.corrupt;
-        List.iter
-          (fun ((b : Tpdbt_workloads.Spec.t), reason) ->
-            Printf.eprintf "quarantined %s: %s\n%!" b.Tpdbt_workloads.Spec.name
-              reason)
-          supervision.Runner.poisoned;
-        sweep
-      end
-      else
-        match checkpoint_dir with
-        | Some dir ->
-            Tpdbt_experiments.Checkpoint.run_many_par ?max_steps
-              ?deadline:(if suspend_on_deadline then deadline else None)
-              ~snapshot_every ~suspend_on_deadline
-              ~resume_suspended:resume_run ~on_snapshot_saved ~jobs ~progress
-              ~report ~dir selected
-        | None ->
-            Runner.run_many_par ?max_steps ~jobs ~progress ~report selected
+    let store =
+      Option.map
+        (fun dir ->
+          Tpdbt_experiments.Checkpoint.store ~resume_suspended:resume_run
+            ~on_snapshot_saved ~dir ())
+        checkpoint_dir
     in
+    let sweep, supervision =
+      Runner.run_sweep ?max_steps ?deadline ~snapshot_every
+        ~suspend_on_deadline ~jobs ~policy ?store ~progress selected
+    in
+    let s = supervision.Runner.sup in
+    if jobs > 1 || s.Sup.retries > 0 || s.Sup.poisoned > 0 then
+      Printf.eprintf
+        "sweep: %d jobs, %d tasks, %d attempts, %d retries, %d poisoned, %d \
+         crashes%s\n\
+         %!"
+        s.Sup.jobs s.Sup.tasks s.Sup.attempts s.Sup.retries s.Sup.poisoned
+        s.Sup.crashes
+        (if s.Sup.degraded then " (pool degraded)" else "");
+    List.iter
+      (fun (name, reason) ->
+        Printf.eprintf "corrupt checkpoint %s: %s (re-ran)\n%!" name reason)
+      supervision.Runner.corrupt;
+    List.iter
+      (fun ((b : Tpdbt_workloads.Spec.t), reason) ->
+        Printf.eprintf "quarantined %s: %s\n%!" b.Tpdbt_workloads.Spec.name
+          reason)
+      supervision.Runner.poisoned;
     let suspended, fatal =
       List.partition Runner.suspended_failure sweep.Runner.failures
     in

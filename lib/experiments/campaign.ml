@@ -272,7 +272,7 @@ let chaos ?(jobs = 1) ?benches ?thresholds ?max_steps ?progress ~dir ~seed ()
   in
   (* Reference: the fault-free sequential sweep the survivors must
      match byte for byte. *)
-  let reference = Runner.run_many ?thresholds ?max_steps benches in
+  let reference, _ = Runner.run_sweep ?thresholds ?max_steps benches in
   if reference.Runner.failures <> [] then
     invalid_arg "Campaign.chaos: a benchmark fails even without faults";
   let reference_text =
@@ -311,51 +311,53 @@ let chaos ?(jobs = 1) ?benches ?thresholds ?max_steps ?progress ~dir ~seed ()
     | Some _ | None -> 1
   in
   (* Pass 1: tasks panic and workers crash on their first attempt, the
-     stall victim never fits its deadline, and the checkpoint victims'
-     files are damaged right after they are written. *)
-  let ckpt_save, ckpt_load = Checkpoint.hooks ?thresholds ~dir () in
-  let save_and_damage (d : Runner.data) =
-    ckpt_save d;
-    let file = Checkpoint.path ~dir d.Runner.bench in
-    let damage f =
-      let text = Tpdbt_durable.Durable.read_file file in
-      let len = String.length text in
-      f text len
-    in
-    match fault_of d.Runner.bench.Spec.name with
-    | Some Bitflip ->
-        damage (fun text len ->
-            let b = Bytes.of_string text in
-            let i = len / 2 in
-            Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x40));
-            chaos_write_file file (Bytes.to_string b))
-    | Some Truncate ->
-        damage (fun text len ->
-            chaos_write_file file (String.sub text 0 (len / 2)))
-    | Some Stall | Some Crash | Some Panic | Some Kill | None -> ()
-  in
-  let run_task_pass1 ~task:_ ~attempt (bench : Spec.t) =
-    match fault_of bench.Spec.name with
-    | Some Panic when attempt = 1 -> failwith "chaos: injected task panic"
-    | Some Crash when attempt = 1 -> raise Sup.Crash_worker
-    | Some Stall -> stall_run bench
-    | Some Kill ->
-        (* Killed at a seeded guest instruction: the run suspends
-           there, publishes its mid-run snapshot into the store (the
-           worker is that file's only writer) and is parked — the
-           supervisor neither retries nor poisons it. *)
-        Runner.run_benchmark_result ?thresholds ?max_steps
-          ~deadline:(kill_deadline bench.Spec.name) ~suspend_on_deadline:true
-          ~on_snapshot:(fun p -> Checkpoint.save_suspended ~dir p)
-          bench
-    | _ -> Runner.run_benchmark_result ?thresholds ?max_steps bench
+     stall victim never fits its deadline, and the kill victim is
+     suspended mid-run. *)
+  let store = Checkpoint.store ?thresholds ~dir () in
+  let sweep ~run_task =
+    Runner.run_sweep ?thresholds ?max_steps ~jobs ~policy:Sup.default_policy
+      ~store ?progress ~run_task benches
   in
   let _sweep1, sup1 =
-    Runner.run_many_supervised ?thresholds ?max_steps ~jobs ?progress
-      ~save:save_and_damage ~load:ckpt_load ~run_task:run_task_pass1 benches
+    sweep ~run_task:(fun ~attempt (bench : Spec.t) run ->
+        match fault_of bench.Spec.name with
+        | Some Panic when attempt = 1 -> failwith "chaos: injected task panic"
+        | Some Crash when attempt = 1 -> raise Sup.Crash_worker
+        | Some Stall -> stall_run bench
+        | Some Kill ->
+            (* Killed at a seeded guest instruction: the run suspends
+               there, publishes its mid-run snapshot into the store and
+               is parked — the supervisor neither retries nor poisons
+               it. *)
+            Runner.run_benchmark_result ?thresholds ?max_steps
+              ~deadline:(kill_deadline bench.Spec.name)
+              ~suspend_on_deadline:true ~on_snapshot:store.Runner.save_suspended
+              bench
+        | _ -> run ())
   in
-  (* Pass 2: resume from the (partly damaged) store.  Only the stall is
-     a persistent fault; panicking and crashing tasks already recovered
+  (* Damage the checkpoint victims' files.  Pass 1 never re-reads a file
+     it saved, so damaging them now is the same as damaging them as
+     they were written. *)
+  List.iter
+    (fun (b : Spec.t) ->
+      let file = Checkpoint.path ~dir b in
+      let damage f =
+        let text = Tpdbt_durable.Durable.read_file file in
+        chaos_write_file file (f text (String.length text))
+      in
+      match fault_of b.Spec.name with
+      | Some Bitflip ->
+          damage (fun text len ->
+              let bytes = Bytes.of_string text in
+              let i = len / 2 in
+              Bytes.set bytes i
+                (Char.chr (Char.code (Bytes.get bytes i) lxor 0x40));
+              Bytes.to_string bytes)
+      | Some Truncate -> damage (fun text len -> String.sub text 0 (len / 2))
+      | Some Stall | Some Crash | Some Panic | Some Kill | None -> ())
+    benches;
+  (* Pass 2: resume from the damaged store.  Only the stall is a
+     persistent fault; panicking and crashing tasks already recovered
      in pass 1 and resume from their checkpoints, the kill victim
      continues from its mid-run snapshot, and the damaged checkpoints
      are classified corrupt and re-run cleanly. *)
@@ -367,17 +369,11 @@ let chaos ?(jobs = 1) ?benches ?thresholds ?max_steps ?progress ~dir ~seed ()
         else None)
       benches
   in
-  let run_task_pass2 ~task:_ ~attempt:_ (bench : Spec.t) =
-    match fault_of bench.Spec.name with
-    | Some Stall -> stall_run bench
-    | _ ->
-        Runner.run_benchmark_result ?thresholds ?max_steps
-          ?resume:(Checkpoint.load_suspended ?thresholds ~dir bench)
-          bench
-  in
   let sweep2, sup2 =
-    Checkpoint.run_many_supervised ?thresholds ?max_steps ~jobs ?progress
-      ~run_task:run_task_pass2 ~dir benches
+    sweep ~run_task:(fun ~attempt:_ (bench : Spec.t) run ->
+        match fault_of bench.Spec.name with
+        | Some Stall -> stall_run bench
+        | _ -> run ())
   in
   let poisoned_benches =
     List.map

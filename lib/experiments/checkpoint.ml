@@ -359,89 +359,29 @@ let load_suspended ?thresholds ~dir spec =
   | Valid (Suspended p) -> Some p
   | _ -> None
 
-let hooks ?thresholds ?(on_bad = fun _ _ -> ()) ~dir () =
-  ( (fun d -> save ~dir d),
-    fun spec ->
-      match classify ?thresholds ~dir spec with
-      | Valid (Finished d) -> Some d
-      | Valid (Suspended _) ->
-          (* healthy mid-run state, not a finished result: the
-             suspended-resume path owns it *)
-          None
-      | Missing -> None
-      | Stale_version line ->
-          on_bad spec ("stale checkpoint version: " ^ line);
-          None
-      | Corrupt reason ->
-          on_bad spec reason;
-          None )
+let store ?thresholds ?(resume_suspended = true) ?on_snapshot_saved ~dir () =
+  {
+    Runner.finished =
+      (fun spec ->
+        match classify ?thresholds ~dir spec with
+        | Valid (Finished d) -> Ok (Some d)
+        | Valid (Suspended _) | Missing -> Ok None
+        | Stale_version line -> Error ("stale checkpoint version: " ^ line)
+        | Corrupt reason -> Error reason);
+    suspended =
+      (fun spec ->
+        if resume_suspended then load_suspended ?thresholds ~dir spec else None);
+    save = save ~dir;
+    save_suspended =
+      (fun p ->
+        save_suspended ~dir p;
+        Option.iter (fun f -> f p.Runner.p_bench.Spec.name) on_snapshot_saved);
+  }
 
-(* Wire the suspend/resume plumbing for one sweep call: where mid-run
-   snapshots land ([on_snapshot]) and where resumable state comes from
-   ([load_suspended], gated on [resume]). *)
-let snapshot_hooks ?thresholds ?on_snapshot_saved ~resume ~dir () =
-  let on_snapshot (p : Runner.partial) =
-    save_suspended ~dir p;
-    match on_snapshot_saved with
-    | Some f -> f p.Runner.p_bench.Spec.name
-    | None -> ()
-  in
-  let load_suspended spec =
-    if resume then load_suspended ?thresholds ~dir spec else None
-  in
-  (on_snapshot, load_suspended)
-
-let run_many ?thresholds ?max_steps ?deadline ?snapshot_every
-    ?suspend_on_deadline ?(resume_suspended = true) ?on_snapshot_saved
-    ?progress ~dir benches =
-  let save, load = hooks ?thresholds ~dir () in
-  let on_snapshot, load_suspended =
-    snapshot_hooks ?thresholds ?on_snapshot_saved ~resume:resume_suspended
-      ~dir ()
-  in
-  Runner.run_many ?thresholds ?max_steps ?deadline ?snapshot_every
-    ?suspend_on_deadline ~on_snapshot ~load_suspended ?progress ~save ~load
-    benches
-
-let run_many_par ?thresholds ?max_steps ?deadline ?snapshot_every
-    ?suspend_on_deadline ?(resume_suspended = true) ?on_snapshot_saved ?jobs
-    ?progress ?sink ?metrics ?report ~dir benches =
-  let save, load = hooks ?thresholds ~dir () in
-  let on_snapshot, load_suspended =
-    snapshot_hooks ?thresholds ?on_snapshot_saved ~resume:resume_suspended
-      ~dir ()
-  in
-  Runner.run_many_par ?thresholds ?max_steps ?deadline ?snapshot_every
-    ?suspend_on_deadline ~on_snapshot ~load_suspended ?jobs ?progress ?sink
-    ?metrics ?report ~save ~load benches
-
-let run_many_supervised ?thresholds ?max_steps ?deadline ?snapshot_every
-    ?suspend_on_deadline ?(resume_suspended = true) ?on_snapshot_saved ?jobs
-    ?policy ?progress ?sink ?metrics ?report ?run_task ~dir benches =
-  let module Tel = Tpdbt_telemetry in
-  let corrupt = ref [] in
-  let seq = ref 0 in
-  let on_bad (spec : Spec.t) reason =
-    corrupt := (spec.Spec.name, reason) :: !corrupt;
-    incr seq;
-    Option.iter
-      (fun s ->
-        s.Tel.Sink.emit ~step:!seq
-          (Tel.Event.Checkpoint_corrupt { bench = spec.Spec.name; reason }))
-      sink;
-    Option.iter
-      (fun m ->
-        Tel.Metrics.incr (Tel.Metrics.counter m "checkpoint.corrupt"))
-      metrics
-  in
-  let save, load = hooks ?thresholds ~on_bad ~dir () in
-  let on_snapshot, load_suspended =
-    snapshot_hooks ?thresholds ?on_snapshot_saved ~resume:resume_suspended
-      ~dir ()
-  in
-  let sweep, supervision =
-    Runner.run_many_supervised ?thresholds ?max_steps ?deadline
-      ?snapshot_every ?suspend_on_deadline ~on_snapshot ~load_suspended ?jobs
-      ?policy ?progress ?sink ?metrics ?report ?run_task ~save ~load benches
-  in
-  (sweep, { supervision with Runner.corrupt = List.rev !corrupt })
+(* Kept for the performance ledger (ledger/), whose sources stay the
+   same across the changes it compares; everything else passes [store]
+   to [Runner.run_sweep]. *)
+let run_many ?max_steps ?snapshot_every ?progress ~dir benches =
+  fst
+    (Runner.run_sweep ?max_steps ?snapshot_every ?progress
+       ~store:(store ~dir ()) benches)

@@ -60,8 +60,7 @@ val classify :
   stored classified
 (** Inspect the benchmark's checkpoint without committing to a
     boolean: callers that only care whether to re-run use {!load};
-    the supervisor uses the classification to count and report
-    corruption. *)
+    {!store} uses the classification to report corruption. *)
 
 val load :
   ?thresholds:(string * int) list ->
@@ -79,97 +78,32 @@ val load_suspended :
   Runner.partial option
 (** The {e suspended} mid-run state, under the same validation. *)
 
-val hooks :
+val store :
   ?thresholds:(string * int) list ->
-  ?on_bad:(Tpdbt_workloads.Spec.t -> string -> unit) ->
+  ?resume_suspended:bool ->
+  ?on_snapshot_saved:(string -> unit) ->
   dir:string ->
   unit ->
-  (Runner.data -> unit) * (Tpdbt_workloads.Spec.t -> Runner.data option)
-(** [(save, load)] closures for {!Runner.run_many}'s [?save]/[?load].
-    [on_bad spec reason] fires when a checkpoint exists but is
-    {!Corrupt} or {!Stale_version} (never for {!Missing} or a healthy
-    {!Suspended} entry) — the hook behind [checkpoint.corrupt]
-    telemetry. *)
+  Runner.store
+(** The checkpoint store over [dir], for {!Runner.run_sweep}: the resume
+    scan restores {!Valid} finished entries and reports {!Corrupt} and
+    {!Stale_version} ones as damaged (to be re-run); finished results
+    and mid-run snapshots are saved into each benchmark's slot, and
+    every mid-run snapshot is then reported to [on_snapshot_saved] with
+    the benchmark name.  [resume_suspended] (default [true]) continues
+    suspended entries from their snapshot instead of restarting them.
+    [thresholds] must be the sweep's own. *)
 
 val run_many :
-  ?thresholds:(string * int) list ->
   ?max_steps:int ->
-  ?deadline:int ->
   ?snapshot_every:int ->
-  ?suspend_on_deadline:bool ->
-  ?resume_suspended:bool ->
-  ?on_snapshot_saved:(string -> unit) ->
   ?progress:(string -> Runner.status -> unit) ->
   dir:string ->
   Tpdbt_workloads.Spec.t list ->
   Runner.sweep
-(** {!Runner.run_many} with checkpointing wired in: completed
-    benchmarks are saved to [dir] and already-checkpointed ones are
-    restored instead of re-run.  [snapshot_every]/[suspend_on_deadline]
-    arm mid-run snapshots, each saved into the benchmark's slot (then
-    reported to [on_snapshot_saved] with the benchmark name);
-    [resume_suspended] (default [true]) continues suspended entries
-    from their snapshot instead of restarting them. *)
-
-val run_many_par :
-  ?thresholds:(string * int) list ->
-  ?max_steps:int ->
-  ?deadline:int ->
-  ?snapshot_every:int ->
-  ?suspend_on_deadline:bool ->
-  ?resume_suspended:bool ->
-  ?on_snapshot_saved:(string -> unit) ->
-  ?jobs:int ->
-  ?progress:(string -> Runner.status -> unit) ->
-  ?sink:Tpdbt_telemetry.Sink.t ->
-  ?metrics:Tpdbt_telemetry.Metrics.t ->
-  ?report:(Tpdbt_parallel.Pool.stats -> unit) ->
-  dir:string ->
-  Tpdbt_workloads.Spec.t list ->
-  Runner.sweep
-(** {!Runner.run_many_par} with the same checkpoint hooks.  Finished
-    results are saved on the calling (collector) domain as they
-    arrive, and the resume scan runs before any worker spawns —
-    checkpoint files are byte-identical to a sequential run's at every
-    job count.  Mid-run snapshots are the one exception: each is saved
-    by the worker driving that benchmark, which is that file's only
-    writer until the task completes, so the single-writer-per-file
-    invariant still holds. *)
-
-val run_many_supervised :
-  ?thresholds:(string * int) list ->
-  ?max_steps:int ->
-  ?deadline:int ->
-  ?snapshot_every:int ->
-  ?suspend_on_deadline:bool ->
-  ?resume_suspended:bool ->
-  ?on_snapshot_saved:(string -> unit) ->
-  ?jobs:int ->
-  ?policy:Tpdbt_parallel.Supervisor.policy ->
-  ?progress:(string -> Runner.status -> unit) ->
-  ?sink:Tpdbt_telemetry.Sink.t ->
-  ?metrics:Tpdbt_telemetry.Metrics.t ->
-  ?report:(Tpdbt_parallel.Supervisor.stats -> unit) ->
-  ?run_task:
-    (task:int ->
-    attempt:int ->
-    Tpdbt_workloads.Spec.t ->
-    (Runner.data, Tpdbt_dbt.Error.t) result) ->
-  dir:string ->
-  Tpdbt_workloads.Spec.t list ->
-  Runner.sweep * Runner.supervision
-(** {!Runner.run_many_supervised} with the crash-consistent checkpoint
-    hooks.  Damaged checkpoints found during the resume scan are
-    re-run, returned in [supervision.corrupt] (scan order), emitted as
-    [checkpoint.corrupt] telemetry events, and counted in the
-    [checkpoint.corrupt] metric.  Suspended entries resume from their
-    mid-run snapshot (at every attempt — a retry of a task whose
-    earlier attempt crashed after a snapshot continues rather than
-    restarts).  Together with the supervisor this closes the loop: a
-    sweep survives task failures, worker crashes, a kill at an
-    arbitrary guest instruction {e and} a corrupted checkpoint store,
-    and still produces results byte-identical to an undisturbed run
-    for every non-poisoned benchmark. *)
+(** {!Runner.run_sweep} at [jobs = 1] over {!store}[ ~dir ()].  Kept
+    because the performance ledger ([ledger/]) calls it, and the
+    ledger's sources stay the same across the changes it compares. *)
 
 val data_to_string : Runner.data -> string
 val partial_to_string : Runner.partial -> string

@@ -313,180 +313,16 @@ let status_name = function
 let suspended_failure (f : failure) =
   match f.error with Error.Suspended _ -> true | _ -> false
 
-(* Sequential reference path.  [run_many_par] must produce the same
-   merged sweep (and, via [save], the same checkpoint bytes) for every
-   job count — keep the two in lockstep. *)
-let run_many ?thresholds ?max_steps ?deadline ?snapshot_every
-    ?suspend_on_deadline ?on_snapshot ?load_suspended
-    ?(progress = fun _ _ -> ()) ?save ?load benches =
-  let data = ref [] and failures = ref [] in
-  List.iter
-    (fun bench ->
-      let name = bench.Spec.name in
-      match Option.bind load (fun f -> f bench) with
-      | Some d ->
-          progress name Resumed;
-          data := d :: !data
-      | None -> (
-          progress name Started;
-          let resume = Option.bind load_suspended (fun f -> f bench) in
-          match
-            run_benchmark_result ?thresholds ?max_steps ?deadline
-              ?snapshot_every ?suspend_on_deadline ?on_snapshot ?resume bench
-          with
-          | Ok d ->
-              Option.iter (fun f -> f d) save;
-              progress name Finished;
-              data := d :: !data
-          | Error e ->
-              progress name
-                (match e with Error.Suspended _ -> Suspended | _ -> Failed e);
-              failures := { failed = bench; error = e } :: !failures))
-    benches;
-  { data = List.rev !data; failures = List.rev !failures }
-
-module Pool = Tpdbt_parallel.Pool
-
-(* Worker scheduling events, forwarded to a telemetry sink from the
-   collector domain.  The scheduler runs outside any engine, so the
-   stamp is a scheduler sequence number rather than a guest clock.
-   Each task is also bracketed in a per-worker span ([worker<i>]) so
-   the profiler and the span metrics see pool busy time; the span's
-   wall clock is the task's measured seconds, its allocation deltas
-   are unknown (the work happened on another domain) and stay 0. *)
-let worker_sink_events sink =
-  let module Tel = Tpdbt_telemetry in
-  let seq = ref 0 in
-  let emit event =
-    incr seq;
-    sink.Tel.Sink.emit ~step:!seq event
-  in
-  let span worker = "worker" ^ string_of_int worker in
-  fun (e : Pool.event) ->
-    match e with
-    | Pool.Start { worker; task } ->
-        emit (Tel.Event.Worker_start { worker; task });
-        emit (Tel.Event.Span_begin { span = span worker })
-    | Pool.Steal { worker; victim; task } ->
-        emit (Tel.Event.Worker_steal { worker; victim; task })
-    | Pool.Finish { worker; task; seconds } ->
-        emit
-          (Tel.Event.Span_end
-             {
-               span = span worker;
-               wall_ns = int_of_float (seconds *. 1e9);
-               minor_words = 0;
-               major_words = 0;
-             });
-        emit (Tel.Event.Worker_finish { worker; task })
-
-let record_parallel_stats metrics (stats : Pool.stats) =
-  let module Tel = Tpdbt_telemetry in
-  Tel.Metrics.set (Tel.Metrics.gauge metrics "parallel.speedup")
-    (Pool.speedup stats);
-  Tel.Metrics.set (Tel.Metrics.gauge metrics "parallel.jobs")
-    (float_of_int stats.Pool.jobs);
-  Tel.Metrics.add (Tel.Metrics.counter metrics "parallel.steals")
-    stats.Pool.steals;
-  Tel.Metrics.add (Tel.Metrics.counter metrics "parallel.tasks")
-    stats.Pool.tasks;
-  Tel.Metrics.set
-    (Tel.Metrics.gauge metrics "parallel.busy_seconds")
-    stats.Pool.busy;
-  Tel.Metrics.set
-    (Tel.Metrics.gauge metrics "parallel.idle_seconds")
-    (Float.max 0.0
-       ((float_of_int stats.Pool.jobs *. stats.Pool.elapsed) -. stats.Pool.busy))
-
-let run_many_par ?thresholds ?max_steps ?deadline ?snapshot_every
-    ?suspend_on_deadline ?on_snapshot ?load_suspended ?jobs
-    ?(progress = fun _ _ -> ()) ?save ?load ?sink ?metrics ?report benches =
-  let jobs =
-    match jobs with Some j -> max 1 j | None -> Pool.default_jobs ()
-  in
-  if jobs <= 1 then
-    run_many ?thresholds ?max_steps ?deadline ?snapshot_every
-      ?suspend_on_deadline ?on_snapshot ?load_suspended ~progress ?save ?load
-      benches
-  else begin
-    (* Resume scan up front, on the collector domain: checkpoint reads
-       never race the workers, and a resumed benchmark never becomes a
-       task at all.  Suspended mid-run state is scanned here too — a
-       worker then continues the engine instead of restarting it. *)
-    let entries =
-      List.map
-        (fun bench ->
-          match Option.bind load (fun f -> f bench) with
-          | Some d ->
-              progress bench.Spec.name Resumed;
-              (bench, Some d)
-          | None -> (bench, None))
-        benches
-    in
-    let pending =
-      Array.of_list
-        (List.filter_map
-           (fun (b, d) ->
-             if d = None then
-               Some (b, Option.bind load_suspended (fun f -> f b))
-             else None)
-           entries)
-    in
-    let name task = (fst pending.(task)).Spec.name in
-    let on_event =
-      let forward =
-        match sink with None -> fun _ -> () | Some s -> worker_sink_events s
-      in
-      fun (e : Pool.event) ->
-        forward e;
-        match e with
-        | Pool.Start { task; _ } -> progress (name task) Started
-        | Pool.Steal _ | Pool.Finish _ -> ()
-    in
-    (* Completion arrival order is nondeterministic, but every
-       checkpoint [save] happens here, on the collector domain, and
-       each file's bytes depend only on its own task's result.
-       (Mid-run snapshots are the exception: [on_snapshot] runs on the
-       worker, but each benchmark's file has that worker as its only
-       writer until the task completes.) *)
-    let on_result task = function
-      | Ok d ->
-          Option.iter (fun f -> f d) save;
-          progress (name task) Finished
-      | Error (Error.Suspended _) -> progress (name task) Suspended
-      | Error e -> progress (name task) (Failed e)
-    in
-    let results, stats =
-      Pool.map ~jobs ~on_event ~on_result
-        (fun (bench, resume) ->
-          run_benchmark_result ?thresholds ?max_steps ?deadline
-            ?snapshot_every ?suspend_on_deadline ?on_snapshot ?resume bench)
-        pending
-    in
-    Option.iter (fun m -> record_parallel_stats m stats) metrics;
-    Option.iter (fun f -> f stats) report;
-    (* Deterministic merge: walk the benchmarks in input order, pulling
-       resumed data or the task result tagged with the next pending
-       index — the same [sweep] the sequential path builds. *)
-    let next = ref 0 in
-    let data = ref [] and failures = ref [] in
-    List.iter
-      (fun (bench, resumed) ->
-        match resumed with
-        | Some d -> data := d :: !data
-        | None -> (
-            let r = results.(!next) in
-            incr next;
-            match r with
-            | Ok d -> data := d :: !data
-            | Error e -> failures := { failed = bench; error = e } :: !failures))
-      entries;
-    { data = List.rev !data; failures = List.rev !failures }
-  end
-
-(* ---- supervised sweeps ------------------------------------------------ *)
+(* ---- the sweep --------------------------------------------------------- *)
 
 module Sup = Tpdbt_parallel.Supervisor
+
+type store = {
+  finished : Spec.t -> (data option, string) result;
+  suspended : Spec.t -> partial option;
+  save : data -> unit;
+  save_suspended : partial -> unit;
+}
 
 type supervision = {
   sup : Sup.stats;
@@ -494,152 +330,82 @@ type supervision = {
   corrupt : (string * string) list;
 }
 
-let task_seconds_buckets =
-  [ 0.001; 0.01; 0.05; 0.1; 0.5; 1.0; 5.0; 30.0; 120.0 ]
-
-(* Supervisor scheduling events → telemetry, stamped like the worker
-   events with a per-source sequence number. *)
-let supervisor_sink_events sink =
-  let module Tel = Tpdbt_telemetry in
-  let seq = ref 0 in
-  fun (event : Tel.Event.t) ->
-    incr seq;
-    match sink with
-    | None -> ()
-    | Some s -> s.Tel.Sink.emit ~step:!seq event
-
-let record_supervision_metrics metrics (s : Sup.stats) =
-  let module Tel = Tpdbt_telemetry in
-  Tel.Metrics.set (Tel.Metrics.gauge metrics "parallel.jobs")
-    (float_of_int s.Sup.jobs);
-  Tel.Metrics.add (Tel.Metrics.counter metrics "parallel.tasks") s.Sup.tasks;
-  Tel.Metrics.add
-    (Tel.Metrics.counter metrics "supervisor.attempts")
-    s.Sup.attempts;
-  Tel.Metrics.add (Tel.Metrics.counter metrics "supervisor.retries")
-    s.Sup.retries;
-  Tel.Metrics.add
-    (Tel.Metrics.counter metrics "supervisor.poisoned")
-    s.Sup.poisoned;
-  Tel.Metrics.add (Tel.Metrics.counter metrics "supervisor.crashes")
-    s.Sup.crashes
-
-let run_many_supervised ?thresholds ?max_steps ?deadline ?snapshot_every
-    ?suspend_on_deadline ?on_snapshot ?load_suspended ?jobs ?policy
-    ?(progress = fun _ _ -> ()) ?save ?load ?sink ?metrics ?report ?run_task
+let run_sweep ?thresholds ?max_steps ?deadline ?snapshot_every
+    ?suspend_on_deadline ?(jobs = 1) ?(policy = Sup.one_attempt) ?store
+    ?(progress = fun _ _ -> ()) ?(run_task = fun ~attempt:_ _ run -> run ())
     benches =
-  let module Tel = Tpdbt_telemetry in
-  (* Resume scan up front on the collector, exactly as [run_many_par]:
-     resumed benchmarks never become supervised tasks. *)
+  (* The resume scan, on the collector before any worker starts: a
+     finished entry is parsed once and never becomes a task, a damaged
+     one is reported and re-run. *)
+  let corrupt = ref [] in
   let entries =
     List.map
       (fun bench ->
-        match Option.bind load (fun f -> f bench) with
-        | Some d ->
+        match Option.map (fun s -> s.finished bench) store with
+        | Some (Ok (Some d)) ->
             progress bench.Spec.name Resumed;
             (bench, Some d)
-        | None -> (bench, None))
+        | Some (Error reason) ->
+            corrupt := (bench.Spec.name, reason) :: !corrupt;
+            (bench, None)
+        | Some (Ok None) | None -> (bench, None))
       benches
   in
   let pending =
     Array.of_list
-      (List.filter_map (fun (b, d) -> if d = None then Some b else None) entries)
+      (List.filter_map
+         (fun (b, d) -> if Option.is_none d then Some b else None)
+         entries)
   in
-  let run_task =
-    match run_task with
-    | Some f -> f
-    | None ->
-        (* The suspended-state lookup runs per attempt, on the worker:
-           a retry of a task whose earlier attempt crashed after a
-           mid-run snapshot continues from that snapshot instead of
-           restarting.  Only this task writes this benchmark's file,
-           so the read cannot race another writer. *)
-        fun ~task:_ ~attempt:_ bench ->
-          let resume = Option.bind load_suspended (fun f -> f bench) in
-          run_benchmark_result ?thresholds ?max_steps ?deadline
-            ?snapshot_every ?suspend_on_deadline ?on_snapshot ?resume bench
+  (* One attempt, on the worker.  The suspended-state lookup runs per
+     attempt, so a retry after a crash that followed a mid-run snapshot
+     continues from that snapshot.  Mid-run snapshots are saved here
+     too: until the task completes, its worker is the only writer of
+     the benchmark's slot. *)
+  let run bench () =
+    run_benchmark_result ?thresholds ?max_steps ?deadline ?snapshot_every
+      ?suspend_on_deadline
+      ?on_snapshot:(Option.map (fun s -> s.save_suspended) store)
+      ?resume:(Option.bind store (fun s -> s.suspended bench))
+      bench
   in
-  (* The last fatal typed error each task produced: a poisoned task's
-     entry in [failures] keeps the engine's own diagnosis when there is
-     one, rather than flattening it to a string. *)
-  let last_error = Array.make (max 1 (Array.length pending)) None in
-  let emit = supervisor_sink_events sink in
-  let observe_latency =
-    match metrics with
-    | None -> fun _ -> ()
-    | Some m ->
-        let h =
-          Tel.Metrics.histogram m "supervisor.task_seconds"
-            ~buckets:task_seconds_buckets
-        in
-        fun seconds -> Tel.Metrics.observe h seconds
-  in
-  let name task = pending.(task).Spec.name in
-  (* Every [Attempt] opens a per-task span; exactly one of the
-     completion events (done, retry, give-up, breaker, worker lost)
-     closes it again, so the span stream stays balanced even for
-     failing tasks.  Only the success path knows the attempt's wall
-     clock — failure closes carry 0. *)
-  let span_label task = "task" ^ string_of_int task in
-  let span_begin task = emit (Tel.Event.Span_begin { span = span_label task }) in
-  let span_end ?(seconds = 0.0) task =
-    emit
-      (Tel.Event.Span_end
-         {
-           span = span_label task;
-           wall_ns = int_of_float (seconds *. 1e9);
-           minor_words = 0;
-           major_words = 0;
-         })
-  in
-  let on_event (e : Sup.event) =
-    match e with
-    | Sup.Attempt { task; attempt } ->
-        span_begin task;
-        if attempt = 1 then progress (name task) Started
-    | Sup.Task_done { task; seconds; _ } ->
-        span_end ~seconds task;
-        observe_latency seconds
-    | Sup.Retry { task; attempt; backoff; reason } ->
-        span_end task;
-        emit (Tel.Event.Supervisor_retry { task; attempt; backoff; reason })
-    | Sup.Gave_up { task; attempts; reason } ->
-        span_end task;
-        emit (Tel.Event.Supervisor_give_up { task; attempts; reason });
-        progress (name task) (Quarantined reason)
-    | Sup.Breaker_opened { task; failures } ->
-        span_end task;
-        emit (Tel.Event.Breaker_open { task; failures });
-        progress (name task) (Quarantined "circuit breaker opened")
-    | Sup.Worker_lost { worker; task } ->
-        span_end task;
-        emit (Tel.Event.Worker_lost { worker; task })
-    | Sup.Degraded { live } -> emit (Tel.Event.Pool_degraded { live })
-  in
+  (* A typed fatal error fails the attempt only when the policy can
+     retry it; otherwise the task resolves with the error and reports
+     [Failed].  The last such error is kept, so a poisoned benchmark's
+     entry in [failures] carries the engine's own diagnosis. *)
+  let retry = policy.Sup.max_attempts > 1 in
+  let last_error = Array.make (Array.length pending) None in
   let failed task = function
-    | Ok _ -> None
-    | Error (Error.Suspended _) ->
-        (* Parked, not failed: the snapshot is on disk and a later
-           sweep resumes it — retrying now would just re-suspend. *)
-        None
-    | Error e ->
+    | Error (Error.Suspended _) -> None
+    | Error e when retry ->
         last_error.(task) <- Some e;
         Some (Error.to_string e)
+    | Ok _ | Error _ -> None
   in
+  let name task = pending.(task).Spec.name in
+  let on_event = function
+    | Sup.Attempt { task; attempt = 1 } -> progress (name task) Started
+    | Sup.Gave_up { task; reason; _ } ->
+        progress (name task) (Quarantined reason)
+    | Sup.Breaker_opened { task; _ } ->
+        progress (name task) (Quarantined "circuit breaker opened")
+    | _ -> ()
+  in
+  (* On the collector: save, then report [Finished]. *)
   let on_result task = function
     | Ok d ->
-        Option.iter (fun f -> f d) save;
+        Option.iter (fun s -> s.save d) store;
         progress (name task) Finished
     | Error (Error.Suspended _) -> progress (name task) Suspended
-    | Error _ -> ()
+    | Error e -> progress (name task) (Failed e)
   in
   let outcomes, stats =
-    Sup.run ?jobs ?policy ~failed ~on_event ~on_result
-      (fun ~attempt (task, bench) -> run_task ~task ~attempt bench)
-      (Array.mapi (fun i b -> (i, b)) pending)
+    Sup.run ~jobs ~policy ~failed ~on_event ~on_result
+      (fun ~attempt bench -> run_task ~attempt bench (run bench))
+      pending
   in
-  Option.iter (fun m -> record_supervision_metrics m stats) metrics;
-  Option.iter (fun f -> f stats) report;
+  (* The input-order merge: resumed data, or the outcome of the next
+     pending task — the same sweep at every job count. *)
   let next = ref 0 in
   let data = ref [] and failures = ref [] and poisoned = ref [] in
   List.iter
@@ -651,24 +417,30 @@ let run_many_supervised ?thresholds ?max_steps ?deadline ?snapshot_every
           incr next;
           match outcomes.(task) with
           | Sup.Done (Ok d) -> data := d :: !data
-          | Sup.Done (Error e) ->
-              (* a suspended task resolves here (the classifier lets it
-                 through without retry); any other typed error is
-                 rejected by the classifier and resolves poisoned *)
-              failures := { failed = bench; error = e } :: !failures
+          | Sup.Done (Error error) ->
+              failures := { failed = bench; error } :: !failures
           | Sup.Poisoned { reason; _ } ->
               let error =
                 match last_error.(task) with
                 | Some e -> e
-                | None ->
-                    Error.Io_error ("supervised task poisoned: " ^ reason)
+                | None -> Error.Io_error ("task poisoned: " ^ reason)
               in
               poisoned := (bench, reason) :: !poisoned;
               failures := { failed = bench; error } :: !failures))
     entries;
   ( { data = List.rev !data; failures = List.rev !failures },
-    {
-      sup = stats;
-      poisoned = List.rev !poisoned;
-      corrupt = [];
-    } )
+    { sup = stats; poisoned = List.rev !poisoned; corrupt = List.rev !corrupt }
+  )
+
+(* Kept for the performance ledger (ledger/), whose sources stay the
+   same across the changes it compares; everything else calls
+   [run_sweep]. *)
+let run_many ?max_steps benches = fst (run_sweep ?max_steps benches)
+
+let run_many_par ?jobs ?max_steps benches =
+  let jobs =
+    match jobs with
+    | Some j -> j
+    | None -> Tpdbt_parallel.Pool.default_jobs ()
+  in
+  fst (run_sweep ~jobs ?max_steps benches)

@@ -159,8 +159,9 @@ type status =
   | Failed of Tpdbt_dbt.Error.t  (** isolated per-benchmark failure *)
   | Resumed  (** restored from a checkpoint; not re-run *)
   | Quarantined of string
-      (** supervised sweeps only: the task was poisoned (retry budget
-          exhausted or circuit breaker opened) *)
+      (** the task was poisoned: its attempts ran out or its circuit
+          breaker opened.  Under a one-attempt policy only a raised
+          exception ends this way; a typed error is [Failed]. *)
   | Suspended
       (** parked on a resumable mid-run snapshot (deadline suspension);
           appears in [failures] with {!Tpdbt_dbt.Error.Suspended} *)
@@ -178,75 +179,18 @@ val status_name : status -> string
 (** ["started"], ["ok"], ["failed"], ["resumed"], ["poisoned"],
     ["suspended"]. *)
 
-val run_many :
-  ?thresholds:(string * int) list ->
-  ?max_steps:int ->
-  ?deadline:int ->
-  ?snapshot_every:int ->
-  ?suspend_on_deadline:bool ->
-  ?on_snapshot:(partial -> unit) ->
-  ?load_suspended:(Tpdbt_workloads.Spec.t -> partial option) ->
-  ?progress:(string -> status -> unit) ->
-  ?save:(data -> unit) ->
-  ?load:(Tpdbt_workloads.Spec.t -> data option) ->
-  Tpdbt_workloads.Spec.t list ->
-  sweep
-(** Sweep over benchmarks with per-benchmark failure isolation: a run
-    that ends with a typed error lands in [failures] and the sweep
-    continues.  [progress] is called with the benchmark name as each
-    one starts and again when it finishes (ok / failed / resumed).
-    [load] is consulted before running a benchmark — returning [Some]
-    skips the run entirely — and [save] receives each freshly computed
-    {!data}; wire both to {!Checkpoint.hooks} for resumable sweeps.
-    [load_suspended] is consulted for benchmarks [load] does not
-    satisfy: a returned {!partial} resumes the benchmark mid-run.  The
-    snapshot controls ([snapshot_every], [suspend_on_deadline],
-    [on_snapshot]) pass through to {!run_benchmark_result}. *)
-
-val run_many_par :
-  ?thresholds:(string * int) list ->
-  ?max_steps:int ->
-  ?deadline:int ->
-  ?snapshot_every:int ->
-  ?suspend_on_deadline:bool ->
-  ?on_snapshot:(partial -> unit) ->
-  ?load_suspended:(Tpdbt_workloads.Spec.t -> partial option) ->
-  ?jobs:int ->
-  ?progress:(string -> status -> unit) ->
-  ?save:(data -> unit) ->
-  ?load:(Tpdbt_workloads.Spec.t -> data option) ->
-  ?sink:Tpdbt_telemetry.Sink.t ->
-  ?metrics:Tpdbt_telemetry.Metrics.t ->
-  ?report:(Tpdbt_parallel.Pool.stats -> unit) ->
-  Tpdbt_workloads.Spec.t list ->
-  sweep
-(** {!run_many} over a {!Tpdbt_parallel.Pool} of [jobs] worker domains
-    (default {!Tpdbt_parallel.Pool.default_jobs}; [jobs <= 1]
-    short-circuits to the sequential {!run_many}, spawning nothing).
-
-    The merged {!sweep} is {e identical} to the sequential one for
-    every job count: each benchmark is an isolated engine computation
-    with per-spec fixed seeds, results are tagged by task index and
-    merged in input order.  Only observability differs — [progress]
-    lines arrive in completion order rather than input order.
-
-    Single-writer invariant: [progress], [save], [load], [sink],
-    [metrics] and [report] all run on the {e calling} domain (the
-    collector).  [load] is consulted for every benchmark before any
-    worker starts (resumed benchmarks never become tasks); each [save]
-    fires as its benchmark's result arrives, so a sweep killed
-    mid-flight resumes exactly like a sequential one.
-
-    [sink] receives [worker.start] / [worker.steal] / [worker.finish]
-    events stamped with a scheduler sequence number; [metrics] gains
-    the [parallel.speedup] and [parallel.jobs] gauges plus the
-    [parallel.steals] / [parallel.tasks] counters; [report] is called
-    once with the pool's {!Tpdbt_parallel.Pool.stats}.
-
-    Exception to the single-writer rule: [on_snapshot] runs on the
-    {e worker} executing the benchmark.  Each benchmark's suspended
-    state has that worker as its only writer until the task completes,
-    so per-benchmark files (the checkpoint store) stay race-free. *)
+type store = {
+  finished : Tpdbt_workloads.Spec.t -> (data option, string) result;
+      (** the resume scan's lookup: [Ok (Some d)] skips the benchmark,
+          [Ok None] runs it, [Error reason] runs it and reports the
+          damaged entry in [supervision.corrupt] *)
+  suspended : Tpdbt_workloads.Spec.t -> partial option;
+      (** mid-run state to continue from, looked up on every attempt *)
+  save : data -> unit;  (** a freshly computed benchmark *)
+  save_suspended : partial -> unit;  (** a mid-run snapshot *)
+}
+(** Where a sweep's results persist.  {!Checkpoint.store} builds one
+    over a directory. *)
 
 type supervision = {
   sup : Tpdbt_parallel.Supervisor.stats;
@@ -254,61 +198,75 @@ type supervision = {
       (** quarantined benchmarks with the last failure reason, in
           input order; each also appears in the sweep's [failures] *)
   corrupt : (string * string) list;
-      (** damaged checkpoints detected during the resume scan, as
-          [(bench name, reason)] — filled by
-          {!Checkpoint.run_many_supervised}; empty here *)
+      (** damaged store entries found by the resume scan, as
+          [(bench name, reason)] in input order; each was re-run *)
 }
 
-val run_many_supervised :
+val run_sweep :
   ?thresholds:(string * int) list ->
   ?max_steps:int ->
   ?deadline:int ->
   ?snapshot_every:int ->
   ?suspend_on_deadline:bool ->
-  ?on_snapshot:(partial -> unit) ->
-  ?load_suspended:(Tpdbt_workloads.Spec.t -> partial option) ->
   ?jobs:int ->
   ?policy:Tpdbt_parallel.Supervisor.policy ->
+  ?store:store ->
   ?progress:(string -> status -> unit) ->
-  ?save:(data -> unit) ->
-  ?load:(Tpdbt_workloads.Spec.t -> data option) ->
-  ?sink:Tpdbt_telemetry.Sink.t ->
-  ?metrics:Tpdbt_telemetry.Metrics.t ->
-  ?report:(Tpdbt_parallel.Supervisor.stats -> unit) ->
   ?run_task:
-    (task:int ->
-    attempt:int ->
+    (attempt:int ->
     Tpdbt_workloads.Spec.t ->
+    (unit -> (data, Tpdbt_dbt.Error.t) result) ->
     (data, Tpdbt_dbt.Error.t) result) ->
   Tpdbt_workloads.Spec.t list ->
   sweep * supervision
-(** {!run_many_par} under {!Tpdbt_parallel.Supervisor}: per-task
-    deadlines (pass [deadline]), bounded retry with deterministic
-    backoff, circuit breakers, and graceful pool degradation.  A
-    benchmark whose runs keep failing is {e quarantined} — reported as
-    [Quarantined] progress, listed in [supervision.poisoned] and in
-    the sweep's [failures] (with its last fatal typed error when one
-    was produced) — instead of aborting anything.
+(** The one sweep: every benchmark under {!run_benchmark_result}, on
+    {!Tpdbt_parallel.Supervisor} with [jobs] worker domains (default 1:
+    sequential, no domain spawned) under [policy] (default
+    {!Tpdbt_parallel.Supervisor.one_attempt}: no retries).  The limits
+    and snapshot controls pass through to {!run_benchmark_result}.
 
-    The merged sweep and the supervision counts ([attempts], [retries],
-    [poisoned], [crashes]) are identical at every job count; every
-    callback runs on the calling domain.  [sink] additionally receives
-    [supervisor.retry] / [supervisor.giveup] / [breaker.open] /
-    [worker.lost] / [pool.degraded] events (scheduler-sequence
-    stamped), and [metrics] gains [supervisor.*] counters plus the
-    [supervisor.task_seconds] latency histogram.
+    The merged {!sweep} is {e identical} for every job count and
+    policy: each benchmark is an isolated engine computation with
+    per-spec fixed seeds, and results merge in input order.  Only the
+    arrival order of [progress] calls varies.
 
-    [run_task] replaces the benchmark execution itself (defaulting to
-    {!run_benchmark_result}) with the task index and 1-based attempt
-    number — the chaos harness's injection point: deterministic fault
-    plans key on [(task, attempt)], so retries genuinely re-execute.
+    With a [store], the resume scan runs first: a finished entry is
+    restored ([Resumed]) and never becomes a task, a damaged one is
+    re-run and listed in [supervision.corrupt].  Each attempt looks up
+    the benchmark's suspended state ([store.suspended]) and continues
+    from it, and mid-run snapshots go to [store.save_suspended]; both
+    run on the worker running the benchmark, the slot's only reader
+    and writer until the task completes.  Every other callback —
+    [progress], [store.finished], [store.save] — runs on the calling
+    domain, and [save] precedes the [Finished] report, so a sweep
+    killed mid-flight resumes from what it reported.
 
-    A task that returns [Error (Suspended _)] is {e not} retried: the
-    benchmark is parked on its on-disk snapshot ([Suspended] progress)
-    and lands in [failures] for the caller to resume later.  The
-    default [run_task] consults [load_suspended] on {e every} attempt,
-    so a retry of a task whose earlier attempt crashed after a mid-run
-    snapshot continues from that snapshot instead of restarting. *)
+    A benchmark that ends in a typed error is isolated: the sweep
+    continues.  Under a policy that allows retries the error fails the
+    attempt, and a benchmark that keeps failing is quarantined
+    ([Quarantined] progress, listed in [supervision.poisoned] and in
+    [failures] with its last typed error).  Under
+    {!Tpdbt_parallel.Supervisor.one_attempt} it is reported [Failed]
+    and lands in [failures].  A task that returns
+    [Error (Suspended _)] is never retried: it is parked ([Suspended])
+    for a later sweep to resume.
+
+    [run_task ~attempt bench run] replaces one attempt; [run ()] is
+    what the sweep would have done.  It is the fault-injection point of
+    the chaos harnesses, whose plans key on the benchmark and the
+    1-based attempt number. *)
+
+val run_many : ?max_steps:int -> Tpdbt_workloads.Spec.t list -> sweep
+(** {!run_sweep} at [jobs = 1].  Kept because the performance ledger
+    ([ledger/]) calls it, and the ledger's sources stay the same across
+    the changes it compares. *)
+
+val run_many_par :
+  ?jobs:int -> ?max_steps:int -> Tpdbt_workloads.Spec.t list -> sweep
+(** {!run_sweep} at [jobs] (default
+    {!Tpdbt_parallel.Pool.default_jobs}).  Kept because the performance
+    ledger ([ledger/]) calls it, and the ledger's sources stay the same
+    across the changes it compares. *)
 
 val run_ref :
   ?sink:Tpdbt_telemetry.Sink.t ->

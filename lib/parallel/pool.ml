@@ -50,10 +50,8 @@ let pop_back d =
   Mutex.unlock d.lock;
   r
 
-(* ---- collector channel ------------------------------------------------ *)
+(* ---- collector messages ----------------------------------------------- *)
 
-(* Workers communicate with the collector exclusively through this
-   queue; the collector is the only domain that ever runs a callback. *)
 type 'b msg =
   | Msg_steal of { worker : int; victim : int; task : int }
   | Msg_start of { worker : int; task : int }
@@ -63,26 +61,6 @@ type 'b msg =
       result : ('b, exn) result;
       seconds : float;
     }
-
-type 'b channel = {
-  ch_lock : Mutex.t;
-  ch_cond : Condition.t;
-  ch_q : 'b msg Queue.t;
-}
-
-let send ch msg =
-  Mutex.lock ch.ch_lock;
-  Queue.push msg ch.ch_q;
-  Condition.signal ch.ch_cond;
-  Mutex.unlock ch.ch_lock
-
-let receive_batch ch into =
-  Mutex.lock ch.ch_lock;
-  while Queue.is_empty ch.ch_q do
-    Condition.wait ch.ch_cond ch.ch_lock
-  done;
-  Queue.transfer ch.ch_q into;
-  Mutex.unlock ch.ch_lock
 
 (* ---- workers ---------------------------------------------------------- *)
 
@@ -106,20 +84,21 @@ let worker_loop ~jobs ~deques ~channel ~f ~tasks w =
     | None -> ()
     | Some (task, stolen_from) ->
         Option.iter
-          (fun victim -> send channel (Msg_steal { worker = w; victim; task }))
+          (fun victim ->
+            Channel.send channel (Msg_steal { worker = w; victim; task }))
           stolen_from;
-        send channel (Msg_start { worker = w; task });
+        Channel.send channel (Msg_start { worker = w; task });
         let t0 = Unix.gettimeofday () in
         let result = try Ok (f tasks.(task)) with e -> Error e in
         let seconds = Unix.gettimeofday () -. t0 in
-        send channel (Msg_done { worker = w; task; result; seconds });
+        Channel.send channel (Msg_done { worker = w; task; result; seconds });
         loop ()
   in
   loop ()
 
 (* ---- sequential short-circuit ----------------------------------------- *)
 
-let map_seq ~on_event ~on_result f tasks =
+let map_seq ~on_event f tasks =
   let n = Array.length tasks in
   let t0 = Unix.gettimeofday () in
   let results =
@@ -130,7 +109,6 @@ let map_seq ~on_event ~on_result f tasks =
         let v = f x in
         let seconds = Unix.gettimeofday () -. ta in
         on_event (Finish { worker = 0; task = i; seconds });
-        on_result i v;
         v)
       tasks
   in
@@ -139,10 +117,10 @@ let map_seq ~on_event ~on_result f tasks =
 
 (* ---- the pool --------------------------------------------------------- *)
 
-let map ?jobs ?(on_event = fun _ -> ()) ?(on_result = fun _ _ -> ()) f tasks =
+let map ?jobs ?(on_event = fun _ -> ()) f tasks =
   let n = Array.length tasks in
   let jobs = min (match jobs with Some j -> j | None -> default_jobs ()) n in
-  if jobs <= 1 then map_seq ~on_event ~on_result f tasks
+  if jobs <= 1 then map_seq ~on_event f tasks
   else begin
     let t0 = Unix.gettimeofday () in
     (* Block partition: worker w owns [w*n/jobs, (w+1)*n/jobs). *)
@@ -156,10 +134,7 @@ let map ?jobs ?(on_event = fun _ -> ()) ?(on_result = fun _ _ -> ()) f tasks =
             hi = hi - lo;
           })
     in
-    let channel =
-      { ch_lock = Mutex.create (); ch_cond = Condition.create ();
-        ch_q = Queue.create () }
-    in
+    let channel = Channel.create () in
     let domains =
       Array.init jobs (fun w ->
           Domain.spawn (fun () ->
@@ -172,7 +147,7 @@ let map ?jobs ?(on_event = fun _ -> ()) ?(on_result = fun _ _ -> ()) f tasks =
     let completed = ref 0 in
     let batch = Queue.create () in
     while !completed < n do
-      receive_batch channel batch;
+      Channel.receive_batch channel batch;
       Queue.iter
         (fun msg ->
           match msg with
@@ -185,9 +160,7 @@ let map ?jobs ?(on_event = fun _ -> ()) ?(on_result = fun _ _ -> ()) f tasks =
               busy := !busy +. seconds;
               on_event (Finish { worker; task; seconds });
               match result with
-              | Ok v ->
-                  results.(task) <- Some v;
-                  on_result task v
+              | Ok v -> results.(task) <- Some v
               | Error e -> errors := (task, e) :: !errors))
         batch;
       Queue.clear batch

@@ -4,10 +4,12 @@
     worker domains plus the calling domain, which acts as the {e
     collector}: workers never touch shared experiment state, they only
     send messages (scheduling events and results) to the collector,
-    which is the single domain that runs every callback.  That
-    single-writer discipline is what lets callers checkpoint, log and
-    aggregate without locks — and it is testable: every callback
-    observes [Domain.self () = collector].
+    which is the single domain that runs [on_event].
+
+    It serves plain array maps whose tasks are trusted to return: the
+    cache-size sweep, fault campaigns and differential fuzzing.  Threshold
+    sweeps, which need per-benchmark failure isolation, checkpointing
+    and retries, run on {!Supervisor} instead.
 
     {2 Determinism}
 
@@ -21,9 +23,9 @@
       output array at that index, so the merged output is the array the
       sequential [Array.map] would have produced, for every [jobs].
 
-    Only the {e arrival order} of [on_event] / [on_result] callbacks
-    varies across runs; callers that need canonical order (checkpoint
-    sets, derived tables) key on the task index the callbacks carry.
+    Only the {e arrival order} of [on_event] callbacks varies across
+    runs; callers that need canonical order key on the task index the
+    events carry.
 
     {2 Work stealing}
 
@@ -59,15 +61,13 @@ val default_jobs : unit -> int
 val map :
   ?jobs:int ->
   ?on_event:(event -> unit) ->
-  ?on_result:(int -> 'b -> unit) ->
   ('a -> 'b) ->
   'a array ->
   'b array * stats
 (** [map f tasks] computes [Array.map f tasks] on a pool of [jobs]
     worker domains (default {!default_jobs}; never more than the task
-    count).  [on_event] and [on_result] run on the calling domain only,
-    in completion-arrival order; [on_result i v] receives each task's
-    index and value as it lands, before the call returns.
+    count).  [on_event] runs on the calling domain only, in
+    completion-arrival order.
 
     [jobs <= 1] short-circuits to a plain sequential loop on the
     calling domain — no domain is spawned, events still fire (worker 0,
@@ -75,5 +75,4 @@ val map :
 
     If any task raises, the remaining tasks still run to completion,
     then the exception of the {e lowest-indexed} failing task is
-    re-raised (deterministic, unlike first-in-time).  [on_result] is
-    not called for failed tasks. *)
+    re-raised (deterministic, unlike first-in-time). *)

@@ -17,6 +17,8 @@ let default_policy =
     seed = 0x7D0B_5EEDL;
   }
 
+let one_attempt = { default_policy with max_attempts = 1 }
+
 type 'b outcome = Done of 'b | Poisoned of { attempts : int; reason : string }
 
 type event =
@@ -104,6 +106,13 @@ let jq_take q =
   Mutex.unlock q.q_lock;
   r
 
+(* Workers drain what is still queued, then exit. *)
+let jq_close q =
+  Mutex.lock q.q_lock;
+  q.q_closed <- true;
+  Condition.broadcast q.q_cond;
+  Mutex.unlock q.q_lock
+
 let jq_close_capture q =
   Mutex.lock q.q_lock;
   q.q_closed <- true;
@@ -113,7 +122,7 @@ let jq_close_capture q =
   Mutex.unlock q.q_lock;
   leftover
 
-(* ---- collector channel ------------------------------------------------- *)
+(* ---- collector messages ----------------------------------------------- *)
 
 type 'b exec = Exec_ok of 'b | Exec_failed of string | Exec_crashed
 
@@ -121,26 +130,6 @@ type 'b msg =
   | Msg_start of { task : int; attempt : int }
   | Msg_done of { task : int; attempt : int; exec : 'b exec; seconds : float }
   | Msg_crash of { worker : int; task : int; attempt : int; seconds : float }
-
-type 'b channel = {
-  ch_lock : Mutex.t;
-  ch_cond : Condition.t;
-  ch_q : 'b msg Queue.t;
-}
-
-let send ch msg =
-  Mutex.lock ch.ch_lock;
-  Queue.push msg ch.ch_q;
-  Condition.signal ch.ch_cond;
-  Mutex.unlock ch.ch_lock
-
-let receive_batch ch into =
-  Mutex.lock ch.ch_lock;
-  while Queue.is_empty ch.ch_q do
-    Condition.wait ch.ch_cond ch.ch_lock
-  done;
-  Queue.transfer ch.ch_q into;
-  Mutex.unlock ch.ch_lock
 
 (* ---- workers ----------------------------------------------------------- *)
 
@@ -154,7 +143,7 @@ let worker_loop ~queue ~channel ~f ~tasks w =
     match jq_take queue with
     | None -> ()
     | Some { j_task = task; j_attempt = attempt } -> (
-        send channel (Msg_start { task; attempt });
+        Channel.send channel (Msg_start { task; attempt });
         let t0 = Unix.gettimeofday () in
         let exec = exec_task f ~attempt tasks.(task) in
         let seconds = Unix.gettimeofday () -. t0 in
@@ -164,9 +153,10 @@ let worker_loop ~queue ~channel ~f ~tasks w =
                returns.  Because a dead worker never takes from the
                queue again, the requeued attempt is automatically
                excluded from it. *)
-            send channel (Msg_crash { worker = w; task; attempt; seconds })
+            Channel.send channel
+              (Msg_crash { worker = w; task; attempt; seconds })
         | _ ->
-            send channel (Msg_done { task; attempt; exec; seconds });
+            Channel.send channel (Msg_done { task; attempt; exec; seconds });
             loop ())
   in
   loop ()
@@ -203,13 +193,7 @@ let run ?jobs ?(policy = default_policy) ?failed ?(on_event = fun _ -> ())
   let live = ref (if jobs <= 1 then 0 else jobs) in
   let in_flight = ref 0 in
   let queue = jq_create () in
-  let channel =
-    {
-      ch_lock = Mutex.create ();
-      ch_cond = Condition.create ();
-      ch_q = Queue.create ();
-    }
-  in
+  let channel = Channel.create () in
   let domains =
     if jobs <= 1 then [||]
     else
@@ -322,11 +306,17 @@ let run ?jobs ?(policy = default_policy) ?failed ?(on_event = fun _ -> ())
   for task = 0 to n - 1 do
     schedule task
   done;
+  (* With one attempt per task nothing is ever requeued, so the queue
+     can close now: each worker exits when it finds it empty, as
+     [Pool]'s do, instead of idling until the last task completes.  An
+     idle worker domain kept a two-benchmark sweep's peak RSS about 9%
+     higher. *)
+  if policy.max_attempts <= 1 then jq_close queue;
   while !unresolved > 0 do
     release_due ();
     if not (Queue.is_empty inline_q) then run_inline (Queue.pop inline_q)
     else if (not !inline) && !in_flight > 0 then begin
-      receive_batch channel batch;
+      Channel.receive_batch channel batch;
       Queue.iter process batch;
       Queue.clear batch
     end
@@ -340,7 +330,7 @@ let run ?jobs ?(policy = default_policy) ?failed ?(on_event = fun _ -> ())
       | [] ->
           (* Degraded with a live straggler: its completion is the only
              thing left to wait for. *)
-          receive_batch channel batch;
+          Channel.receive_batch channel batch;
           Queue.iter process batch;
           Queue.clear batch
     end

@@ -4,11 +4,13 @@
     task index) exception; that is the right contract for trusted
     workloads, and the wrong one for long campaigns where a single
     stuck or crashing task should not cost hours of finished work.
-    [Supervisor.run] wraps the same worker-domain machinery in a job
-    system: every task is attempted, failures are retried on a
-    deterministic backoff schedule, persistently failing tasks are
-    quarantined as {!Poisoned} instead of aborting the sweep, and the
-    pool itself degrades gracefully when worker domains are lost.
+    [Supervisor.run] is a job system on worker domains: every task is
+    attempted, failures are retried on a deterministic backoff
+    schedule, persistently failing tasks are quarantined as
+    {!Poisoned} instead of aborting the sweep, and the pool itself
+    degrades gracefully when worker domains are lost.  Every threshold
+    sweep runs on it ([Tpdbt_experiments.Runner.run_sweep]); a plain
+    sweep is simply the {!one_attempt} policy.
 
     {2 Supervision model}
 
@@ -63,6 +65,12 @@ type policy = {
 val default_policy : policy
 (** 4 attempts, breaker at 3 consecutive failures, backoff 1 tick
     doubling to a cap of 8. *)
+
+val one_attempt : policy
+(** {!default_policy} with [max_attempts = 1]: a failed attempt is
+    never retried, and the breaker (3 failures) cannot open.  Since
+    nothing is requeued, each worker exits once the queue drains.  An
+    unsupervised sweep runs under this policy. *)
 
 type 'b outcome =
   | Done of 'b

@@ -98,7 +98,7 @@ let run ?benches ?max_steps ~dir ~seed () =
   in
 
   (* Fault-free offline reference: the byte-diff target. *)
-  let reference_sweep = Runner.run_many ?max_steps benches in
+  let reference_sweep, _ = Runner.run_sweep ?max_steps benches in
   (match reference_sweep.Runner.failures with
   | [] -> ()
   | { Runner.failed; error } :: _ ->
@@ -128,7 +128,7 @@ let run ?benches ?max_steps ~dir ~seed () =
       ->
         ()
   in
-  let run_task ~task:_ ~attempt (spec : Spec.t) =
+  let run_task ~attempt (spec : Spec.t) _run =
     if String.equal spec.Spec.name stall_victim then
       Result.Error (Error.Deadline_exceeded { steps = 0; deadline = 1 })
     else if String.equal spec.Spec.name crash_victim && attempt = 1 then

@@ -55,9 +55,9 @@ type t = {
   queue : job Queue.t;
   dead : (int, unit) Hashtbl.t;  (** disconnected clients *)
   run_task :
-    (task:int ->
-    attempt:int ->
+    (attempt:int ->
     Spec.t ->
+    (unit -> (Runner.data, Error.t) result) ->
     (Runner.data, Error.t) result)
     option;
   on_progress : (string -> Runner.status -> unit) option;
@@ -262,30 +262,23 @@ let exec_sweep t job ~benches ~max_steps ~return_results =
     in
     journal_append t (Journal.Sweep_begin { id = journal_id; benches = names });
     let max_steps = effective_max_steps t max_steps in
+    (* With [snapshot_every] armed, each benchmark periodically
+       publishes its mid-run state into the store; the matching journal
+       ref lets a restarted daemon see that its orphaned sweep will
+       resume mid-run rather than re-run. *)
+    let on_snapshot_saved bench =
+      journal_append t (Journal.Snapshot_ref { id = journal_id; bench })
+    in
+    let store =
+      Option.map
+        (fun dir -> Checkpoint.store ~on_snapshot_saved ~dir ())
+        t.config.checkpoint_dir
+    in
     let sweep, supervision =
-      match t.config.checkpoint_dir with
-      | Some dir ->
-          (* With [snapshot_every] armed, each benchmark periodically
-             publishes its mid-run state into the store; the matching
-             journal ref lets a restarted daemon see that its orphaned
-             sweep will resume mid-run rather than re-run. *)
-          let on_snapshot_saved =
-            if t.config.snapshot_every > 0 then
-              Some
-                (fun bench ->
-                  journal_append t
-                    (Journal.Snapshot_ref { id = journal_id; bench }))
-            else None
-          in
-          Checkpoint.run_many_supervised ?max_steps
-            ?deadline:t.config.deadline
-            ~snapshot_every:t.config.snapshot_every ?on_snapshot_saved
-            ~jobs:t.config.jobs ?progress:t.on_progress ?run_task:t.run_task
-            ~dir selected
-      | None ->
-          Runner.run_many_supervised ?max_steps ?deadline:t.config.deadline
-            ~jobs:t.config.jobs ?progress:t.on_progress ?run_task:t.run_task
-            selected
+      Runner.run_sweep ?max_steps ?deadline:t.config.deadline
+        ~snapshot_every:t.config.snapshot_every ~jobs:t.config.jobs
+        ~policy:Tpdbt_parallel.Supervisor.default_policy ?store
+        ?progress:t.on_progress ?run_task:t.run_task selected
     in
     journal_append t (Journal.Sweep_end { id = journal_id });
     let poisoned =

@@ -71,16 +71,16 @@ type t
 
 val create :
   ?run_task:
-    (task:int ->
-    attempt:int ->
+    (attempt:int ->
     Tpdbt_workloads.Spec.t ->
+    (unit -> (Tpdbt_experiments.Runner.data, Tpdbt_dbt.Error.t) result) ->
     (Tpdbt_experiments.Runner.data, Tpdbt_dbt.Error.t) result) ->
   ?on_progress:(string -> Tpdbt_experiments.Runner.status -> unit) ->
   config ->
   t
-(** [run_task] and [on_progress] are forwarded to the supervised sweep
-    runner — the chaos harness's fault-injection points, and the
-    daemon's I/O pump.  Opening a journal with in-flight sweeps
+(** [run_task] and [on_progress] are forwarded to
+    {!Tpdbt_experiments.Runner.run_sweep} — the chaos harness's
+    fault-injection points, and the daemon's I/O pump.  Opening a journal with in-flight sweeps
     re-enqueues them as orphan jobs (run them with {!step}). *)
 
 type offer =

@@ -28,20 +28,6 @@ type t =
   | Shadow_divergence of { region : int; reg : int }
   | Region_quarantined of { region : int; preserved_use : int }
   | Engine_degraded of { quarantines : int }
-  | Worker_start of { worker : int; task : int }
-  | Worker_steal of { worker : int; victim : int; task : int }
-  | Worker_finish of { worker : int; task : int }
-  | Supervisor_retry of {
-      task : int;
-      attempt : int;
-      backoff : int;
-      reason : string;
-    }
-  | Supervisor_give_up of { task : int; attempts : int; reason : string }
-  | Breaker_open of { task : int; failures : int }
-  | Worker_lost of { worker : int; task : int }
-  | Pool_degraded of { live : int }
-  | Checkpoint_corrupt of { bench : string; reason : string }
   | Span_begin of { span : string }
   | Span_end of {
       span : string;
@@ -76,15 +62,6 @@ let kind_name = function
   | Shadow_divergence _ -> "shadow.divergence"
   | Region_quarantined _ -> "region.quarantined"
   | Engine_degraded _ -> "engine.degraded"
-  | Worker_start _ -> "worker.start"
-  | Worker_steal _ -> "worker.steal"
-  | Worker_finish _ -> "worker.finish"
-  | Supervisor_retry _ -> "supervisor.retry"
-  | Supervisor_give_up _ -> "supervisor.giveup"
-  | Breaker_open _ -> "breaker.open"
-  | Worker_lost _ -> "worker.lost"
-  | Pool_degraded _ -> "pool.degraded"
-  | Checkpoint_corrupt _ -> "checkpoint.corrupt"
   | Span_begin _ -> "span.begin"
   | Span_end _ -> "span.end"
   | Stage_cost _ -> "stage.cost"
@@ -160,36 +137,6 @@ let payload = function
       ]
   | Engine_degraded { quarantines } ->
       [ ("quarantines", string_of_int quarantines) ]
-  | Worker_start { worker; task } ->
-      [ ("worker", string_of_int worker); ("task", string_of_int task) ]
-  | Worker_steal { worker; victim; task } ->
-      [
-        ("worker", string_of_int worker);
-        ("victim", string_of_int victim);
-        ("task", string_of_int task);
-      ]
-  | Worker_finish { worker; task } ->
-      [ ("worker", string_of_int worker); ("task", string_of_int task) ]
-  | Supervisor_retry { task; attempt; backoff; reason } ->
-      [
-        ("task", string_of_int task);
-        ("attempt", string_of_int attempt);
-        ("backoff", string_of_int backoff);
-        ("reason", Json.quote reason);
-      ]
-  | Supervisor_give_up { task; attempts; reason } ->
-      [
-        ("task", string_of_int task);
-        ("attempts", string_of_int attempts);
-        ("reason", Json.quote reason);
-      ]
-  | Breaker_open { task; failures } ->
-      [ ("task", string_of_int task); ("failures", string_of_int failures) ]
-  | Worker_lost { worker; task } ->
-      [ ("worker", string_of_int worker); ("task", string_of_int task) ]
-  | Pool_degraded { live } -> [ ("live", string_of_int live) ]
-  | Checkpoint_corrupt { bench; reason } ->
-      [ ("bench", Json.quote bench); ("reason", Json.quote reason) ]
   | Span_begin { span } -> [ ("span", Json.quote span) ]
   | Span_end { span; wall_ns; minor_words; major_words } ->
       [

@@ -65,36 +65,6 @@ type t =
   | Engine_degraded of { quarantines : int }
       (** the bounded-quarantine watchdog tripped: all regions were
           dropped and the run continues profiling-only *)
-  | Worker_start of { worker : int; task : int }
-      (** a parallel-sweep worker domain began running a task *)
-  | Worker_steal of { worker : int; victim : int; task : int }
-      (** the task the worker is about to start was stolen from
-          [victim]'s deque *)
-  | Worker_finish of { worker : int; task : int }
-      (** the task completed (its result reached the collector) *)
-  | Supervisor_retry of {
-      task : int;
-      attempt : int;
-      backoff : int;
-      reason : string;
-    }
-      (** a supervised task failed and will be re-attempted (as attempt
-          [attempt]) after [backoff] logical ticks *)
-  | Supervisor_give_up of { task : int; attempts : int; reason : string }
-      (** the retry budget ran out — the task is quarantined *)
-  | Breaker_open of { task : int; failures : int }
-      (** the task's circuit breaker tripped after [failures]
-          consecutive failures — quarantined without burning the rest
-          of its retry budget *)
-  | Worker_lost of { worker : int; task : int }
-      (** a worker domain died running [task]; the attempt was requeued
-          on the survivors *)
-  | Pool_degraded of { live : int }
-      (** fewer than two live workers remain — the sweep continues
-          inline on the collector *)
-  | Checkpoint_corrupt of { bench : string; reason : string }
-      (** a checkpoint file exists but failed validation (CRC, length,
-          version, structure); the benchmark re-runs *)
   | Span_begin of { span : string }
       (** a profiling span opened ({!Span.enter}); spans nest and are
           stamped with the same clock as every other event *)
@@ -127,13 +97,7 @@ val kind_name : t -> string
     ["recovery.dissolve"], ["recovery.retranslate"]; so do the code
     cache and the shadow oracle: ["cache.evict"], ["cache.flush"],
     ["shadow.divergence"], ["region.quarantined"],
-    ["engine.degraded"]; and the parallel sweep scheduler:
-    ["worker.start"], ["worker.steal"], ["worker.finish"] (stamped
-    with a scheduler sequence number, not the guest clock — the
-    scheduler runs outside any engine).  The supervision layer adds
-    ["supervisor.retry"], ["supervisor.giveup"], ["breaker.open"],
-    ["worker.lost"], ["pool.degraded"] and ["checkpoint.corrupt"],
-    stamped the same way.  The profiling layer adds ["span.begin"],
+    ["engine.degraded"].  The profiling layer adds ["span.begin"],
     ["span.end"], ["stage.cost"] and ["region.cost"]. *)
 
 val region_kind_name : region_kind -> string

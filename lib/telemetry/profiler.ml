@@ -62,8 +62,8 @@ let child_of parent l =
 let of_events events =
   let root = make_node "" in
   (* Open-span stack; the head is the innermost.  Ends are matched by
-     label so interleaved streams (worker spans arriving in completion
-     order) still account every frame. *)
+     label so interleaved streams (spans closed out of order) still
+     account every frame. *)
   let stack = ref [] in
   let top () = match !stack with [] -> root | (n, _) :: _ -> n in
   List.iter

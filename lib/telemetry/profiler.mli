@@ -9,9 +9,9 @@
     is open when they fire, carrying the deterministic cycle-model
     attribution.  Everything else in the stream is ignored.
 
-    Ends are matched by label, not position: interleaved streams (a
-    scheduler's worker spans finish in completion order) still account
-    every frame; an end with no matching open frame is dropped.
+    Ends are matched by label, not position: interleaved streams
+    (spans closed out of order) still account every frame; an end with
+    no matching open frame is dropped.
 
     Exports: collapsed-stack text ([root;child;leaf N] per line,
     weighted by {e self} guest steps — deterministic, so flamegraphs

@@ -1,7 +1,7 @@
 (** Nestable profiling spans.
 
     A span brackets a stretch of host work — an optimisation round,
-    a region formation, a worker's task — and measures three clocks at
+    a region formation, a benchmark stage — and measures three clocks at
     once: wall time ([Unix.gettimeofday]), words allocated on the minor
     and major heaps ([Gc.quick_stat] deltas), and the caller-supplied
     logical clock that stamps every event (the engine passes its

@@ -80,8 +80,9 @@ let mini_thresholds = [ ("100", 1); ("1k", 10); ("10k", 100) ]
 
 let mini_sweep =
   lazy
-    (Runner.run_many ~thresholds:mini_thresholds
-       [ mini "mini-int" `Int; mini "mini-fp" `Fp ])
+    (fst
+       (Runner.run_sweep ~thresholds:mini_thresholds
+          [ mini "mini-int" `Int; mini "mini-fp" `Fp ]))
 
 let mini_data = lazy ((Lazy.force mini_sweep).Runner.data)
 

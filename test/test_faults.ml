@@ -291,15 +291,17 @@ let test_checkpoint_resume_identity () =
       let benches = [ mini "mini-a"; mini "mini-b" ] in
       let statuses = ref [] in
       let progress n s = statuses := (n, Runner.status_name s) :: !statuses in
-      let first =
-        Checkpoint.run_many ~thresholds:mini_thresholds ~progress ~dir benches
+      let sweep () =
+        fst
+          (Runner.run_sweep ~thresholds:mini_thresholds ~progress
+             ~store:(Checkpoint.store ~thresholds:mini_thresholds ~dir ())
+             benches)
       in
+      let first = sweep () in
       checkb "first pass ran everything" true
         (List.for_all (fun (_, s) -> s <> "resumed") !statuses);
       statuses := [];
-      let second =
-        Checkpoint.run_many ~thresholds:mini_thresholds ~progress ~dir benches
-      in
+      let second = sweep () in
       checkb "second pass resumed everything" true
         (!statuses <> []
         && List.for_all (fun (_, s) -> s = "resumed") !statuses);

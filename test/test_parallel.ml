@@ -1,8 +1,8 @@
-(* Tests for the domain-parallel sweep scheduler: pool mechanics, the
-   byte-identical-at-every-job-count guarantee for threshold sweeps,
-   cache sweeps and fault campaigns, checkpoint bytes and
-   crash-mid-sweep resume, and the collector's single-writer
-   invariant. *)
+(* Tests for the domain-parallel schedulers: pool and supervisor
+   mechanics, the byte-identical-at-every-job-count guarantee for
+   threshold sweeps (against an independent in-order reference), cache
+   sweeps and fault campaigns, checkpoint bytes and crash-mid-sweep
+   resume, and the collector's single-writer invariant. *)
 
 module Pool = Tpdbt_parallel.Pool
 module Sup = Tpdbt_parallel.Supervisor
@@ -12,15 +12,13 @@ module Campaign = Tpdbt_experiments.Campaign
 module Figures = Tpdbt_experiments.Figures
 module Table = Tpdbt_experiments.Table
 module Spec = Tpdbt_workloads.Spec
-module Tel = Tpdbt_telemetry
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
 let checks = Alcotest.check Alcotest.string
 
-(* Exercise the real parallel machinery even where the public default
-   would short-circuit: every determinism test compares j = 1 (the
-   sequential reference) against j = 2 and j = 4. *)
+(* Every determinism test runs j = 1 (no domain spawned), j = 2 and
+   j = 4. *)
 let job_counts = [ 1; 2; 4 ]
 
 (* ------------------------------------------------------------------ *)
@@ -73,8 +71,7 @@ let test_pool_events_account () =
     (fun jobs ->
       let started = Hashtbl.create 16 and finished = Hashtbl.create 16 in
       let stolen = ref 0 in
-      let results_seen = ref 0 in
-      let _, stats =
+      let results, stats =
         Pool.map ~jobs
           ~on_event:(function
             | Pool.Start { task; _ } ->
@@ -87,15 +84,13 @@ let test_pool_events_account () =
                 incr stolen;
                 checkb "no self-steal" true (worker <> victim);
                 checkb "stolen before start" false (Hashtbl.mem started task))
-          ~on_result:(fun task v ->
-            incr results_seen;
-            checki "result matches task" (task * 2) v)
           (fun i -> i * 2)
           tasks
       in
       checki "every task started" 12 (Hashtbl.length started);
       checki "every task finished" 12 (Hashtbl.length finished);
-      checki "every result delivered" 12 !results_seen;
+      checkb "every result in place" true
+        (results = Array.map (fun i -> i * 2) tasks);
       checki "steal events counted" !stolen stats.Pool.steals;
       if jobs = 1 then checki "sequential never steals" 0 stats.Pool.steals)
     job_counts
@@ -115,21 +110,15 @@ let test_pool_jobs_exceed_tasks () =
   | exception Failure msg -> checks "lowest-index failure wins" "t0" msg);
   (* With steals in play (8 workers over 32 tasks, several failing —
      including each worker's first steal candidates at the deque
-     backs), the raise is still the lowest-indexed one and no failed
-     task ever reaches on_result. *)
+     backs), the raise is still the lowest-indexed one. *)
   let tasks = Array.init 32 (fun i -> i) in
-  let delivered = ref [] in
-  (match
-     Pool.map ~jobs:8
-       ~on_result:(fun task _ -> delivered := task :: !delivered)
-       (fun i -> if i mod 7 = 3 then failwith (string_of_int i) else i)
-       tasks
-   with
+  match
+    Pool.map ~jobs:8
+      (fun i -> if i mod 7 = 3 then failwith (string_of_int i) else i)
+      tasks
+  with
   | _ -> Alcotest.fail "expected a raise"
-  | exception Failure msg -> checks "lowest-index under steals" "3" msg);
-  List.iter
-    (fun task -> checkb "failed task never delivered" true (task mod 7 <> 3))
-    !delivered
+  | exception Failure msg -> checks "lowest-index under steals" "3" msg
 
 (* ------------------------------------------------------------------ *)
 (* Supervisor                                                           *)
@@ -293,6 +282,21 @@ let test_supervisor_crash_storm_terminates () =
         checki "degraded exactly once" 1 !degraded_events
       end
       else checkb "sequential never degrades" false stats.degraded)
+    job_counts;
+  (* Under one attempt the queue closes as soon as every task is
+     scheduled: the first crash poisons task 0, and the rest still
+     complete, on the surviving workers or inline once degraded. *)
+  List.iter
+    (fun jobs ->
+      let outs, (stats : Sup.stats) =
+        Sup.run ~jobs ~policy:Sup.one_attempt f tasks
+      in
+      checkb "one attempt: task 0 poisoned by its one crash" true
+        (outs.(0) = Sup.Poisoned { attempts = 1; reason = "worker crashed" });
+      checkb "one attempt: survivors done" true
+        (outs.(1) = Sup.Done 1 && outs.(2) = Sup.Done 2
+        && outs.(3) = Sup.Done 3);
+      checki "one attempt: one crash" 1 stats.crashes)
     job_counts
 
 let test_supervisor_failed_classifier () =
@@ -356,24 +360,26 @@ let figures_csv sweep =
   String.concat "\n"
     (List.map (fun (_, t) -> Table.to_csv t) (Figures.all sweep.Runner.data))
 
+let reference benches = Reference_sweep.run ~thresholds:mini_thresholds benches
+
+let sweep ?jobs ?policy ?store ?progress ?run_task benches =
+  Runner.run_sweep ~thresholds:mini_thresholds ?jobs ?policy ?store ?progress
+    ?run_task benches
+
 let test_sweep_identical_across_jobs () =
   let benches = mini_benches () in
-  let reference =
-    Runner.run_many_par ~thresholds:mini_thresholds ~jobs:1 benches
-  in
+  let reference = reference benches in
   checkb "reference has data" true (reference.Runner.data <> []);
   List.iter
     (fun jobs ->
-      let sweep =
-        Runner.run_many_par ~thresholds:mini_thresholds ~jobs benches
-      in
+      let sweep, _ = sweep ~jobs benches in
       checks
         (Printf.sprintf "serialized results identical at -j %d" jobs)
         (serialize_sweep reference) (serialize_sweep sweep);
       checks
         (Printf.sprintf "derived tables identical at -j %d" jobs)
         (figures_csv reference) (figures_csv sweep))
-    (List.tl job_counts)
+    job_counts
 
 let with_temp_dir f =
   let dir = Filename.temp_file "tpdbt-par" "" in
@@ -388,49 +394,41 @@ let with_temp_dir f =
     (fun () -> f dir)
 
 let read_file = Tpdbt_durable.Durable.read_file
+let store dir = Checkpoint.store ~thresholds:mini_thresholds ~dir ()
 
 let checkpoint_bytes dir benches =
   String.concat "\x00"
     (List.map (fun b -> read_file (Checkpoint.path ~dir b)) benches)
 
+(* What a checkpoint store holds after the reference sweep. *)
+let reference_bytes benches =
+  String.concat "\x00"
+    (List.map Checkpoint.data_to_string (reference benches).Runner.data)
+
 let test_checkpoint_bytes_identical_across_jobs () =
   let benches = mini_benches () in
-  with_temp_dir (fun seq_dir ->
-      let _ =
-        Checkpoint.run_many_par ~thresholds:mini_thresholds ~jobs:1
-          ~dir:seq_dir benches
-      in
-      let reference = checkpoint_bytes seq_dir benches in
-      List.iter
-        (fun jobs ->
-          with_temp_dir (fun par_dir ->
-              let _ =
-                Checkpoint.run_many_par ~thresholds:mini_thresholds ~jobs
-                  ~dir:par_dir benches
-              in
-              checks
-                (Printf.sprintf "checkpoint files identical at -j %d" jobs)
-                reference
-                (checkpoint_bytes par_dir benches)))
-        (List.tl job_counts))
+  let expected = reference_bytes benches in
+  List.iter
+    (fun jobs ->
+      with_temp_dir (fun dir ->
+          let _ = sweep ~jobs ~store:(store dir) benches in
+          checks
+            (Printf.sprintf "checkpoint files identical at -j %d" jobs)
+            expected
+            (checkpoint_bytes dir benches)))
+    job_counts
 
 let test_resume_mid_sweep_parallel () =
   (* A sweep killed after completing half its benchmarks leaves their
      checkpoints behind; restarting at -j 4 must resume those, run only
-     the rest, and end byte-identical to an uninterrupted sequential
-     sweep. *)
+     the rest, and end byte-identical to an uninterrupted sweep. *)
   let benches = mini_benches () in
   let half = [ List.nth benches 0; List.nth benches 2 ] in
   with_temp_dir (fun dir ->
-      let _ =
-        Checkpoint.run_many_par ~thresholds:mini_thresholds ~jobs:4 ~dir half
-      in
+      let _ = sweep ~jobs:4 ~store:(store dir) half in
       let statuses = ref [] in
       let progress n s = statuses := (n, Runner.status_name s) :: !statuses in
-      let resumed =
-        Checkpoint.run_many_par ~thresholds:mini_thresholds ~jobs:4 ~progress
-          ~dir benches
-      in
+      let resumed, _ = sweep ~jobs:4 ~store:(store dir) ~progress benches in
       List.iter
         (fun b ->
           checkb
@@ -440,19 +438,10 @@ let test_resume_mid_sweep_parallel () =
         half;
       checki "both fresh benchmarks ran" 2
         (List.length (List.filter (fun (_, s) -> s = "ok") !statuses));
-      let uninterrupted =
-        Runner.run_many_par ~thresholds:mini_thresholds ~jobs:1 benches
-      in
       checks "resumed sweep byte-identical to uninterrupted"
-        (serialize_sweep uninterrupted)
+        (serialize_sweep (reference benches))
         (serialize_sweep resumed);
-      checks "checkpoint set byte-identical"
-        (with_temp_dir (fun d2 ->
-             let _ =
-               Checkpoint.run_many_par ~thresholds:mini_thresholds ~jobs:1
-                 ~dir:d2 benches
-             in
-             checkpoint_bytes d2 benches))
+      checks "checkpoint set byte-identical" (reference_bytes benches)
         (checkpoint_bytes dir benches))
 
 (* ------------------------------------------------------------------ *)
@@ -460,46 +449,88 @@ let test_resume_mid_sweep_parallel () =
 (* ------------------------------------------------------------------ *)
 
 let test_callbacks_single_writer () =
-  (* Every callback — progress, save, sink, report — must run on the
-     calling (collector) domain, with no overlap possible: record the
-     executing domain id at each callback and require it to be the
-     collector's, mutex-free. *)
+  (* Over policy x jobs x store: every collector callback — progress,
+     the resume scan, save — must run on the calling domain, with no
+     overlap possible (record the executing domain at each callback,
+     mutex-free), and every benchmark reports [started] then exactly
+     one terminal status.  One benchmark always fails, so the terminal
+     status depends on the policy: failed without retries, poisoned
+     with them. *)
   let collector = (Domain.self () :> int) in
   let benches = mini_benches () in
-  let violations = ref 0 in
-  let observe () =
-    if (Domain.self () :> int) <> collector then incr violations
+  let broken = "par-c" in
+  let run_task ~attempt:_ (b : Spec.t) run =
+    if b.Spec.name = broken then
+      Error (Tpdbt_dbt.Error.Deadline_exceeded { steps = 1; deadline = 1 })
+    else run ()
   in
-  let progress_log = ref [] in
-  let sink =
-    Tel.Sink.of_fun (fun ~step:_ _ -> observe ())
-  in
-  let _ =
-    Runner.run_many_par ~thresholds:mini_thresholds ~jobs:4
-      ~progress:(fun n s ->
-        observe ();
-        progress_log := (n, Runner.status_name s) :: !progress_log)
-      ~save:(fun _ -> observe ())
-      ~sink
-      ~report:(fun _ -> observe ())
-      benches
-  in
-  checki "all callbacks ran on the collector domain" 0 !violations;
-  (* Well-formed progress stream: exactly one start and one terminal
-     status per benchmark, start first. *)
   List.iter
-    (fun b ->
-      let mine =
-        List.rev
-          (List.filter_map
-             (fun (n, s) -> if n = b.Spec.name then Some s else None)
-             !progress_log)
-      in
-      checkb
-        (b.Spec.name ^ " progress well-formed")
-        true
-        (mine = [ "started"; "ok" ]))
-    benches
+    (fun (policy, failed_status) ->
+      List.iter
+        (fun jobs ->
+          List.iter
+            (fun with_store ->
+              let label =
+                Printf.sprintf "%s, -j %d, %s" failed_status jobs
+                  (if with_store then "store" else "no store")
+              in
+              let violations = ref 0 in
+              let observe () =
+                if (Domain.self () :> int) <> collector then incr violations
+              in
+              let progress_log = ref [] in
+              let progress n s =
+                observe ();
+                progress_log := (n, Runner.status_name s) :: !progress_log
+              in
+              let run dir =
+                let observed =
+                  Option.map
+                    (fun dir ->
+                      let s = store dir in
+                      {
+                        s with
+                        Runner.finished =
+                          (fun b ->
+                            observe ();
+                            s.Runner.finished b);
+                        save =
+                          (fun d ->
+                            observe ();
+                            s.Runner.save d);
+                      })
+                    dir
+                in
+                sweep ~jobs ~policy ?store:observed ~progress ~run_task
+                  benches
+              in
+              let _ =
+                if with_store then with_temp_dir (fun d -> run (Some d))
+                else run None
+              in
+              checki
+                ("all callbacks ran on the collector domain: " ^ label)
+                0 !violations;
+              List.iter
+                (fun b ->
+                  let mine =
+                    List.rev
+                      (List.filter_map
+                         (fun (n, s) -> if n = b.Spec.name then Some s else None)
+                         !progress_log)
+                  in
+                  let terminal =
+                    if b.Spec.name = broken then failed_status else "ok"
+                  in
+                  checkb
+                    (Printf.sprintf "%s progress well-formed: %s" b.Spec.name
+                       label)
+                    true
+                    (mine = [ "started"; terminal ]))
+                benches)
+            [ false; true ])
+        job_counts)
+    [ (Sup.one_attempt, "failed"); (Sup.default_policy, "poisoned") ]
 
 (* ------------------------------------------------------------------ *)
 (* Cache sweep and campaign determinism                                 *)
@@ -537,66 +568,6 @@ let test_campaign_identical_across_jobs () =
         (campaign_render (run jobs)))
     (List.tl job_counts)
 
-(* ------------------------------------------------------------------ *)
-(* Telemetry                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let test_worker_telemetry () =
-  let benches = mini_benches () in
-  let metrics = Tel.Metrics.create () in
-  let events = ref [] in
-  let sink = Tel.Sink.of_fun (fun ~step event -> events := (step, event) :: !events) in
-  let _ = Runner.run_many_par ~thresholds:mini_thresholds ~jobs:2 ~sink ~metrics benches in
-  let kinds = List.map (fun (_, e) -> Tel.Event.kind_name e) !events in
-  checki "one start per task" 4
-    (List.length (List.filter (( = ) "worker.start") kinds));
-  checki "one finish per task" 4
-    (List.length (List.filter (( = ) "worker.finish") kinds));
-  checki "one span begin per task" 4
-    (List.length (List.filter (( = ) "span.begin") kinds));
-  checki "one span end per task" 4
-    (List.length (List.filter (( = ) "span.end") kinds));
-  List.iter
-    (fun k ->
-      checkb ("only worker/span events, got " ^ k) true
-        (List.mem k
-           [
-             "worker.start"; "worker.steal"; "worker.finish"; "span.begin";
-             "span.end";
-           ]))
-    kinds;
-  (* Worker spans name their worker and report a sane wall clock. *)
-  List.iter
-    (fun (_, e) ->
-      match e with
-      | Tel.Event.Span_begin { span } | Tel.Event.Span_end { span; _ } ->
-          checkb ("span named for a worker: " ^ span) true
-            (String.length span > 6 && String.sub span 0 6 = "worker");
-          (match e with
-          | Tel.Event.Span_end { wall_ns; minor_words; major_words; _ } ->
-              checkb "span wall non-negative" true (wall_ns >= 0);
-              checki "span minor words" 0 minor_words;
-              checki "span major words" 0 major_words
-          | _ -> ())
-      | _ -> ())
-    !events;
-  (* Scheduler stamps are a strictly increasing sequence. *)
-  let steps = List.rev_map fst !events in
-  checkb "scheduler sequence increases" true
-    (List.for_all2 ( < ) steps (List.tl steps @ [ max_int ]));
-  let names = Tel.Metrics.names metrics in
-  List.iter
-    (fun n -> checkb (n ^ " recorded") true (List.mem n names))
-    [
-      "parallel.speedup"; "parallel.jobs"; "parallel.steals"; "parallel.tasks";
-      "parallel.busy_seconds"; "parallel.idle_seconds";
-    ];
-  checkb "speedup gauge positive" true
-    (Tel.Metrics.gauge_value (Tel.Metrics.gauge metrics "parallel.speedup")
-    > 0.0);
-  checkb "jobs gauge is 2" true
-    (Tel.Metrics.gauge_value (Tel.Metrics.gauge metrics "parallel.jobs") = 2.0)
-
 let suite =
   [
     ("pool map identity", `Quick, test_pool_map_identity);
@@ -627,5 +598,4 @@ let suite =
     ( "campaign identical across jobs",
       `Quick,
       test_campaign_identical_across_jobs );
-    ("worker telemetry", `Quick, test_worker_telemetry);
   ]

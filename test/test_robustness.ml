@@ -1,8 +1,8 @@
-(* Robustness of supervised sweeps: engine step deadlines, the
-   checkpoint corruption matrix (truncation, bit flips, stale versions,
-   empty and garbage-trailed files are classified, on disk and as text,
-   re-run and repaired byte-identically at every job count), and the
-   chaos harness's deterministic survival of combined
+(* Robustness of sweeps: engine step deadlines, the checkpoint
+   corruption matrix (truncation, bit flips, stale versions, empty and
+   garbage-trailed files are classified, on disk and as text, re-run
+   and repaired byte-identically at every job count and policy), and
+   the chaos harness's deterministic survival of combined
    task/worker/storage faults. *)
 
 module Error = Tpdbt_dbt.Error
@@ -46,6 +46,16 @@ let mini_benches () =
 
 let serialize_sweep sweep =
   String.concat "\n" (List.map Checkpoint.data_to_string sweep.Runner.data)
+
+let reference benches = Reference_sweep.run ~thresholds:mini_thresholds benches
+
+let sweep ?jobs ?policy ?dir ?progress ?run_task benches =
+  Runner.run_sweep ~thresholds:mini_thresholds ?jobs ?policy
+    ?store:
+      (Option.map
+         (fun dir -> Checkpoint.store ~thresholds:mini_thresholds ~dir ())
+         dir)
+    ?progress ?run_task benches
 
 let with_temp_dir f =
   let dir = Filename.temp_file "tpdbt-rob" "" in
@@ -135,9 +145,7 @@ let test_corruption_classified () =
   let bench = mini "rob-classify" in
   with_temp_dir (fun dir ->
       let seed_store () =
-        let _ =
-          Checkpoint.run_many ~thresholds:mini_thresholds ~dir [ bench ]
-        in
+        let _ = sweep ~dir [ bench ] in
         Checkpoint.path ~dir bench
       in
       List.iter
@@ -179,62 +187,61 @@ let test_data_of_string_rejects () =
     classify
 
 let test_damaged_store_repaired_across_jobs () =
-  (* Four checkpoints, two damaged: the supervised resume must classify
-     the damage, re-run exactly the damaged benchmarks, and leave the
-     sweep byte-identical to an undisturbed one — at every job count. *)
+  (* Five checkpoints, two damaged: the resume scan must classify the
+     damage, re-run exactly the damaged benchmarks, and leave the sweep
+     byte-identical to an undisturbed one — at every job count, with
+     and without retries. *)
   let benches = mini_benches () in
-  let reference =
-    Runner.run_many ~thresholds:mini_thresholds benches
-  in
+  let reference = reference benches in
   List.iter
-    (fun jobs ->
-      with_temp_dir (fun dir ->
-          let _ =
-            Checkpoint.run_many ~thresholds:mini_thresholds ~dir benches
-          in
-          apply_damage Bitflip (Checkpoint.path ~dir (List.nth benches 1));
-          apply_damage Truncate (Checkpoint.path ~dir (List.nth benches 3));
-          let statuses = ref [] in
-          let progress n s =
-            statuses := (n, Runner.status_name s) :: !statuses
-          in
-          let sweep, supervision =
-            Checkpoint.run_many_supervised ~thresholds:mini_thresholds ~jobs
-              ~progress ~dir benches
-          in
-          checks
-            (Printf.sprintf "corrupt entries found at -j %d" jobs)
-            "rob-b,rob-d"
-            (String.concat "," (List.map fst supervision.Runner.corrupt));
-          List.iter
-            (fun (n, expect) ->
-              checkb
-                (Printf.sprintf "%s %s at -j %d" n expect jobs)
-                true
-                (List.mem (n, expect) !statuses))
-            [
-              ("rob-a", "resumed");
-              ("rob-b", "ok");
-              ("rob-c", "resumed");
-              ("rob-d", "ok");
-            ];
-          checki
-            (Printf.sprintf "nothing poisoned at -j %d" jobs)
-            0
-            (List.length supervision.Runner.poisoned);
-          checks
-            (Printf.sprintf "repaired sweep byte-identical at -j %d" jobs)
-            (serialize_sweep reference) (serialize_sweep sweep);
-          (* The re-run rewrote valid checkpoints in place. *)
-          List.iter
-            (fun b ->
+    (fun (policy, label) ->
+      List.iter
+        (fun jobs ->
+          let label = Printf.sprintf "%s at -j %d" label jobs in
+          with_temp_dir (fun dir ->
+              let _ = sweep ~dir benches in
+              apply_damage Bitflip (Checkpoint.path ~dir (List.nth benches 1));
+              apply_damage Truncate
+                (Checkpoint.path ~dir (List.nth benches 3));
+              let statuses = ref [] in
+              let progress n s =
+                statuses := (n, Runner.status_name s) :: !statuses
+              in
+              let sweep, supervision =
+                sweep ~jobs ~policy ~progress ~dir benches
+              in
               checks
-                (b.Spec.name ^ " checkpoint valid again")
-                "valid"
-                (class_name
-                   (Checkpoint.classify ~thresholds:mini_thresholds ~dir b)))
-            benches))
-    job_counts
+                ("corrupt entries found " ^ label)
+                "rob-b,rob-d"
+                (String.concat "," (List.map fst supervision.Runner.corrupt));
+              List.iter
+                (fun (n, expect) ->
+                  checkb
+                    (Printf.sprintf "%s %s %s" n expect label)
+                    true
+                    (List.mem (n, expect) !statuses))
+                [
+                  ("rob-a", "resumed");
+                  ("rob-b", "ok");
+                  ("rob-c", "resumed");
+                  ("rob-d", "ok");
+                ];
+              checki ("nothing poisoned " ^ label) 0
+                (List.length supervision.Runner.poisoned);
+              checks
+                ("repaired sweep byte-identical " ^ label)
+                (serialize_sweep reference) (serialize_sweep sweep);
+              (* The re-run rewrote valid checkpoints in place. *)
+              List.iter
+                (fun b ->
+                  checks
+                    (b.Spec.name ^ " checkpoint valid again")
+                    "valid"
+                    (class_name
+                       (Checkpoint.classify ~thresholds:mini_thresholds ~dir b)))
+                benches))
+        job_counts)
+    [ (Sup.one_attempt, "one attempt"); (Sup.default_policy, "supervised") ]
 
 let test_save_durable_rename () =
   (* [save] publishes via temp file + fsync + rename + directory
@@ -245,9 +252,7 @@ let test_save_durable_rename () =
      a checkpoint. *)
   with_temp_dir (fun dir ->
       let bench = mini "rob-durable" in
-      let sweep =
-        Checkpoint.run_many ~thresholds:mini_thresholds ~dir [ bench ]
-      in
+      let sweep, _ = sweep ~dir [ bench ] in
       let data = List.hd sweep.Runner.data in
       let file = Checkpoint.path ~dir bench in
       let first = read_file file in
@@ -274,10 +279,10 @@ let test_degraded_pool_resumes_checkpoints () =
      converge byte-identically: resumed data untouched, crashed tasks
      retried to completion, nothing poisoned. *)
   let benches = mini_benches () in
-  let reference = Runner.run_many ~thresholds:mini_thresholds benches in
+  let reference = reference benches in
   with_temp_dir (fun dir ->
       let seeded = List.filteri (fun i _ -> i < 2) benches in
-      let _ = Checkpoint.run_many ~thresholds:mini_thresholds ~dir seeded in
+      let _ = sweep ~dir seeded in
       let resumed = ref 0 in
       let progress _ = function
         | Runner.Resumed -> incr resumed
@@ -286,13 +291,12 @@ let test_degraded_pool_resumes_checkpoints () =
       (* Only fresh benchmarks become tasks, so this crashes exactly
          the un-checkpointed ones. *)
       let fresh = List.length benches - 2 in
-      let run_task ~task:_ ~attempt spec =
-        if attempt = 1 then raise Sup.Crash_worker
-        else Runner.run_benchmark_result ~thresholds:mini_thresholds spec
+      let run_task ~attempt _ run =
+        if attempt = 1 then raise Sup.Crash_worker else run ()
       in
       let sweep, supervision =
-        Checkpoint.run_many_supervised ~thresholds:mini_thresholds ~jobs:2
-          ~progress ~run_task ~dir benches
+        sweep ~jobs:2 ~policy:Sup.default_policy ~progress ~run_task ~dir
+          benches
       in
       let sup = supervision.Runner.sup in
       checki "two benchmarks resumed" 2 !resumed;
@@ -317,11 +321,11 @@ let test_degraded_pool_resumes_checkpoints () =
 
 let test_supervised_matches_plain_sweep () =
   let benches = mini_benches () in
-  let reference = Runner.run_many ~thresholds:mini_thresholds benches in
+  let reference = reference benches in
   List.iter
     (fun jobs ->
       let sweep, supervision =
-        Runner.run_many_supervised ~thresholds:mini_thresholds ~jobs benches
+        sweep ~jobs ~policy:Sup.default_policy benches
       in
       checks
         (Printf.sprintf "fault-free supervised sweep identical at -j %d" jobs)

@@ -447,6 +447,15 @@ let test_cli_exit_taxonomy () =
     checki "unknown subcommand is usage (1)" 1 (exit_of [ "no-such-cmd" ]);
     checki "unknown benchmark is usage (1)" 1
       (exit_of [ "bench"; "no-such-bench" ]);
+    let sweep extra =
+      exit_of
+        ([ "sweep"; "-b"; "gzip"; "--jobs"; "1"; "--max-steps"; "200000" ]
+        @ extra)
+    in
+    checki "a blown deadline fails an unsupervised sweep (3)" 3
+      (sweep [ "--deadline"; "1000" ]);
+    checki "--retries without --supervise is usage (1)" 1
+      (sweep [ "--retries"; "2" ]);
     with_temp_dir (fun dir ->
         let bad = Filename.concat dir "bad.s" in
         let oc = open_out bad in

@@ -135,12 +135,7 @@ let test_event_ordering () =
       | Event.Region_cost { region; cycles; instrs } ->
           checkb "region cost for a formed region" true
             (Hashtbl.mem formed region);
-          checkb "region cost totals sane" true (cycles >= 0.0 && instrs >= 0)
-      | Event.Worker_start _ | Event.Worker_steal _ | Event.Worker_finish _
-      | Event.Supervisor_retry _ | Event.Supervisor_give_up _
-      | Event.Breaker_open _ | Event.Worker_lost _ | Event.Pool_degraded _
-      | Event.Checkpoint_corrupt _ ->
-          checkb "no scheduler events from a single engine run" true false)
+          checkb "region cost totals sane" true (cycles >= 0.0 && instrs >= 0))
     events;
   checkb "pool triggered" true (!pool_triggers > 0);
   checkb "regions formed" true (Hashtbl.length formed > 0);
