@@ -159,7 +159,9 @@ serve-smoke: build
 # Profiling smoke: tpdbt profile on one workload must produce a
 # non-empty collapsed-stack file, a span-profile JSON and an
 # OpenMetrics exposition (the command itself re-validates each artefact
-# through its strict parser and exits non-zero on any failure).
+# through its strict parser and exits non-zero on any failure).  The
+# sealed profile file must load back into tpdbt report, and a copy with
+# one byte changed must be refused as invalid input (exit 2).
 PROFILE_SMOKE_DIR := _build/profile-smoke
 
 profile-smoke: build
@@ -171,6 +173,14 @@ profile-smoke: build
 		test -s $(PROFILE_SMOKE_DIR)/$$f \
 			|| { echo "profile-smoke: $$f missing or empty"; exit 1; }; \
 	done
+	$(DUNE) exec bin/tpdbt.exe -- report $(PROFILE_SMOKE_DIR)/gzip.prof \
+		> /dev/null
+	sed '3s/^TPDBT-PROFILE 1$$/TPDBT-PROFILE 7/' \
+		$(PROFILE_SMOKE_DIR)/gzip.prof > $(PROFILE_SMOKE_DIR)/damaged.prof
+	$(DUNE) exec bin/tpdbt.exe -- report $(PROFILE_SMOKE_DIR)/damaged.prof \
+		> /dev/null 2> $(PROFILE_SMOKE_DIR)/damaged.err; \
+	test $$? -eq 2 \
+		|| { echo "profile-smoke: damaged profile did not exit 2"; exit 1; }
 	@echo "profile-smoke: all profiling artefacts present and validated"
 
 # Differential-fuzzing smoke: a fixed-seed campaign of generated guest

@@ -154,6 +154,20 @@ let of_blocks ~entry_block blocks =
         fail "blocks not contiguous in pc")
     arr;
   if n > 0 && arr.(0).start_pc <> 0 then fail "first block must start at 0";
+  let names id =
+    if id < 0 || id >= n then
+      fail (Printf.sprintf "terminator names block %d outside [0,%d)" id n)
+  in
+  Array.iter
+    (fun blk ->
+      match blk.terminator with
+      | Cond { taken = a; fallthrough = b }
+      | Call_to { callee = a; retsite = b } ->
+          names a;
+          names b
+      | Goto a | Fallthrough a -> names a
+      | Return | Stop -> ())
+    arr;
   if entry_block < 0 || entry_block >= n then fail "entry block out of range";
   if not !ok then Error ("Block_map.of_blocks: " ^ !reason)
   else begin

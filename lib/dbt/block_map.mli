@@ -48,7 +48,7 @@ val of_blocks : entry_block:int -> block list -> (t, string) result
 (** Reconstruct a block map from serialised blocks (see
     [Tpdbt_profiles.Profile_io]).  The blocks must be sorted by id,
     contiguous from 0, and cover [0 .. max end_pc] without gaps or
-    overlaps. *)
+    overlaps, and every terminator must name blocks among them. *)
 
 val block_count : t -> int
 

@@ -104,9 +104,12 @@ let record c registry =
       ("watchdog_degraded", c.watchdog_degraded);
     ]
 
-let counters_to_line c =
+module W = Tpdbt_durable.Durable.Writer
+module R = Tpdbt_durable.Durable.Reader
+
+let write_counters w c =
   (* %h round-trips the float exactly; every other field is an int. *)
-  Printf.sprintf
+  W.line w
     "counters %h %d %d %d %d %d %d %d %d %d %d %d %d %d %d %d %d %d %d %d %d \
      %d"
     c.cycles c.blocks_translated c.regions_formed c.region_entries
@@ -117,46 +120,31 @@ let counters_to_line c =
     c.shadow_divergences c.corrupted_entries c.regions_quarantined
     c.watchdog_degraded
 
-let counters_of_line line =
-  let exception Bad of string in
-  let int_exn s =
-    match int_of_string_opt s with
-    | Some v -> v
-    | None -> raise (Bad (Printf.sprintf "not an integer: %S" s))
-  in
-  match String.split_on_char ' ' line with
-  | [
-      "counters"; cy; a; b; c; d; e; f; g; h; i; j; k; l; m; n; o; p; q; r; s;
-      u; v;
-    ] -> (
-      match float_of_string_opt cy with
-      | None -> Error "bad cycles value"
-      | Some cycles -> (
-          try
-            Ok
-              {
-                cycles;
-                blocks_translated = int_exn a;
-                regions_formed = int_exn b;
-                region_entries = int_exn c;
-                region_completions = int_exn d;
-                loop_backs = int_exn e;
-                side_exits = int_exn f;
-                optimization_rounds = int_exn g;
-                regions_dissolved = int_exn h;
-                faults_injected = int_exn i;
-                retrans_retries = int_exn j;
-                fault_dissolves = int_exn k;
-                blocks_retranslated = int_exn l;
-                cache_evictions = int_exn m;
-                cache_flushes = int_exn n;
-                cache_evicted_instrs = int_exn o;
-                cache_peak_instrs = int_exn p;
-                shadow_replays = int_exn q;
-                shadow_divergences = int_exn r;
-                corrupted_entries = int_exn s;
-                regions_quarantined = int_exn u;
-                watchdog_degraded = int_exn v;
-              }
-          with Bad reason -> Error reason))
-  | _ -> Error "bad counters line"
+let read_counters r =
+  R.tagged r "counters";
+  let cycles = R.float r "counters" in
+  let v = Array.init 21 (fun _ -> R.int r "counters") in
+  {
+    cycles;
+    blocks_translated = v.(0);
+    regions_formed = v.(1);
+    region_entries = v.(2);
+    region_completions = v.(3);
+    loop_backs = v.(4);
+    side_exits = v.(5);
+    optimization_rounds = v.(6);
+    regions_dissolved = v.(7);
+    faults_injected = v.(8);
+    retrans_retries = v.(9);
+    fault_dissolves = v.(10);
+    blocks_retranslated = v.(11);
+    cache_evictions = v.(12);
+    cache_flushes = v.(13);
+    cache_evicted_instrs = v.(14);
+    cache_peak_instrs = v.(15);
+    shadow_replays = v.(16);
+    shadow_divergences = v.(17);
+    corrupted_entries = v.(18);
+    regions_quarantined = v.(19);
+    watchdog_degraded = v.(20);
+  }

@@ -89,10 +89,10 @@ val record : counters -> Tpdbt_telemetry.Metrics.t -> unit
     several runs into the same registry sums them, so a sweep can
     aggregate its whole fleet of runs into one registry. *)
 
-val counters_to_line : counters -> string
+val write_counters : Tpdbt_durable.Durable.Writer.t -> counters -> unit
 (** The one-line text form that checkpoints and engine snapshots
     persist: [counters], then [cycles] in lossless [%h] and the other
     fields as ints, in declaration order. *)
 
-val counters_of_line : string -> (counters, string) result
-(** Inverse of {!counters_to_line}; [Error] says what is wrong. *)
+val read_counters : Tpdbt_durable.Durable.Reader.t -> counters
+(** Inverse of {!write_counters}. *)

@@ -130,3 +130,193 @@ let atomic_write path text =
   (* The rename lives in the directory: unsynced, a power cut can forget
      the new name, or resurrect the old file, though the data is safe. *)
   sync_dir (Filename.dirname path)
+
+(* ---- line records ------------------------------------------------------ *)
+
+(* A payload is a run of '\n'-terminated lines of ' '-separated words;
+   most lines open with a tag word naming what they hold. *)
+
+module Writer = struct
+  type t = Buffer.t
+
+  let create () = Buffer.create 8192
+  let contents = Buffer.contents
+  let line w fmt = Printf.kbprintf (fun w -> Buffer.add_char w '\n') w fmt
+
+  let ints w tag a =
+    Buffer.add_string w tag;
+    Buffer.add_char w ' ';
+    Buffer.add_string w (string_of_int (Array.length a));
+    Array.iter
+      (fun v ->
+        Buffer.add_char w ' ';
+        Buffer.add_string w (string_of_int v))
+      a;
+    Buffer.add_char w '\n'
+
+  let section w tag text =
+    line w "%s %d" tag
+      (String.fold_left (fun n c -> if c = '\n' then n + 1 else n) 0 text);
+    Buffer.add_string w text
+end
+
+module Reader = struct
+  type error = { line : int; field : string; reason : string }
+
+  exception Malformed of error
+
+  type t = {
+    text : string;
+    stop : int;  (** end of this reader's lines *)
+    mutable next : int;  (** start of the next line *)
+    mutable line : int;  (** number of the current line, 0 before the first *)
+    mutable pos : int;  (** next unread word; past [eol] once all are read *)
+    mutable eol : int;  (** the current line's '\n' *)
+    mutable field : string;  (** what the current line holds *)
+  }
+
+  let fail_at line field reason = raise (Malformed { line; field; reason })
+  let fail r = fail_at r.line
+  let line_number r = r.line
+
+  let check_consumed r =
+    if r.pos <= r.eol then fail r r.field "unexpected words at end of line"
+
+  let rec word_end text i =
+    if i < String.length text && text.[i] <> ' ' && text.[i] <> '\n' then
+      word_end text (i + 1)
+    else i
+
+  (* The end of the [n] lines after the current one; line 0 stands for
+     "past the last line". *)
+  let span r field n =
+    check_consumed r;
+    let rec skip at n =
+      if n = 0 then at
+      else
+        match String.index_from_opt r.text at '\n' with
+        | Some eol when eol < r.stop -> skip (eol + 1) (n - 1)
+        | _ when at < r.stop -> fail_at (r.line + 1) field "unterminated line"
+        | _ -> fail_at 0 field "truncated"
+    in
+    skip r.next n
+
+  let next r field =
+    let next = span r field 1 in
+    r.line <- r.line + 1;
+    r.pos <- r.next;
+    r.eol <- next - 1;
+    r.next <- next;
+    r.field <- field
+
+  let rec same text at tag i =
+    i = String.length tag
+    || (text.[at + i] = tag.[i] && same text at tag (i + 1))
+
+  let tagged r tag =
+    next r tag;
+    let n = String.length tag in
+    if
+      r.eol - r.pos >= n
+      && same r.text r.pos tag 0
+      && (r.pos + n = r.eol || r.text.[r.pos + n] = ' ')
+    then r.pos <- r.pos + n + 1
+    else fail r tag ("expected a " ^ tag ^ " line")
+
+  let word r field =
+    if r.pos > r.eol then fail r field "missing";
+    let e = word_end r.text r.pos in
+    let w = String.sub r.text r.pos (e - r.pos) in
+    r.pos <- e + 1;
+    w
+
+  let not_an_int r field e =
+    let w = String.sub r.text r.pos (e - r.pos) in
+    fail r field (Printf.sprintf "not an integer: %S" w)
+
+  (* Decimal only, parsed in place.  The value accumulates negated so
+     that [min_int] parses; [acc * 10 - d >= min_int] is
+     [acc >= (min_int + d) / 10], division rounding toward zero. *)
+  let int r field =
+    if r.pos > r.eol then fail r field "missing";
+    let e = word_end r.text r.pos in
+    let neg = e > r.pos && r.text.[r.pos] = '-' in
+    let first = if neg then r.pos + 1 else r.pos in
+    if first = e then not_an_int r field e;
+    let acc = ref 0 in
+    for i = first to e - 1 do
+      let d = Char.code r.text.[i] - Char.code '0' in
+      if d < 0 || d > 9 || !acc < (min_int + d) / 10 then not_an_int r field e;
+      acc := (!acc * 10) - d
+    done;
+    if (not neg) && !acc = min_int then not_an_int r field e;
+    r.pos <- e + 1;
+    if neg then !acc else - !acc
+
+  let parsed of_string what r field =
+    let w = word r field in
+    match of_string w with
+    | Some v -> v
+    | None -> fail r field (Printf.sprintf "not %s: %S" what w)
+
+  let int64 = parsed Int64.of_string_opt "an int64"
+  let float = parsed float_of_string_opt "a float"
+
+  let count r field =
+    let n = int r field in
+    if n < 0 then fail r field (Printf.sprintf "negative count %d" n);
+    n
+
+  let list r tag item =
+    tagged r tag;
+    List.init (count r tag) (fun _ -> item r)
+
+  let ints r tag = Array.of_list (list r tag (fun r -> int r tag))
+
+  let peek r =
+    check_consumed r;
+    if r.next >= r.stop then None
+    else Some (String.sub r.text r.next (word_end r.text r.next - r.next))
+
+  let lines r field n =
+    let stop = span r field n in
+    let text = String.sub r.text r.next (stop - r.next) in
+    r.next <- stop;
+    r.line <- r.line + n;
+    text
+
+  let section r tag =
+    tagged r tag;
+    let n = count r tag in
+    let sub = { r with stop = span r tag n; pos = r.eol + 1 } in
+    r.next <- sub.stop;
+    r.line <- r.line + n;
+    sub
+
+  let section_text r tag =
+    tagged r tag;
+    lines r tag (count r tag)
+
+  let eof r =
+    check_consumed r;
+    if r.next < r.stop then fail_at (r.line + 1) "trailer" "trailing garbage"
+
+  let finish r =
+    tagged r "end";
+    eof r
+
+  let run text read =
+    let stop = String.length text in
+    let r = { text; stop; next = 0; line = 0; pos = 1; eol = 0; field = "" } in
+    match read r with v -> Ok v | exception Malformed e -> Error e
+
+  let describe { line; field; reason } =
+    if line = 0 then Printf.sprintf "%s: %s at end of record" field reason
+    else Printf.sprintf "line %d: %s: %s" line field reason
+end
+
+let parse ~magic read text =
+  bind (unseal ~magic text) (fun payload ->
+      match Reader.run payload read with
+      | Ok v -> Valid v
+      | Error e -> Corrupt (Reader.describe e))

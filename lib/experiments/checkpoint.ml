@@ -26,46 +26,47 @@ type 'a classified = 'a Durable.classified =
 
 (* ---- serialisation ----------------------------------------------------- *)
 
-let result_to_buf buf (r : Engine.result) =
-  let add fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
-  add "steps %d" r.Engine.steps;
-  add "profiling_ops %d" r.Engine.profiling_ops;
-  add "outputs %d%s" (List.length r.Engine.outputs)
-    (String.concat ""
-       (List.map (fun v -> " " ^ string_of_int v) r.Engine.outputs));
-  add "%s" (Perf_model.counters_to_line r.Engine.counters);
-  add "regstats %d" (List.length r.Engine.region_stats);
+module W = Durable.Writer
+module R = Durable.Reader
+
+let write_result w (r : Engine.result) =
+  W.line w "steps %d" r.Engine.steps;
+  W.line w "profiling_ops %d" r.Engine.profiling_ops;
+  W.ints w "outputs" (Array.of_list r.Engine.outputs);
+  Perf_model.write_counters w r.Engine.counters;
+  W.line w "regstats %d" (List.length r.Engine.region_stats);
   List.iter
     (fun (id, (s : Engine.region_stats)) ->
-      add "regstat %d %d %d %d %d" id s.Engine.entries s.Engine.side_exits
-        s.Engine.loop_back_taken s.Engine.loop_back_seen)
+      W.line w "regstat %d %d %d %d %d" id s.Engine.entries
+        s.Engine.side_exits s.Engine.loop_back_taken s.Engine.loop_back_seen)
     r.Engine.region_stats;
-  let text = Profile_io.to_string r.Engine.snapshot in
-  let nlines = String.fold_left (fun n c -> if c = '\n' then n + 1 else n) 0 text in
-  add "snapshot %d" nlines;
-  Buffer.add_string buf text
+  W.section w "snapshot" (Profile_io.to_string r.Engine.snapshot)
+
+let write_header w (spec : Spec.t) kind thresholds =
+  W.line w "bench %s" spec.Spec.name;
+  W.line w "kind %s" kind;
+  W.line w "thresholds %d" (List.length thresholds);
+  List.iter
+    (fun (label, scaled) -> W.line w "threshold %s %d" label scaled)
+    thresholds
 
 let payload_of_data (d : Runner.data) =
-  let buf = Buffer.create 8192 in
-  let add fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
-  add "bench %s" d.Runner.bench.Spec.name;
-  add "kind finished";
-  add "thresholds %d" (List.length d.Runner.runs);
+  let w = W.create () in
+  write_header w d.Runner.bench "finished"
+    (List.map
+       (fun (r : Runner.threshold_run) -> (r.Runner.label, r.Runner.scaled))
+       d.Runner.runs);
+  W.line w "avep";
+  write_result w d.Runner.avep;
+  W.line w "train";
+  write_result w d.Runner.train;
   List.iter
     (fun (r : Runner.threshold_run) ->
-      add "threshold %s %d" r.Runner.label r.Runner.scaled)
+      W.line w "run %s %d" r.Runner.label r.Runner.scaled;
+      write_result w r.Runner.result)
     d.Runner.runs;
-  add "avep";
-  result_to_buf buf d.Runner.avep;
-  add "train";
-  result_to_buf buf d.Runner.train;
-  List.iter
-    (fun (r : Runner.threshold_run) ->
-      add "run %s %d" r.Runner.label r.Runner.scaled;
-      result_to_buf buf r.Runner.result)
-    d.Runner.runs;
-  add "end";
-  Buffer.contents buf
+  W.line w "end";
+  W.contents w
 
 let stage_header (s : Runner.stage) =
   match s with
@@ -74,29 +75,18 @@ let stage_header (s : Runner.stage) =
   | Runner.Threshold (label, scaled) -> Printf.sprintf "run %s %d" label scaled
 
 let payload_of_partial (p : Runner.partial) =
-  let buf = Buffer.create 8192 in
-  let add fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
-  add "bench %s" p.Runner.p_bench.Spec.name;
-  add "kind suspended";
-  add "thresholds %d" (List.length p.Runner.p_thresholds);
-  List.iter
-    (fun (label, scaled) -> add "threshold %s %d" label scaled)
-    p.Runner.p_thresholds;
-  add "done %d" (List.length p.Runner.p_done);
+  let w = W.create () in
+  write_header w p.Runner.p_bench "suspended" p.Runner.p_thresholds;
+  W.line w "done %d" (List.length p.Runner.p_done);
   List.iter
     (fun (stage, result) ->
-      add "stage %s" (stage_header stage);
-      result_to_buf buf result)
+      W.line w "stage %s" (stage_header stage);
+      write_result w result)
     p.Runner.p_done;
-  add "next %s" (stage_header p.Runner.p_next);
-  let text = p.Runner.p_snapshot in
-  let nlines =
-    String.fold_left (fun n c -> if c = '\n' then n + 1 else n) 0 text
-  in
-  add "exec %d" nlines;
-  Buffer.add_string buf text;
-  add "end";
-  Buffer.contents buf
+  W.line w "next %s" (stage_header p.Runner.p_next);
+  W.section w "exec" p.Runner.p_snapshot;
+  W.line w "end";
+  W.contents w
 
 let data_to_string (d : Runner.data) = Durable.seal ~magic (payload_of_data d)
 
@@ -105,224 +95,124 @@ let partial_to_string (p : Runner.partial) =
 
 (* ---- parsing ----------------------------------------------------------- *)
 
-exception Malformed of string
+let read_result profile r =
+  R.tagged r "steps";
+  let steps = R.int r "steps" in
+  R.tagged r "profiling_ops";
+  let profiling_ops = R.int r "profiling_ops" in
+  let outputs = Array.to_list (R.ints r "outputs") in
+  let counters = Perf_model.read_counters r in
+  let region_stats =
+    R.list r "regstats" (fun r ->
+        R.tagged r "regstat";
+        let id = R.int r "regstat" in
+        let entries = R.int r "regstat" in
+        let side_exits = R.int r "regstat" in
+        let loop_back_taken = R.int r "regstat" in
+        let loop_back_seen = R.int r "regstat" in
+        (id, { Engine.entries; side_exits; loop_back_taken; loop_back_seen }))
+  in
+  {
+    Engine.snapshot = profile (R.section r "snapshot");
+    counters;
+    steps;
+    profiling_ops;
+    outputs;
+    region_stats;
+    error = None;
+    faults = None;
+  }
 
-let parse_payload ?expect_thresholds spec text =
-  let lines = Array.of_list (String.split_on_char '\n' text) in
-  let cursor = ref 0 in
-  let next () =
-    if !cursor >= Array.length lines then
-      raise (Malformed "payload ends mid-record")
-    else (
-      incr cursor;
-      lines.(!cursor - 1))
-  in
-  let expect s =
-    if next () <> s then raise (Malformed (Printf.sprintf "expected %S" s))
-  in
-  let int_exn s =
-    match int_of_string_opt s with
-    | Some v -> v
-    | None -> raise (Malformed (Printf.sprintf "not an integer: %S" s))
-  in
-  let words () = String.split_on_char ' ' (next ()) in
-  let read_result () =
-    let steps =
-      match words () with
-      | [ "steps"; n ] -> int_exn n
-      | _ -> raise (Malformed "bad steps line")
-    in
-    let profiling_ops =
-      match words () with
-      | [ "profiling_ops"; n ] -> int_exn n
-      | _ -> raise (Malformed "bad profiling_ops line")
-    in
-    let outputs =
-      match words () with
-      | "outputs" :: n :: vs when List.length vs = int_exn n ->
-          List.map int_exn vs
-      | _ -> raise (Malformed "bad outputs line")
-    in
-    let counters =
-      match Perf_model.counters_of_line (next ()) with
-      | Ok c -> c
-      | Error reason -> raise (Malformed reason)
-    in
-    let nstats =
-      match words () with
-      | [ "regstats"; n ] -> int_exn n
-      | _ -> raise (Malformed "bad regstats line")
-    in
-    let region_stats =
-      List.init nstats (fun _ ->
-          match words () with
-          | [ "regstat"; id; en; se; lbt; lbs ] ->
-              ( int_exn id,
-                {
-                  Engine.entries = int_exn en;
-                  side_exits = int_exn se;
-                  loop_back_taken = int_exn lbt;
-                  loop_back_seen = int_exn lbs;
-                } )
-          | _ -> raise (Malformed "bad regstat line"))
-    in
-    let nlines =
-      match words () with
-      | [ "snapshot"; n ] -> int_exn n
-      | _ -> raise (Malformed "bad snapshot line")
-    in
-    if nlines < 0 then raise (Malformed "negative snapshot length");
-    let snap_buf = Buffer.create 4096 in
-    for _ = 1 to nlines do
-      Buffer.add_string snap_buf (next ());
-      Buffer.add_char snap_buf '\n'
-    done;
-    let snapshot =
-      match Profile_io.of_string (Buffer.contents snap_buf) with
-      | Ok s -> s
-      | Error _ -> raise (Malformed "embedded profile rejected")
-    in
-    {
-      Engine.snapshot;
-      counters;
-      steps;
-      profiling_ops;
-      outputs;
-      region_stats;
-      error = None;
-      faults = None;
-    }
-  in
-  let finish_checks () =
-    expect "end";
-    (* the payload always ends "end\n", so the final split element is
-       one empty string; anything more is garbage a broken writer
-       appended inside the measured payload *)
-    if not (!cursor = Array.length lines - 1 && lines.(!cursor) = "") then
-      raise (Malformed "trailing garbage after end marker")
-  in
-  try
-    (match words () with
-    | [ "bench"; name ] when name = spec.Spec.name -> ()
-    | [ "bench"; name ] ->
-        raise
-          (Malformed
-             (Printf.sprintf "checkpoint is for benchmark %s, not %s" name
-                spec.Spec.name))
-    | _ -> raise (Malformed "bad bench line"));
-    let kind =
-      match words () with
-      | [ "kind"; k ] -> k
-      | _ -> raise (Malformed "bad kind line")
-    in
-    let nruns =
-      match words () with
-      | [ "thresholds"; n ] -> int_exn n
-      | _ -> raise (Malformed "bad thresholds line")
-    in
-    let labels =
-      List.init nruns (fun _ ->
-          match words () with
-          | [ "threshold"; label; scaled ] -> (label, int_exn scaled)
-          | _ -> raise (Malformed "bad threshold line"))
-    in
-    (match expect_thresholds with
-    | Some expected when labels <> expected ->
-        raise (Malformed "recorded under a different threshold list")
-    | _ -> ());
-    match kind with
-    | "finished" ->
-        expect "avep";
-        let avep = read_result () in
-        expect "train";
-        let train = read_result () in
-        let raw_runs =
-          List.map
-            (fun (label, scaled) ->
-              (match words () with
-              | [ "run"; l; s ] when l = label && int_exn s = scaled -> ()
-              | _ -> raise (Malformed "run header out of order"));
-              (label, scaled, read_result ()))
-            labels
-        in
-        finish_checks ();
-        Valid (Finished (Runner.assemble spec avep train raw_runs))
-    | "suspended" ->
-        let stage_of = function
-          | [ "avep" ] -> Runner.Avep
-          | [ "train" ] -> Runner.Train
-          | [ "run"; label; scaled ]
-            when List.assoc_opt label labels = Some (int_exn scaled) ->
-              Runner.Threshold (label, int_exn scaled)
-          | _ -> raise (Malformed "bad stage descriptor")
-        in
-        let ndone =
-          match words () with
-          | [ "done"; n ] -> int_exn n
-          | _ -> raise (Malformed "bad done line")
-        in
-        if ndone < 0 then raise (Malformed "negative done count");
-        let p_done =
-          List.init ndone (fun _ ->
-              match words () with
-              | "stage" :: rest ->
-                  let stage = stage_of rest in
-                  (stage, read_result ())
-              | _ -> raise (Malformed "bad stage line"))
-        in
-        let p_next =
-          match words () with
-          | "next" :: rest -> stage_of rest
-          | _ -> raise (Malformed "bad next line")
-        in
-        let nlines =
-          match words () with
-          | [ "exec"; n ] -> int_exn n
-          | _ -> raise (Malformed "bad exec line")
-        in
-        if nlines < 0 then raise (Malformed "negative exec length");
-        let exec_buf = Buffer.create 4096 in
-        for _ = 1 to nlines do
-          Buffer.add_string exec_buf (next ());
-          Buffer.add_char exec_buf '\n'
-        done;
-        let p_snapshot = Buffer.contents exec_buf in
-        (* The embedded engine snapshot carries its own magic and CRC —
-           validate it now so a damaged one classifies the whole store
-           entry as corrupt instead of failing at resume time. *)
-        (match
-           Durable.to_result ~what:"snapshot"
-             (Tpdbt_dbt.Exec_snapshot.of_string p_snapshot)
-         with
-        | Ok _ -> ()
-        | Error msg -> raise (Malformed ("embedded " ^ msg)));
-        finish_checks ();
-        Valid
-          (Suspended
-             {
-               Runner.p_bench = spec;
-               p_thresholds = labels;
-               p_done;
-               p_next;
-               p_snapshot;
-             })
-    | k -> raise (Malformed (Printf.sprintf "unknown kind %S" k))
-  with Malformed reason -> Corrupt reason
+(* The stage a [stage], [next] or [run] line names after its tag. *)
+let read_stage labels r tag =
+  match R.word r tag with
+  | "avep" -> Runner.Avep
+  | "train" -> Runner.Train
+  | "run" ->
+      let label = R.word r tag in
+      let scaled = R.int r tag in
+      if List.assoc_opt label labels <> Some scaled then
+        R.fail r tag (Printf.sprintf "no threshold %s %d" label scaled);
+      Runner.Threshold (label, scaled)
+  | s -> R.fail r tag ("bad stage " ^ s)
 
-let data_of_string ?thresholds spec text =
-  Durable.bind (Durable.unseal ~magic text)
-    (parse_payload ?expect_thresholds:thresholds spec)
-
-let bench_name text =
-  Durable.bind (Durable.unseal ~magic text) (fun payload ->
-      let first =
-        match String.index_opt payload '\n' with
-        | Some i -> String.sub payload 0 i
-        | None -> payload
+let read_payload expect_thresholds spec r =
+  R.tagged r "bench";
+  let name = R.word r "bench" in
+  if name <> spec.Spec.name then
+    R.fail r "bench"
+      (Printf.sprintf "checkpoint is for benchmark %s, not %s" name
+         spec.Spec.name);
+  R.tagged r "kind";
+  let kind = R.word r "kind" in
+  let labels =
+    R.list r "thresholds" (fun r ->
+        R.tagged r "threshold";
+        let label = R.word r "threshold" in
+        (label, R.int r "threshold"))
+  in
+  (match expect_thresholds with
+  | Some expected when labels <> expected ->
+      R.fail r "thresholds" "recorded under a different threshold list"
+  | _ -> ());
+  (* Every stage runs the same code ([Spec.apply_input] changes only
+     data), so one block map serves every embedded profile. *)
+  let result = read_result (Profile_io.reader_sharing_blocks ()) in
+  match kind with
+  | "finished" ->
+      R.tagged r "avep";
+      let avep = result r in
+      R.tagged r "train";
+      let train = result r in
+      let runs =
+        List.map
+          (fun (label, scaled) ->
+            R.tagged r "run";
+            let l = R.word r "run" in
+            if l <> label || R.int r "run" <> scaled then
+              R.fail r "run" "run header out of order";
+            (label, scaled, result r))
+          labels
       in
-      match String.split_on_char ' ' first with
-      | [ "bench"; name ] -> Valid name
-      | _ -> Corrupt "bad bench line")
+      R.finish r;
+      Finished (Runner.assemble spec avep train runs)
+  | "suspended" ->
+      let p_done =
+        R.list r "done" (fun r ->
+            R.tagged r "stage";
+            let stage = read_stage labels r "stage" in
+            (stage, result r))
+      in
+      R.tagged r "next";
+      let p_next = read_stage labels r "next" in
+      let p_snapshot = R.section_text r "exec" in
+      (* The embedded engine snapshot carries its own magic and CRC —
+         validate it now so a damaged one classifies the whole store
+         entry as corrupt instead of failing at resume time. *)
+      (match
+         Durable.to_result ~what:"snapshot"
+           (Tpdbt_dbt.Exec_snapshot.of_string p_snapshot)
+       with
+      | Ok _ -> ()
+      | Error msg -> R.fail r "exec" ("embedded " ^ msg));
+      R.finish r;
+      Suspended
+        {
+          Runner.p_bench = spec;
+          p_thresholds = labels;
+          p_done;
+          p_next;
+          p_snapshot;
+        }
+  | k -> R.fail r "kind" (Printf.sprintf "unknown kind %S" k)
+
+let data_of_string ?thresholds spec =
+  Durable.parse ~magic (read_payload thresholds spec)
+
+let bench_name =
+  Durable.parse ~magic (fun r ->
+      R.tagged r "bench";
+      R.word r "bench")
 
 (* ---- files ------------------------------------------------------------- *)
 

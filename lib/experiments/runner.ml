@@ -222,18 +222,6 @@ let run_traced ?limit ?(extra_sinks = []) bench ~config =
   Tpdbt_dbt.Perf_model.record result.Engine.counters metrics;
   (result, buffer, metrics)
 
-let run_custom ?sink bench ~config =
-  let avep = run_avep bench in
-  let result = run_ref ?sink bench ~config in
-  (match result.Engine.error with
-  | None -> ()
-  | Some e -> raise (Error.Error e));
-  let comparison =
-    Metrics.compare_snapshots ~inip:result.Engine.snapshot
-      ~avep:avep.Engine.snapshot
-  in
-  (result, avep, comparison)
-
 (* ---- cache-size sweep (Fig. 17-style, cycles vs cache budget) -------- *)
 
 type cache_point = {

@@ -298,14 +298,3 @@ val run_traced :
     every sink.  [extra_sinks] (e.g. a streaming JSONL writer) receive
     the same events; they are closed too.  Powers [tpdbt trace]. *)
 
-val run_custom :
-  ?sink:Tpdbt_telemetry.Sink.t ->
-  Tpdbt_workloads.Spec.t ->
-  config:Tpdbt_dbt.Engine.config ->
-  Tpdbt_dbt.Engine.result * Tpdbt_dbt.Engine.result * Tpdbt_profiles.Metrics.comparison
-(** One reference-input run under an arbitrary engine configuration:
-    [(result, avep_result, comparison_vs_avep)].  Used by the ablation
-    studies.  [sink], if given, observes the custom run (not the AVEP
-    reference run).
-    @raise Tpdbt_dbt.Error.Error if either run ends with a typed
-    error. *)

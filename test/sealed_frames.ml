@@ -4,7 +4,8 @@
    keep their reason strings, and a payload damaged and then re-sealed
    with a correct CRC — damage the frame cannot see — is still
    classified without an exception.  The checkpoint formats run it in
-   test_robustness.ml, the engine snapshot in test_snapshots.ml. *)
+   test_robustness.ml, the engine snapshot in test_snapshots.ml and
+   profile files in test_profiles.ml. *)
 
 module Durable = Tpdbt_durable.Durable
 
@@ -23,6 +24,27 @@ let flip text i bit =
   Bytes.to_string b
 
 let is_corrupt = function Durable.Corrupt _ -> true | _ -> false
+
+(* Offset and length of every integer word of [payload]. *)
+let int_tokens payload =
+  let is_int w =
+    let digits =
+      if String.starts_with ~prefix:"-" w then
+        String.sub w 1 (String.length w - 1)
+      else w
+    in
+    digits <> "" && String.for_all (fun c -> c >= '0' && c <= '9') digits
+  in
+  let tokens = ref [] and start = ref 0 in
+  String.iteri
+    (fun i c ->
+      if c = ' ' || c = '\n' then begin
+        if is_int (String.sub payload !start (i - !start)) then
+          tokens := (!start, i - !start) :: !tokens;
+        start := i + 1
+      end)
+    payload;
+  List.rev !tokens
 
 (* One format instance: its text and its total classifier. *)
 let check name text classify =
@@ -69,16 +91,36 @@ let check name text classify =
     (classify (kind ^ " 0" ^ String.sub text (String.length magic)
                  (String.length text - String.length magic)));
   (* Damage the frame cannot see: the payload's own grammar must
-     classify it.  Bits 0 and 1 of every byte turn digits into other
-     digits (ids, counts, counters) and letters into other letters. *)
+     classify it. *)
+  let resealed what mutant =
+    match classify (Durable.seal ~magic mutant) with
+    | _ -> ()
+    | exception e ->
+        Alcotest.failf "%s: re-sealed %s raised %s" name (what ())
+          (Printexc.to_string e)
+  in
+  (* Bits 0 and 1 of every byte turn digits into other digits (ids,
+     counts, counters) and letters into other letters... *)
   String.iteri
     (fun i _ ->
       for bit = 0 to 1 do
-        match classify (Durable.seal ~magic (flip payload i bit)) with
-        | _ -> ()
-        | exception e ->
-            Alcotest.failf "%s: re-sealed flip of bit %d at payload byte %d \
-                            raised %s"
-              name bit i (Printexc.to_string e)
+        resealed
+          (fun () -> Printf.sprintf "flip of bit %d at payload byte %d" bit i)
+          (flip payload i bit)
       done)
-    payload
+    payload;
+  (* ... but never into a sign or a far larger number: replace each
+     integer whole, so that a count or an id turns negative, names
+     nothing, or promises far more than follows. *)
+  List.iter
+    (fun (i, len) ->
+      List.iter
+        (fun v ->
+          resealed
+            (fun () ->
+              Printf.sprintf "%S at payload byte %d replaced by %s"
+                (String.sub payload i len) i v)
+            (String.sub payload 0 i ^ v
+            ^ String.sub payload (i + len) (String.length payload - i - len)))
+        [ "-1"; "-7"; "100000" ])
+    (int_tokens payload)

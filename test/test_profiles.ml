@@ -9,9 +9,11 @@ module Block_map = Tpdbt_dbt.Block_map
 module Region_prob = Tpdbt_profiles.Region_prob
 module Navep = Tpdbt_profiles.Navep
 module Metrics = Tpdbt_profiles.Metrics
+module Durable = Tpdbt_durable.Durable
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
+let checks = Alcotest.check Alcotest.string
 let checkf msg = Alcotest.check (Alcotest.float 1e-6) msg
 let checkf2 msg = Alcotest.check (Alcotest.float 1e-2) msg
 
@@ -509,16 +511,68 @@ let test_profile_io_roundtrip () =
             (Block_map.block_count loaded.Snapshot.block_map))
     [ inip; avep ]
 
+let with_prof_file f =
+  let path = Filename.temp_file "tpdbt" ".prof" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
+
+let write_prof path text =
+  Out_channel.with_open_bin path (fun oc -> output_string oc text)
+
+(* A standalone profile file is the version 1 text sealed as a durable
+   record. *)
+let seal_prof = Durable.seal ~magic:"TPDBT-PROFILE 2"
+
+let tpdbt = Filename.concat (Filename.concat ".." "bin") "tpdbt.exe"
+
+let tpdbt_exit args =
+  match
+    Unix.system
+      (Filename.quote_command tpdbt args ~stdout:Filename.null
+         ~stderr:Filename.null)
+  with
+  | Unix.WEXITED n -> n
+  | Unix.WSIGNALED _ | Unix.WSTOPPED _ -> -1
+
 let test_profile_io_file_roundtrip () =
   let inip, _ = nested_profiles 30 in
-  let path = Filename.temp_file "tpdbt" ".prof" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
+  let saved = seal_prof (Tpdbt_profiles.Profile_io.to_string inip) in
+  with_prof_file (fun path ->
       Tpdbt_profiles.Profile_io.save path inip;
-      match Tpdbt_profiles.Profile_io.load path with
-      | Ok loaded -> checkb "file roundtrip" true (loaded.Snapshot.use = inip.Snapshot.use)
-      | Error e -> Alcotest.fail (Tpdbt_dbt.Error.to_string e))
+      checks "the file is the sealed text" saved (Durable.read_file path);
+      (match Tpdbt_profiles.Profile_io.load path with
+      | Ok loaded ->
+          checkb "file roundtrip" true (loaded.Snapshot.use = inip.Snapshot.use)
+      | Error e -> Alcotest.fail (Tpdbt_dbt.Error.to_string e));
+      (* A version 1 file, written before profiles were sealed, is
+         refused by name rather than misread. *)
+      write_prof path (Tpdbt_profiles.Profile_io.to_string inip);
+      (match Tpdbt_profiles.Profile_io.load path with
+      | Error (Tpdbt_dbt.Error.Corrupt_profile { field = "magic"; reason; _ })
+        ->
+          checkb "names the stale version" true
+            (String.starts_with reason
+               ~prefix:"stale profile version \"TPDBT-PROFILE 1\"")
+      | Ok _ -> Alcotest.fail "loaded a version 1 file"
+      | Error e -> Alcotest.fail (Tpdbt_dbt.Error.to_string e));
+      if Sys.file_exists tpdbt then begin
+        checki "tpdbt report rejects a version 1 file" 2
+          (tpdbt_exit [ "report"; path ]);
+        checki "tpdbt analyze rejects a version 1 file" 2
+          (tpdbt_exit [ "analyze"; path; path ])
+      end;
+      (* The sealed-frame property through [load]: whatever the damage,
+         a typed error, never an exception. *)
+      let classify text =
+        write_prof path text;
+        match Tpdbt_profiles.Profile_io.load path with
+        | Ok s -> Durable.Valid s
+        | Error (Corrupt_profile { field = "magic"; line = 1; _ }) ->
+            Durable.Stale_version (List.hd (String.split_on_char '\n' text))
+        | Error (Corrupt_profile { field = "frame"; reason; _ }) ->
+            Durable.Corrupt reason
+        | Error e -> Durable.Corrupt (Tpdbt_dbt.Error.to_string e)
+      in
+      Sealed_frames.check "profile file" saved classify)
 
 let test_profile_io_metrics_preserved () =
   (* Analysing loaded profiles must give the same metrics as in-memory
@@ -602,23 +656,33 @@ let test_profile_io_typed_rejections () =
     "TPDBT-PROFILE 1\nblocks 1 entry 0\nblock 0 0 0 stop\ncounters\n0 1 0\nregions 2\nregion 0 trace 1\nslot 0 0 1 0\nregion 0 trace 1\nslot 0 0 1 0\n"
   in
   expect_field duplicate_ids "region" 9;
-  let tpdbt = Filename.concat (Filename.concat ".." "bin") "tpdbt.exe" in
-  if Sys.file_exists tpdbt then begin
-    let path = Filename.temp_file "tpdbt-dup" ".prof" in
-    Fun.protect
-      ~finally:(fun () -> Sys.remove path)
-      (fun () ->
-        Out_channel.with_open_bin path (fun oc ->
-            output_string oc duplicate_ids);
-        checki "tpdbt analyze rejects it as invalid input" 2
-          (match
-             Unix.system
-               (Filename.quote_command tpdbt [ "analyze"; path; path ]
-                  ~stdout:Filename.null ~stderr:Filename.null)
-           with
-          | Unix.WEXITED n -> n
-          | Unix.WSIGNALED _ | Unix.WSTOPPED _ -> -1))
-  end;
+  (* Extents: the last block's end pc sizes the pc index, so a huge one
+     must be refused before [Array.make] sees it... *)
+  let two_blocks last =
+    "TPDBT-PROFILE 1\nblocks 2 entry 0\nblock 0 0 0 fall 1\n" ^ last
+    ^ "\ncounters\n0 1 0\n1 1 0\nregions 0\n"
+  in
+  let past_max_int = two_blocks "block 1 1 4611686018427387903 stop" in
+  let eight_gigabytes = two_blocks "block 1 1 1000000000 stop" in
+  expect_field past_max_int "block.end_pc" 4;
+  expect_field eight_gigabytes "block.end_pc" 4;
+  (* ... and a terminator must name a block that exists. *)
+  let dangling = two_blocks "block 1 1 1 goto 7" in
+  expect_field dangling "blocks" 2;
+  (* The CLI, reading the same bodies as sealed files, reaches the same
+     checks and refuses each as invalid input. *)
+  if Sys.file_exists tpdbt then
+    with_prof_file (fun path ->
+        List.iter
+          (fun (what, args, body) ->
+            write_prof path (seal_prof body);
+            checki (what ^ " rejected as invalid input") 2 (tpdbt_exit args))
+          [
+            ("duplicate region ids", [ "analyze"; path; path ], duplicate_ids);
+            ("end pc past max_int", [ "report"; path ], past_max_int);
+            ("end pc of 8 GB", [ "report"; path ], eight_gigabytes);
+            ("dangling terminator", [ "report"; path ], dangling);
+          ]);
   (* load of a missing file is a typed I/O error *)
   match Tpdbt_profiles.Profile_io.load "/nonexistent/tpdbt.prof" with
   | Error (Tpdbt_dbt.Error.Io_error _) -> ()

@@ -57,6 +57,13 @@ let sweep ?jobs ?policy ?dir ?progress ?run_task benches =
          dir)
     ?progress ?run_task benches
 
+let contains s sub =
+  let n = String.length sub in
+  let rec from i =
+    i + n <= String.length s && (String.sub s i n = sub || from (i + 1))
+  in
+  from 0
+
 let with_temp_dir f =
   let dir = Filename.temp_file "tpdbt-rob" "" in
   Sys.remove dir;
@@ -171,7 +178,9 @@ let test_corruption_classified () =
            (Checkpoint.classify ~thresholds:mini_thresholds ~dir bench)))
 
 (* The checkpoint text as [data_of_string] sees it, finished and
-   suspended: the sealed-frame property over both. *)
+   suspended: the sealed-frame property over both, then payload edits
+   that once crashed the loader, each re-sealed so that only the
+   payload's grammar can refuse it. *)
 let test_data_of_string_rejects () =
   let bench = Test_snapshots.mini
   and thresholds = Test_snapshots.mini_thresholds in
@@ -184,7 +193,53 @@ let test_data_of_string_rejects () =
   Sealed_frames.check "finished checkpoint" finished classify;
   Sealed_frames.check "suspended checkpoint"
     (Checkpoint.partial_to_string (Test_snapshots.suspended_partial ()))
-    classify
+    classify;
+  let magic = String.sub finished 0 (String.index finished '\n') in
+  let lines =
+    match Tpdbt_durable.Durable.unseal ~magic finished with
+    | Tpdbt_durable.Durable.Valid payload -> String.split_on_char '\n' payload
+    | _ -> Alcotest.fail "cannot unseal the finished checkpoint"
+  in
+  let resealed edit =
+    Tpdbt_durable.Durable.seal ~magic
+      (String.concat "\n" (List.mapi edit lines))
+  in
+  let at k line' i line = if i = k then line' else line in
+  let everywhere old line' _ line = if line = old then line' else line in
+  let indices p =
+    List.concat (List.mapi (fun i l -> if p l then [ i ] else []) lines)
+  in
+  let first p = List.hd (indices p) in
+  let last p = List.fold_left max 0 (indices p) in
+  let starting prefix = String.starts_with ~prefix in
+  (* A terminator's target is the last word of its block line. *)
+  let retarget line v = String.sub line 0 (String.rindex line ' ' + 1) ^ v in
+  let block_line term =
+    List.nth lines
+      (first (fun l ->
+           starting "block " l && List.mem term (String.split_on_char ' ' l)))
+  in
+  let cond = block_line "cond" and fall = block_line "fall" in
+  let expect what reason text =
+    match classify text with
+    | Checkpoint.Corrupt r when contains r reason -> ()
+    | c -> Alcotest.failf "%s classified %s" what (class_name c)
+  in
+  expect "a negative threshold count" "negative count"
+    (resealed (at (first (starting "thresholds ")) "thresholds -1"));
+  expect "a negative region-stat count" "negative count"
+    (resealed (at (first (starting "regstats ")) "regstats -1"));
+  expect "a branch to no block, in every profile" "terminator names block -7"
+    (resealed (everywhere cond (retarget cond "-7")));
+  expect "a fall-through to no block, in the first profile alone"
+    "terminator names block -1"
+    (resealed (at (first (String.equal fall)) (retarget fall "-1")));
+  (* Every stage runs the same code, so a block section that differs
+     from the first profile's is damage even when it names real blocks. *)
+  let elsewhere = if String.ends_with ~suffix:" 0" fall then "1" else "0" in
+  expect "a fall-through elsewhere, in the last profile alone"
+    "differs from the first profile's"
+    (resealed (at (last (String.equal fall)) (retarget fall elsewhere)))
 
 let test_damaged_store_repaired_across_jobs () =
   (* Five checkpoints, two damaged: the resume scan must classify the
