@@ -16,7 +16,8 @@ PAR_SMOKE_DIR := _build/par-smoke
 
 .PHONY: all build test fmt fmt-strict check clean faults-smoke cache-smoke \
 	par-smoke par-bench chaos-smoke chaos-serve-smoke serve-smoke \
-	profile-smoke fuzz-smoke snapshot-smoke perf-bench perfdiff alloc-gate
+	profile-smoke fuzz-smoke snapshot-smoke figures-check perf-bench perfdiff \
+	alloc-gate
 
 all: build
 
@@ -243,6 +244,25 @@ snapshot-smoke: build
 	cmp $(SNAPSHOT_SMOKE_DIR)/ref.out $(SNAPSHOT_SMOKE_DIR)/res.out
 	diff -r $(SNAPSHOT_SMOKE_DIR)/ref-ckpt $(SNAPSHOT_SMOKE_DIR)/sus-ckpt
 	@echo "snapshot-smoke: resumed sweep byte-identical to uninterrupted run"
+
+# The paper's numbers at full length: the whole figure sweep, with no
+# step cap, must reproduce the committed results/fig8.csv ... fig18.csv
+# byte for byte.  (results/ablation-*.csv and cache-sweep.csv come from
+# bench/, not from sweep, and are not compared.)  A change that moves a
+# number updates results/ in the same commit and says why.
+FIGURES_CHECK_DIR := _build/figures-check
+FIGURES := fig8 fig9 fig10 fig11 fig12 fig13 fig14 fig15 fig16 fig17 fig18
+
+figures-check: build
+	rm -rf $(FIGURES_CHECK_DIR)
+	mkdir -p $(FIGURES_CHECK_DIR)
+	$(DUNE) exec bin/tpdbt.exe -- sweep --jobs $(PAR_JOBS) \
+		--csv $(FIGURES_CHECK_DIR)/csv > $(FIGURES_CHECK_DIR)/sweep.out
+	@for f in $(FIGURES); do \
+		cmp results/$$f.csv $(FIGURES_CHECK_DIR)/csv/$$f.csv \
+			|| { echo "figures-check: $$f.csv differs from results/"; exit 1; }; \
+	done
+	@echo "figures-check: fig8-fig18 byte-identical to the committed results/"
 
 # Wall-clock/allocation perf measurement over the quick set, recorded
 # in BENCH_perf.json for perfdiff gating.

@@ -509,10 +509,12 @@ let sweep_cmd =
       & info [ "snapshot-every" ] ~docv:"N"
           ~doc:
             "With $(b,--checkpoint): snapshot each benchmark's mid-run \
-             state into its checkpoint slot every N guest instructions, so \
-             a killed sweep loses at most N instructions per benchmark \
-             (0 = off).  With $(b,--deadline), a blown deadline suspends \
-             the run resumably instead of failing it.")
+             state into its checkpoint slot every N guest instructions of \
+             each pass over an input (the reference stages run as one \
+             pass, training as another), so a killed sweep loses at most \
+             N instructions per pass (0 = off).  With $(b,--deadline), a \
+             blown deadline suspends the run resumably instead of failing \
+             it.")
   in
   let resume_run =
     Arg.(
@@ -1737,8 +1739,9 @@ let snapshot_cmd =
       & pos 0 (some string) None
       & info [] ~docv:"FILE"
           ~doc:
-            "A mid-run engine snapshot ($(i,TPDBT-SNAP)) or a checkpoint \
-             store entry ($(i,TPDBT-CKPT), finished or suspended).")
+            "A mid-run engine snapshot ($(i,TPDBT-SNAP)), a group snapshot \
+             ($(i,TPDBT-GROUP)) or a checkpoint store entry \
+             ($(i,TPDBT-CKPT), finished or suspended).")
   in
   let print_snap_info (i : Snap.info) =
     Printf.printf "steps              %d\n" i.Snap.steps;
@@ -1758,6 +1761,41 @@ let snapshot_cmd =
     Printf.printf "program digest     %s\n" i.Snap.program_digest
   in
   let classified what c = or_die (Tpdbt_durable.Durable.to_result ~what c) in
+  (* A group: the shared guest once, then one line per member. *)
+  let print_group_info (g : Snap.group_parsed) =
+    let m = g.Snap.gp_image.Tpdbt_dbt.Engine.gi_machine in
+    Printf.printf "steps              %d\n" m.Tpdbt_vm.Machine.im_steps;
+    Printf.printf "halted             %b\n" m.Tpdbt_vm.Machine.im_halted;
+    Printf.printf "pc                 %d\n" m.Tpdbt_vm.Machine.im_pc;
+    Printf.printf "members            %d\n" (List.length g.Snap.gp_members);
+    List.iter2
+      (fun (label, config_digest) (at, image) ->
+        let i =
+          Snap.info
+            {
+              Snap.sn_config_digest = config_digest;
+              sn_program_digest = g.Snap.gp_program_digest;
+              sn_image = image;
+            }
+        in
+        Printf.printf "member %-11s %s, %d regions, %.1f cycles\n" label
+          (match at with
+          | Tpdbt_dbt.Engine.At_dispatch -> "at a dispatch point"
+          | Tpdbt_dbt.Engine.In_region { region; slot } ->
+              Printf.sprintf "in region %d at slot %d" region slot
+          | Tpdbt_dbt.Engine.Stopped { steps; _ } ->
+              Printf.sprintf "stopped at step %d" steps)
+          i.Snap.regions i.Snap.cycles)
+      g.Snap.gp_members g.Snap.gp_image.Tpdbt_dbt.Engine.gi_members
+  in
+  let print_embedded text =
+    if Snap.is_group text then
+      print_group_info
+        (classified "embedded group snapshot" (Snap.group_of_string text))
+    else
+      print_snap_info
+        (Snap.info (classified "embedded snapshot" (Snap.of_string text)))
+  in
   let run file =
     let text =
       try read_file file
@@ -1769,6 +1807,11 @@ let snapshot_cmd =
       Printf.printf "file               %s\n" file;
       Printf.printf "kind               engine snapshot\n";
       print_snap_info (Snap.info (classified "snapshot" (Snap.of_string text)))
+    end
+    else if Snap.is_group text then begin
+      Printf.printf "file               %s\n" file;
+      Printf.printf "kind               group snapshot\n";
+      print_group_info (classified "group snapshot" (Snap.group_of_string text))
     end
     else if String.starts_with ~prefix:"TPDBT-CKPT" text then begin
       (* Checkpoints reference the benchmark by name, and the name is
@@ -1798,14 +1841,12 @@ let snapshot_cmd =
             (List.length partial.Runner.p_done);
           Printf.printf "next stage         %s\n"
             (Runner.stage_label partial.Runner.p_next);
-          print_snap_info
-            (Snap.info
-               (classified "embedded snapshot"
-                  (Snap.of_string partial.Runner.p_snapshot)))
+          print_embedded partial.Runner.p_snapshot
     end
     else begin
       prerr_endline
-        "error: unrecognised file (expected TPDBT-SNAP or TPDBT-CKPT)";
+        "error: unrecognised file (expected TPDBT-SNAP, TPDBT-GROUP or \
+         TPDBT-CKPT)";
       exit exit_invalid
     end
   in

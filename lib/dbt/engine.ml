@@ -133,18 +133,16 @@ type monitor = {
          (near-50%) branches *)
 }
 
-(* Hot-path mirror of one installed region: everything the dispatch
-   loop needs, predecoded into flat arrays at commit time so a region
-   entry performs no hashtable lookups, no list walks and no
-   allocation.  [regions]/[monitors] stay the authoritative store for
-   the cold paths (dissolution, eviction, quarantine, reporting);
-   [unlink_region] keeps the mirror in sync. *)
+(* Hot-path mirror of one installed region: everything region
+   dispatch needs, predecoded into flat arrays at commit time so a
+   region entry performs no hashtable lookups, no list walks and no
+   allocation.  The model's [regions] table holds one per installed
+   region and its [entry] array points each entry block at the region
+   dispatched there; [unlink_region] keeps both in sync. *)
 type rentry = {
   r_region : Region.t;
   r_mon : monitor;
   r_slot_cycles : float array;
-  r_start_pc : int array;  (* per slot: member block's start pc *)
-  r_size : int array;  (* per slot: member block's size *)
   (* Per-slot successor slot for each edge role (first matching edge in
      [Region.out_edges] order), -1 when the role has no edge. *)
   r_dst_taken : int array;
@@ -158,21 +156,150 @@ type rentry = {
   r_is_loop : bool;
 }
 
-type t = {
+(* The dispatcher's "no region here", compared by physical equality;
+   never executed, so its mutable monitor is never written. *)
+let no_region =
+  {
+    r_region =
+      {
+        Region.id = -1;
+        kind = Region.Trace;
+        slots = [||];
+        edges = [];
+        back_edges = [];
+        frozen_use = [||];
+        frozen_taken = [||];
+      };
+    r_mon =
+      {
+        m_entries = 0;
+        m_side_exits = 0;
+        m_lb_taken = 0;
+        m_lb_seen = 0;
+        m_disabled = false;
+      };
+    r_slot_cycles = [||];
+    r_dst_taken = [||];
+    r_dst_not_taken = [||];
+    r_dst_always = [||];
+    r_always_ok = [||];
+    r_has_back = [||];
+    r_tail = -1;
+    r_is_loop = false;
+  }
+
+(* ------------------------------------------------------------------ *)
+(* The guest driver                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* The half of the translator that runs the guest: it owns the machine
+   and the block map, executes one basic block at a time and reports
+   the block's id, its outcome and the step count.  It keeps no
+   profile, region or cycle state — that is the translator model's,
+   below — so one driver can feed any number of models.  It lives in
+   this compilation unit so that [step] inlines into the loops that
+   feed models. *)
+module Driver = struct
+  type t = {
+    machine : Machine.t;
+    bmap : Block_map.t;
+    code_len : int;
+    starts : int array;  (* pc -> id of the block starting there, or -1 *)
+    sizes : int array;  (* block id -> instruction count *)
+    mutable steps : int;  (* the machine's step count *)
+    mutable next : int;
+        (* the block starting at the machine's pc, or -1: past the code
+           image ([off_end]) or mid-block *)
+  }
+
+  let[@inline] locate d =
+    let pc = Machine.pc d.machine in
+    d.next <- (if pc < 0 || pc >= d.code_len then -1 else d.starts.(pc))
+
+  let of_machine machine bmap =
+    let code_len = Tpdbt_isa.Program.length (Machine.program machine) in
+    let d =
+      {
+        machine;
+        bmap;
+        code_len;
+        starts = Array.init code_len (Block_map.id_at bmap);
+        sizes =
+          Array.init (Block_map.block_count bmap) (fun b ->
+              (Block_map.block bmap b).Block_map.size);
+        steps = Machine.steps machine;
+        next = -1;
+      }
+    in
+    locate d;
+    d
+
+  (* What a block's terminator did; constant constructors, so a report
+     allocates nothing. *)
+  type outcome = Flowed | Took_not | Took | Finished | Trapped
+
+  (* Top-level recursion over the block's instructions, so a block runs
+     with no closure and no allocation. *)
+  let rec exec machine remaining =
+    let c = Machine.step_code machine in
+    if c = Machine.ev_stepped then
+      if remaining = 1 then Flowed else exec machine (remaining - 1)
+    else if c = Machine.ev_branch_taken then Took
+    else if c = Machine.ev_branch_not_taken then Took_not
+    else if c <= Machine.ev_returned then Flowed (* jumped/called/returned *)
+    else if c = Machine.ev_halted then Finished
+    else Trapped
+
+  (* Execute block [next], which must be a block id, and locate the one
+     after it.  Control transfers end a block, so a block that keeps
+     running has executed all of its instructions; a halt or a trap may
+     come sooner. *)
+  let[@inline] step d =
+    let size = d.sizes.(d.next) in
+    let outcome = exec d.machine size in
+    (match outcome with
+    | Flowed | Took_not | Took -> d.steps <- d.steps + size
+    | Finished | Trapped -> d.steps <- Machine.steps d.machine);
+    locate d;
+    outcome
+
+  (* A final block that ends in a plain instruction falls through past
+     the last one: the machine halts on its next step, which executes
+     nothing and charges nothing, so its end state matches the plain
+     interpreter's. *)
+  let off_end d =
+    let pc = Machine.pc d.machine in
+    pc < 0 || pc >= d.code_len
+
+  let halt_off_end d = ignore (Machine.step_code d.machine)
+end
+
+(* ------------------------------------------------------------------ *)
+(* The translator model                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* Everything a two-phase translator decides from the guest's block
+   stream: counters, the candidate pool, regions and their dispatch,
+   the code cache, the recovery machinery and the cycle model.  The
+   guest itself runs in a [Driver]; a model consumes what the driver
+   reports — block id, outcome and step count.  Beyond reading where a
+   run stopped, it touches the machine only where a translator really
+   would: fault injection and the shadow oracle's register comparison,
+   which is why those runs keep a driver of their own. *)
+type model = {
   cfg : config;
   program : Tpdbt_isa.Program.t;
-  machine : Machine.t;
   bmap : Block_map.t;
-  code_len : int;
   use : int array;
   taken : int array;
   state : block_state array;
   touched : bool array;
   dissolve_count : int array;  (* per block, adaptive mode *)
-  region_entry : int array;  (* block id -> region id, or -1 *)
-  regions : (int, Region.t * float array) Hashtbl.t;  (* id -> region, slot cycles *)
-  monitors : (int, monitor) Hashtbl.t;  (* region id -> runtime stats *)
-  mutable rentries : rentry option array;  (* region id -> hot mirror *)
+  entry : rentry array;
+      (* block id -> region dispatched when execution reaches it at a
+         dispatch point ([no_region] when none): the oldest surviving
+         region entered there *)
+  regions : (int, rentry) Hashtbl.t;  (* region id -> installed region *)
   mutable regions_rev : Region.t list;
   mutable next_region_id : int;
   mutable pool : int list;
@@ -205,14 +332,17 @@ type t = {
       (* single-cell accumulator behind [counters.cycles]: a float
          array stores its element unboxed, where the mutable float
          field of the mixed int/float [counters] record boxes on every
-         store.  Every charge site adds here, in the same order as
-         before, and [run] mirrors the cell back into the counters at
-         the end — the sum (and hence every emitted figure) stays
-         bit-identical. *)
+         store.  Every charge site adds here, and the cell is mirrored
+         back into the counters when the model stops — the sum (and
+         hence every emitted figure) stays bit-identical. *)
   mutable error : Error.t option;
   trace : bool;
       (* telemetry enabled?  Checked before constructing any event, so
          the default null sink costs nothing on the hot paths. *)
+  clock : int ref;
+      (* the guest step the model stands at: the step before the block
+         it is accounting for, then the step after it.  Stamps events,
+         spans and code-cache recency. *)
   spans : Span.t;
       (* profiling spans over the engine's coarse stages (run, optimize,
          region formation, eviction, shadow replay), stamped with the
@@ -226,27 +356,40 @@ type t = {
   region_cost : (int, float ref * int ref) Hashtbl.t;
       (* region id -> (cycles charged, guest instrs executed inside);
          updated only under [if t.trace] *)
+  (* Where the model stands in the block stream. *)
+  mutable cur : int;
+      (* entry block of the region being executed ([entry.(cur)]), or
+         -1: an int, so entering and leaving a region stores no pointer *)
+  mutable slot : int;  (* the slot whose block runs next in [cur] *)
+  mutable entered_at : int;  (* guest step of the entry into [cur] *)
+  mutable sampled : bool;  (* that entry is replayed by the shadow oracle *)
+  mutable live : bool;
+  mutable stop_steps : int;
+  mutable stop_outputs : int;  (* the machine's output count at the stop *)
+  (* Per-run triggers, armed by [begin_run]. *)
+  mutable deadline_step : int;
+  mutable snapshot_step : int;
+  mutable checkpoint_every : int;
+  mutable next_checkpoint : int;
+  mutable on_checkpoint : steps:int -> Snapshot.t -> unit;
 }
 
-let create ?config:(cfg = config ~threshold:1000 ()) ?mem_words ~seed program =
-  let machine = Machine.create ?mem_words ~seed program in
-  let bmap = Block_map.build program in
+let no_checkpoint ~steps:_ _ = ()
+
+let model_create cfg program bmap =
   let n = Block_map.block_count bmap in
+  let clock = ref 0 in
   {
     cfg;
     program;
-    machine;
     bmap;
-    code_len = Array.length program.Tpdbt_isa.Program.code;
     use = Array.make n 0;
     taken = Array.make n 0;
     state = Array.make n Cold;
     touched = Array.make n false;
     dissolve_count = Array.make n 0;
-    region_entry = Array.make n (-1);
+    entry = Array.make n no_region;
     regions = Hashtbl.create 32;
-    monitors = Hashtbl.create 32;
-    rentries = Array.make 32 None;
     regions_rev = [];
     next_region_id = 0;
     pool = [];
@@ -267,19 +410,29 @@ let create ?config:(cfg = config ~threshold:1000 ()) ?mem_words ~seed program =
     cycles_acc = Array.make 1 0.0;
     error = None;
     trace = not (Sink.is_null cfg.sink);
-    spans = Span.create ~clock:(fun () -> Machine.steps machine) cfg.sink;
+    clock;
+    spans = Span.create ~clock:(fun () -> !clock) cfg.sink;
     stage_cycles = Array.make (Array.length stage_labels) 0.0;
     stage_steps = Array.make (Array.length stage_labels) 0;
     stage_count = Array.make (Array.length stage_labels) 0;
     region_cost = Hashtbl.create 16;
+    cur = -1;
+    slot = 0;
+    entered_at = 0;
+    sampled = false;
+    live = true;
+    stop_steps = 0;
+    stop_outputs = 0;
+    deadline_step = max_int;
+    snapshot_step = max_int;
+    checkpoint_every = 0;
+    next_checkpoint = 0;
+    on_checkpoint = no_checkpoint;
   }
-
-let block_map t = t.bmap
-let machine t = t.machine
 
 (* Call only under [if t.trace then ...] so disabled telemetry never
    allocates an event. *)
-let emit t event = t.cfg.sink.Sink.emit ~step:(Machine.steps t.machine) event
+let emit t event = t.cfg.sink.Sink.emit ~step:!(t.clock) event
 
 (* Mirror a cycle charge into the per-stage attribution accumulators.
    Call only under [if t.trace]; the perf counters stay the single
@@ -325,30 +478,6 @@ let emit_costs t =
   |> List.iter (fun (region, cycles, instrs) ->
          emit t (Event.Region_cost { region; cycles; instrs }))
 
-(* Outcome of executing one block on the machine, as an int code so the
-   per-block report allocates nothing.  [oc_finished]/[oc_trapped] are
-   terminal (the dispatch tests [outcome >= oc_finished]); a trapped
-   outcome leaves the trap in [Machine.last_trap]. *)
-let oc_flowed = 0 (* unconditional control transfer or plain fallthrough *)
-let oc_took_not = 1 (* conditional branch, not taken *)
-let oc_took = 2 (* conditional branch, taken *)
-let oc_finished = 3 (* machine halted *)
-let oc_trapped = 4
-
-(* Execute the instructions of one block of [remaining] instructions;
-   the machine must be at its start.  Returns the outcome of the
-   block's last instruction (the terminator — any control transfer ends
-   the block). *)
-let rec exec_block machine remaining =
-  let c = Machine.step_code machine in
-  if c = Machine.ev_stepped then
-    if remaining = 1 then oc_flowed else exec_block machine (remaining - 1)
-  else if c = Machine.ev_branch_taken then oc_took
-  else if c = Machine.ev_branch_not_taken then oc_took_not
-  else if c <= Machine.ev_returned then oc_flowed (* jumped/called/returned *)
-  else if c = Machine.ev_halted then oc_finished
-  else oc_trapped
-
 (* ------------------------------------------------------------------ *)
 (* Region bookkeeping shared by dissolution, eviction and quarantine    *)
 (* ------------------------------------------------------------------ *)
@@ -358,20 +487,9 @@ let region_instrs t (r : Region.t) =
     (fun acc b -> acc + (Block_map.block t.bmap b).Block_map.size)
     0 r.Region.slots
 
-let set_rentry t rid re =
-  let n = Array.length t.rentries in
-  if rid >= n then begin
-    let bigger = Array.make (max (2 * n) (rid + 1)) None in
-    Array.blit t.rentries 0 bigger 0 n;
-    t.rentries <- bigger
-  end;
-  t.rentries.(rid) <- Some re
-
 let build_rentry t (r : Region.t) slot_cycles mon =
   let n = Array.length r.Region.slots in
-  let start_pc = Array.make n 0
-  and size = Array.make n 0
-  and dst_taken = Array.make n (-1)
+  let dst_taken = Array.make n (-1)
   and dst_not_taken = Array.make n (-1)
   and dst_always = Array.make n (-1)
   and always_ok = Array.make n false
@@ -379,8 +497,6 @@ let build_rentry t (r : Region.t) slot_cycles mon =
   Array.iteri
     (fun slot bid ->
       let b = Block_map.block t.bmap bid in
-      start_pc.(slot) <- b.Block_map.start_pc;
-      size.(slot) <- b.Block_map.size;
       (match b.Block_map.terminator with
       | Block_map.Goto _ | Block_map.Fallthrough _ | Block_map.Call_to _ ->
           always_ok.(slot) <- true
@@ -404,8 +520,6 @@ let build_rentry t (r : Region.t) slot_cycles mon =
     r_region = r;
     r_mon = mon;
     r_slot_cycles = slot_cycles;
-    r_start_pc = start_pc;
-    r_size = size;
     r_dst_taken = dst_taken;
     r_dst_not_taken = dst_not_taken;
     r_dst_always = dst_always;
@@ -415,27 +529,32 @@ let build_rentry t (r : Region.t) slot_cycles mon =
     r_is_loop = r.Region.kind = Region.Loop;
   }
 
+let slot_cycles_of cfg program bmap r =
+  let code = program.Tpdbt_isa.Program.code in
+  if cfg.trace_scheduling then
+    Optimizer.region_slot_cycles_pipelined bmap ~code r
+  else Optimizer.region_slot_cycles bmap ~code r
+
 let unlink_region t rid =
   Hashtbl.remove t.regions rid;
-  Hashtbl.remove t.monitors rid;
-  if rid < Array.length t.rentries then t.rentries.(rid) <- None;
   t.regions_rev <- List.filter (fun r -> r.Region.id <> rid) t.regions_rev
 
 (* Rebuild the dispatcher's entry map from the surviving regions, in
    formation order. *)
 let rebuild_region_entries t =
-  Array.fill t.region_entry 0 (Array.length t.region_entry) (-1);
+  Array.fill t.entry 0 (Array.length t.entry) no_region;
   List.iter
     (fun r ->
       let entry = Region.entry_block r in
-      if t.region_entry.(entry) < 0 then t.region_entry.(entry) <- r.Region.id)
+      if t.entry.(entry) == no_region then
+        t.entry.(entry) <- Hashtbl.find t.regions r.Region.id)
     (List.rev t.regions_rev)
 
 let still_in_region t =
   let tbl = Hashtbl.create 16 in
   Hashtbl.iter
-    (fun _ (r, _) ->
-      Array.iter (fun b -> Hashtbl.replace tbl b ()) r.Region.slots)
+    (fun _ re ->
+      Array.iter (fun b -> Hashtbl.replace tbl b ()) re.r_region.Region.slots)
     t.regions;
   fun b -> Hashtbl.mem tbl b
 
@@ -447,7 +566,7 @@ let still_in_region t =
 let evict_region t rid =
   match Hashtbl.find_opt t.regions rid with
   | None -> ()
-  | Some (r, _) ->
+  | Some re ->
       unlink_region t rid;
       let still = still_in_region t in
       Array.iter
@@ -461,7 +580,7 @@ let evict_region t rid =
                 t.pool_size <- t.pool_size + 1
               end
             end)
-        r.Region.slots;
+        re.r_region.Region.slots;
       rebuild_region_entries t
 
 let apply_victims t victims =
@@ -505,7 +624,7 @@ let apply_victims t victims =
    budget the engine gives up with a typed error (the IA32EL-style
    bail-out). *)
 let recover_retranslation_failure t inj arm (r : Region.t) =
-  let step = Machine.steps t.machine in
+  let step = !(t.clock) in
   let entry = Region.entry_block r in
   Injector.record inj arm ~fired_step:step ~target:r.Region.id;
   t.counters.Perf_model.faults_injected <-
@@ -543,7 +662,7 @@ let recover_retranslation_failure t inj arm (r : Region.t) =
    dissolution recovery path); past the retry budget the engine gives
    up with a typed error. *)
 let recover_region_abort t inj arm (r : Region.t) =
-  let step = Machine.steps t.machine in
+  let step = !(t.clock) in
   let entry = Region.entry_block r in
   Injector.record inj arm ~fired_step:step ~target:r.Region.id;
   t.counters.Perf_model.faults_injected <-
@@ -573,12 +692,21 @@ let recover_region_abort t inj arm (r : Region.t) =
       r.Region.slots
   end
 
+let fresh_monitor () =
+  {
+    m_entries = 0;
+    m_side_exits = 0;
+    m_lb_taken = 0;
+    m_lb_seen = 0;
+    m_disabled = false;
+  }
+
 let optimize t =
   if t.trace then begin
     emit t (Event.Phase_begin { phase = "optimize" });
     Span.enter t.spans "engine.optimize"
   end;
-  t.last_round_step <- Machine.steps t.machine;
+  t.last_round_step <- !(t.clock);
   t.counters.Perf_model.optimization_rounds <-
     t.counters.Perf_model.optimization_rounds + 1;
   let seeds =
@@ -614,24 +742,9 @@ let optimize t =
     regions
   in
   let commit r =
-      let slot_cycles =
-        let code = t.program.Tpdbt_isa.Program.code in
-        if t.cfg.trace_scheduling then
-          Optimizer.region_slot_cycles_pipelined t.bmap ~code r
-        else Optimizer.region_slot_cycles t.bmap ~code r
-      in
-      Hashtbl.replace t.regions r.Region.id (r, slot_cycles);
-      let mon =
-        {
-          m_entries = 0;
-          m_side_exits = 0;
-          m_lb_taken = 0;
-          m_lb_seen = 0;
-          m_disabled = false;
-        }
-      in
-      Hashtbl.replace t.monitors r.Region.id mon;
-      set_rentry t r.Region.id (build_rentry t r slot_cycles mon);
+      let slot_cycles = slot_cycles_of t.cfg t.program t.bmap r in
+      let re = build_rentry t r slot_cycles (fresh_monitor ()) in
+      Hashtbl.replace t.regions r.Region.id re;
       t.regions_rev <- r :: t.regions_rev;
       t.counters.Perf_model.regions_formed <-
         t.counters.Perf_model.regions_formed + 1;
@@ -663,20 +776,19 @@ let optimize t =
       (* Freeze members; record the region entry for dispatch. *)
       Array.iter (fun block -> t.state.(block) <- Optimized) r.Region.slots;
       let entry = Region.entry_block r in
-      if t.region_entry.(entry) < 0 then t.region_entry.(entry) <- r.Region.id;
+      if t.entry.(entry) == no_region then t.entry.(entry) <- re;
       (* Charge the region to the code cache; over capacity, the
          policy's victims are de-installed here and now. *)
       apply_victims t
-        (Code_cache.insert t.cache
-           ~now:(Machine.steps t.machine)
-           ~ekind:Code_cache.Region ~id:r.Region.id ~size:instrs)
+        (Code_cache.insert t.cache ~now:!(t.clock) ~ekind:Code_cache.Region
+           ~id:r.Region.id ~size:instrs)
   in
   let clean_round = ref true in
   List.iter
     (fun r ->
       t.next_region_id <- t.next_region_id + 1;
       if t.error = None then begin
-        let step = Machine.steps t.machine in
+        let step = !(t.clock) in
         match t.inj with
         | None -> commit r
         | Some inj -> (
@@ -722,14 +834,18 @@ let dissolve t (region : Region.t) =
   rebuild_region_entries t
 
 (* ------------------------------------------------------------------ *)
-(* Dispatch loop                                                        *)
+(* Block accounting                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Execute block [bid] outside any region, with profiling if it is not
-   yet optimised.  Returns the outcome. *)
-let exec_single t bid =
+(* Block [bid] ran outside any region, from guest step [before] to
+   [after], ending with [outcome]: charge its translation (first
+   execution) and its execution, profiled unless it is optimised, then
+   register it and fire the optimisation phase as the thresholds
+   dictate. *)
+let single t bid outcome ~before ~after =
   let b = Block_map.block t.bmap bid in
   let perf = t.cfg.perf in
+  t.clock := before;
   if not t.touched.(bid) then begin
     t.touched.(bid) <- true;
     if t.trace then
@@ -745,17 +861,13 @@ let exec_single t bid =
         (float_of_int b.Block_map.size
         *. perf.Perf_model.cold_translate_per_instr);
     apply_victims t
-      (Code_cache.insert t.cache
-         ~now:(Machine.steps t.machine)
-         ~ekind:Code_cache.Block ~id:bid ~size:b.Block_map.size)
+      (Code_cache.insert t.cache ~now:before ~ekind:Code_cache.Block ~id:bid
+         ~size:b.Block_map.size)
   end
   else if Code_cache.bounded t.cache then
-    Code_cache.touch t.cache
-      ~now:(Machine.steps t.machine)
-      Code_cache.Block bid;
-  let steps_before = if t.trace then Machine.steps t.machine else 0 in
-  let outcome = exec_block t.machine b.Block_map.size in
-  (match t.state.(bid) with
+    Code_cache.touch t.cache ~now:before Code_cache.Block bid;
+  t.clock := after;
+  match t.state.(bid) with
   | Optimized ->
       (* Side entry to an optimised block: instrumentation removed. *)
       t.cycles_acc.(0) <-
@@ -763,18 +875,18 @@ let exec_single t bid =
         +. (float_of_int b.Block_map.size
            *. perf.Perf_model.translated_exec_per_instr);
       if t.trace then
-        charge t s_side_entry
-          ~steps:(Machine.steps t.machine - steps_before)
+        charge t s_side_entry ~steps:(after - before)
           (float_of_int b.Block_map.size
           *. perf.Perf_model.translated_exec_per_instr)
   | Cold | Registered ->
       t.use.(bid) <- t.use.(bid) + 1;
       let ops =
-        if outcome = oc_took then begin
-          t.taken.(bid) <- t.taken.(bid) + 1;
-          2
-        end
-        else 1
+        match outcome with
+        | Driver.Took ->
+            t.taken.(bid) <- t.taken.(bid) + 1;
+            2
+        | Driver.Flowed | Driver.Took_not | Driver.Finished | Driver.Trapped ->
+            1
       in
       t.cycles_acc.(0) <-
         t.cycles_acc.(0)
@@ -782,8 +894,7 @@ let exec_single t bid =
            *. perf.Perf_model.profiled_exec_per_instr)
         +. (float_of_int ops *. perf.Perf_model.profiling_op_cost);
       if t.trace then begin
-        charge t s_interpret
-          ~steps:(Machine.steps t.machine - steps_before)
+        charge t s_interpret ~steps:(after - before)
           (float_of_int b.Block_map.size
           *. perf.Perf_model.profiled_exec_per_instr);
         charge t s_profile ~count:ops
@@ -814,7 +925,7 @@ let exec_single t bid =
         in
         let backoff_ok =
           (not (Code_cache.bounded t.cache))
-          || Machine.steps t.machine - t.last_round_step >= t.cfg.cache_backoff
+          || after - t.last_round_step >= t.cfg.cache_backoff
         in
         if
           t.pool_size > 0 && backoff_ok
@@ -831,8 +942,7 @@ let exec_single t bid =
                  });
           optimize t
         end
-      end);
-  outcome
+      end
 
 (* ------------------------------------------------------------------ *)
 (* Quarantine and the bounded-quarantine watchdog                       *)
@@ -845,7 +955,7 @@ let degrade t =
   t.degraded <- true;
   t.counters.Perf_model.watchdog_degraded <- 1;
   let rs =
-    Hashtbl.fold (fun _ (r, _) acc -> r :: acc) t.regions []
+    Hashtbl.fold (fun _ re acc -> re.r_region :: acc) t.regions []
     |> List.sort (fun a b -> compare a.Region.id b.Region.id)
   in
   List.iter
@@ -894,10 +1004,10 @@ let quarantine t rid (region : Region.t) =
    translated side's registers differ exactly when the region's cached
    code image carries a silent corruption, whose salt perturbs one
    register — the wrong-result execution the oracle exists to catch. *)
-let shadow_check t rid ~steps_before =
+let shadow_check t machine rid =
   if t.trace then Span.enter t.spans "engine.shadow_replay";
   let perf = t.cfg.perf in
-  let replayed = Machine.steps t.machine - steps_before in
+  let replayed = Machine.steps machine - t.entered_at in
   t.counters.Perf_model.shadow_replays <-
     t.counters.Perf_model.shadow_replays + 1;
   t.cycles_acc.(0) <-
@@ -907,8 +1017,7 @@ let shadow_check t rid ~steps_before =
     charge t s_shadow
       (float_of_int replayed *. perf.Perf_model.shadow_replay_per_instr);
   let reference =
-    Array.of_list
-      (List.map (fun r -> Machine.reg t.machine r) Tpdbt_isa.Reg.all)
+    Array.of_list (List.map (fun r -> Machine.reg machine r) Tpdbt_isa.Reg.all)
   in
   let translated = Array.copy reference in
   (match Code_cache.corruption t.cache Code_cache.Region rid with
@@ -932,105 +1041,35 @@ let shadow_check t rid ~steps_before =
      if t.trace then
        emit t (Event.Shadow_divergence { region = rid; reg = !diverged });
      match Hashtbl.find_opt t.regions rid with
-     | Some (region, _) -> quarantine t rid region
+     | Some re -> quarantine t rid re.r_region
      | None -> ()
    end);
   if t.trace then Span.leave t.spans "engine.shadow_replay"
 
-(* Execute from slot [slot] of the region mirrored by [re], following
-   the predecoded per-slot dispatch arrays.  Top-level recursion (not
-   an inner closure) and flat array reads keep a steady-state region
-   pass allocation-free. *)
-let rec region_at_slot t rid re slot =
-  if Machine.pc t.machine <> re.r_start_pc.(slot) then begin
-    (* The region's layout no longer matches execution — surface a
-       typed error instead of dying on an assertion. *)
-    t.error <- Some (Error.Dispatch_lost { pc = Machine.pc t.machine });
-    oc_finished
-  end
-  else begin
-    let steps_before = if t.trace then Machine.steps t.machine else 0 in
-    let outcome = exec_block t.machine re.r_size.(slot) in
-    t.cycles_acc.(0) <- t.cycles_acc.(0) +. re.r_slot_cycles.(slot);
-    if t.trace then begin
-      let slot_steps = Machine.steps t.machine - steps_before in
-      charge t s_region_exec ~steps:slot_steps re.r_slot_cycles.(slot);
-      region_charge t rid re.r_slot_cycles.(slot) slot_steps
-    end;
-    if outcome >= oc_finished then outcome
-    else begin
-      (* First matching out edge for the outcome's role; [Flowed] only
-         follows [Always] when the terminator is an unconditional
-         transfer (a Call_to edge can be region-internal when formed
-         with regions_across_calls — partial inlining). *)
-      let dst =
-        if outcome = oc_took then re.r_dst_taken.(slot)
-        else if outcome = oc_took_not then re.r_dst_not_taken.(slot)
-        else if re.r_always_ok.(slot) then re.r_dst_always.(slot)
-        else -1
-      in
-      let mon = re.r_mon in
-      if dst = 0 && re.r_is_loop then begin
-        t.counters.Perf_model.loop_backs <-
-          t.counters.Perf_model.loop_backs + 1;
-        (* Continuous loop profiling: the latch executed and looped. *)
-        mon.m_lb_seen <- mon.m_lb_seen + 1;
-        mon.m_lb_taken <- mon.m_lb_taken + 1;
-        region_at_slot t rid re 0
-      end
-      else if dst >= 0 then region_at_slot t rid re dst
-      else begin
-        if re.r_has_back.(slot) then mon.m_lb_seen <- mon.m_lb_seen + 1;
-        if re.r_has_back.(slot) || slot = re.r_tail then begin
-          t.counters.Perf_model.region_completions <-
-            t.counters.Perf_model.region_completions + 1;
-          if t.trace then emit t (Event.Region_completion { region = rid })
-        end
-        else begin
-          t.counters.Perf_model.side_exits <-
-            t.counters.Perf_model.side_exits + 1;
-          mon.m_side_exits <- mon.m_side_exits + 1;
-          if t.trace then emit t (Event.Region_side_exit { region = rid; slot });
-          t.cycles_acc.(0) <-
-            t.cycles_acc.(0) +. t.cfg.perf.Perf_model.side_exit_penalty;
-          if t.trace then begin
-            charge t s_side_exit t.cfg.perf.Perf_model.side_exit_penalty;
-            region_charge t rid t.cfg.perf.Perf_model.side_exit_penalty 0
-          end;
-          if
-            t.cfg.adaptive && (not mon.m_disabled)
-            && mon.m_entries >= t.cfg.reopt_min_entries
-            && float_of_int mon.m_side_exits
-               > t.cfg.reopt_side_exit_rate *. float_of_int mon.m_entries
-          then begin
-            let over_limit =
-              Array.exists
-                (fun b -> t.dissolve_count.(b) >= t.cfg.reopt_limit)
-                re.r_region.Region.slots
-            in
-            if over_limit then mon.m_disabled <- true
-            else begin
-              if t.trace then
-                emit t
-                  (Event.Region_dissolved
-                     {
-                       region = rid;
-                       entries = mon.m_entries;
-                       side_exits = mon.m_side_exits;
-                     });
-              dissolve t re.r_region
-            end
-          end
-        end;
-        outcome
-      end
-    end
-  end
+(* ------------------------------------------------------------------ *)
+(* Region dispatch                                                      *)
+(* ------------------------------------------------------------------ *)
 
-(* Execute inside region [rid] starting at its entry.  Returns the
-   outcome that ended region execution. *)
-let exec_region_body t rid re =
+(* Enter region [re] at its entry block, at guest step [before]: touch
+   its cache entry, decide {e before} execution whether this entry is
+   shadow-sampled (the decision depends only on the monitor's entry
+   count, so it is deterministic and independent of the oracle's own
+   effects), and charge the optimised dispatch. *)
+let enter_region t re ~before =
+  t.clock := before;
+  let rid = re.r_region.Region.id in
+  if Code_cache.bounded t.cache then
+    Code_cache.touch t.cache ~now:before Code_cache.Region rid;
+  if
+    Code_cache.has_corruption t.cache
+    && Code_cache.corruption t.cache Code_cache.Region rid <> None
+  then
+    t.counters.Perf_model.corrupted_entries <-
+      t.counters.Perf_model.corrupted_entries + 1;
   let mon = re.r_mon in
+  t.sampled <-
+    t.cfg.shadow_sample > 0 && mon.m_entries mod t.cfg.shadow_sample = 0;
+  t.entered_at <- before;
   t.counters.Perf_model.region_entries <-
     t.counters.Perf_model.region_entries + 1;
   if t.trace then emit t (Event.Region_entry { region = rid });
@@ -1041,38 +1080,109 @@ let exec_region_body t rid re =
     charge t s_dispatch t.cfg.perf.Perf_model.optimized_dispatch;
     region_charge t rid t.cfg.perf.Perf_model.optimized_dispatch 0
   end;
-  region_at_slot t rid re 0
+  t.cur <- Region.entry_block re.r_region;
+  t.slot <- 0
 
-(* Region dispatch: look the region up defensively (a bounded cache may
-   have evicted it between the dispatcher reading [region_entry] and
-   this call firing — e.g. a [Cache_thrash] flush in the same step),
-   decide {e before} execution whether this entry is shadow-sampled
-   (the decision depends only on the monitor's entry count, so it is
-   deterministic and independent of the oracle's own effects), run the
-   body, then replay-and-compare on the sampled entries. *)
-let exec_region t rid =
-  match if rid < Array.length t.rentries then t.rentries.(rid) else None with
-  | Some re ->
-      let steps_before = Machine.steps t.machine in
-      if Code_cache.bounded t.cache then
-        Code_cache.touch t.cache ~now:steps_before Code_cache.Region rid;
-      if
-        Code_cache.has_corruption t.cache
-        && Code_cache.corruption t.cache Code_cache.Region rid <> None
-      then
-        t.counters.Perf_model.corrupted_entries <-
-          t.counters.Perf_model.corrupted_entries + 1;
-      let sampled =
-        t.cfg.shadow_sample > 0
-        && re.r_mon.m_entries mod t.cfg.shadow_sample = 0
+(* Execution leaves region [re] after the block of [slot], outside its
+   edges: a completion when that block closes the region (a back edge's
+   source or the tail), otherwise a side exit, which the adaptive mode
+   may answer by dissolving the region. *)
+let region_exit t re slot =
+  let rid = re.r_region.Region.id in
+  let mon = re.r_mon in
+  if re.r_has_back.(slot) then mon.m_lb_seen <- mon.m_lb_seen + 1;
+  if re.r_has_back.(slot) || slot = re.r_tail then begin
+    t.counters.Perf_model.region_completions <-
+      t.counters.Perf_model.region_completions + 1;
+    if t.trace then emit t (Event.Region_completion { region = rid })
+  end
+  else begin
+    t.counters.Perf_model.side_exits <- t.counters.Perf_model.side_exits + 1;
+    mon.m_side_exits <- mon.m_side_exits + 1;
+    if t.trace then emit t (Event.Region_side_exit { region = rid; slot });
+    t.cycles_acc.(0) <-
+      t.cycles_acc.(0) +. t.cfg.perf.Perf_model.side_exit_penalty;
+    if t.trace then begin
+      charge t s_side_exit t.cfg.perf.Perf_model.side_exit_penalty;
+      region_charge t rid t.cfg.perf.Perf_model.side_exit_penalty 0
+    end;
+    if
+      t.cfg.adaptive && (not mon.m_disabled)
+      && mon.m_entries >= t.cfg.reopt_min_entries
+      && float_of_int mon.m_side_exits
+         > t.cfg.reopt_side_exit_rate *. float_of_int mon.m_entries
+    then begin
+      let over_limit =
+        Array.exists
+          (fun b -> t.dissolve_count.(b) >= t.cfg.reopt_limit)
+          re.r_region.Region.slots
       in
-      let outcome = exec_region_body t rid re in
-      if sampled && t.error = None && outcome <> oc_trapped then
-        shadow_check t rid ~steps_before;
-      outcome
-  | None ->
-      t.error <- Some (Error.Dispatch_lost { pc = Machine.pc t.machine });
-      oc_finished
+      if over_limit then mon.m_disabled <- true
+      else begin
+        if t.trace then
+          emit t
+            (Event.Region_dissolved
+               {
+                 region = rid;
+                 entries = mon.m_entries;
+                 side_exits = mon.m_side_exits;
+               });
+        dissolve t re.r_region
+      end
+    end
+  end
+
+(* The block of slot [t.slot] of region [re] ran from [before] to
+   [after] with [outcome]: charge the slot and follow the predecoded
+   out edge for the outcome's role.  Returns [true] when execution left
+   the region — completed it, took a side exit, or ended the run — and
+   [false] when [t.slot] now names the next slot. *)
+let[@inline] region_slot t re outcome ~before ~after =
+  let slot = t.slot in
+  t.cycles_acc.(0) <- t.cycles_acc.(0) +. re.r_slot_cycles.(slot);
+  if t.trace then begin
+    (* the events below, and the exit's, stamp the step after the block *)
+    t.clock := after;
+    let slot_steps = after - before in
+    charge t s_region_exec ~steps:slot_steps re.r_slot_cycles.(slot);
+    region_charge t re.r_region.Region.id re.r_slot_cycles.(slot) slot_steps
+  end;
+  match outcome with
+  | Driver.Finished | Driver.Trapped -> true
+  | Driver.Flowed | Driver.Took_not | Driver.Took ->
+      (* First matching out edge for the outcome's role; [Flowed] only
+         follows [Always] when the terminator is an unconditional
+         transfer (a Call_to edge can be region-internal when formed
+         with regions_across_calls — partial inlining). *)
+      let dst =
+        match outcome with
+        | Driver.Took -> re.r_dst_taken.(slot)
+        | Driver.Took_not -> re.r_dst_not_taken.(slot)
+        | Driver.Flowed | Driver.Finished | Driver.Trapped ->
+            if re.r_always_ok.(slot) then re.r_dst_always.(slot) else -1
+      in
+      if dst = 0 && re.r_is_loop then begin
+        t.counters.Perf_model.loop_backs <-
+          t.counters.Perf_model.loop_backs + 1;
+        (* Continuous loop profiling: the latch executed and looped. *)
+        let mon = re.r_mon in
+        mon.m_lb_seen <- mon.m_lb_seen + 1;
+        mon.m_lb_taken <- mon.m_lb_taken + 1;
+        t.slot <- 0;
+        false
+      end
+      else if dst >= 0 then begin
+        t.slot <- dst;
+        false
+      end
+      else begin
+        region_exit t re slot;
+        true
+      end
+
+(* ------------------------------------------------------------------ *)
+(* Fault injection                                                      *)
+(* ------------------------------------------------------------------ *)
 
 (* Injected corruption of block [bid]'s translated code.  The
    translation is discarded (the next execution pays the cold
@@ -1091,7 +1201,8 @@ let corrupt_block t bid =
     t.counters.Perf_model.blocks_retranslated + 1;
   let owners =
     Hashtbl.fold
-      (fun _ (r, _) acc ->
+      (fun _ re acc ->
+        let r = re.r_region in
         if Array.exists (fun b -> b = bid) r.Region.slots then r :: acc
         else acc)
       t.regions []
@@ -1110,18 +1221,19 @@ let corrupt_block t bid =
 (* Faults whose site is the dispatch loop: guest traps (poison the
    instruction about to execute), block corruption (pick a translated
    victim from the arm's salt), silent corruption of a resident region
-   and whole-cache thrash. *)
-let inject_dispatch_faults t inj =
-  let step = Machine.steps t.machine in
+   and whole-cache thrash.  The only model code that writes to the
+   machine, which is why a fault plan needs a driver of its own. *)
+let inject_dispatch_faults t machine inj =
+  let step = Machine.steps machine in
   (match Injector.take inj ~step Fault.Guest_trap with
   | None -> ()
   | Some arm ->
-      let pc = Machine.pc t.machine in
+      let pc = Machine.pc machine in
       (* The pc can sit past the last instruction (fallthrough off the
          end halts the machine on its next step) — poisoning it would
          raise Invalid_argument, so the arm fires with no victim. *)
       if pc >= 0 && pc < Tpdbt_isa.Program.length t.program then begin
-        Machine.poison t.machine pc;
+        Machine.poison machine pc;
         t.counters.Perf_model.faults_injected <-
           t.counters.Perf_model.faults_injected + 1;
         Injector.record inj arm ~fired_step:step ~target:pc;
@@ -1197,6 +1309,10 @@ let inject_dispatch_faults t inj =
       Injector.record inj arm ~fired_step:step ~target:!victim;
       if !victim >= 0 then corrupt_block t !victim
 
+(* ------------------------------------------------------------------ *)
+(* Consuming the block stream                                           *)
+(* ------------------------------------------------------------------ *)
+
 let current_snapshot t =
   {
     Snapshot.block_map = t.bmap;
@@ -1205,142 +1321,284 @@ let current_snapshot t =
     regions = List.rev t.regions_rev;
   }
 
-let run ?(checkpoint_every = 0) ?(on_checkpoint = fun ~steps:_ _ -> ()) t =
+(* Mirror the unboxed cycle cell and the cache's authoritative eviction
+   tally (the model may trigger it from several sites) into the perf
+   counters, so they are self-contained. *)
+let sync_counters t =
+  t.counters.Perf_model.cycles <- t.cycles_acc.(0);
+  let cs = Code_cache.stats t.cache in
+  t.counters.Perf_model.cache_evictions <- cs.Code_cache.evictions;
+  t.counters.Perf_model.cache_flushes <- cs.Code_cache.flushes;
+  t.counters.Perf_model.cache_evicted_instrs <- cs.Code_cache.evicted_instrs;
+  t.counters.Perf_model.cache_peak_instrs <- cs.Code_cache.peak
+
+(* The model stops where the machine now stands: the end of a run. *)
+let stop t machine =
+  t.live <- false;
+  t.stop_steps <- Machine.steps machine;
+  t.stop_outputs <- Machine.output_count machine;
+  t.clock := t.stop_steps;
+  if t.trace then begin
+    (* Attribution first, inside the still-open run span, so the
+       profiler hangs the stage costs beneath "engine.run". *)
+    emit_costs t;
+    Span.leave t.spans "engine.run"
+  end;
+  t.counters.Perf_model.cycles <- t.cycles_acc.(0);
+  if t.trace then emit t (Event.Phase_end { phase = "run" });
+  sync_counters t
+
+(* A dispatch point at guest step [steps]: the model is outside every
+   region, the machine is running and the next block has not run.  Stop
+   on a recorded error, the deadline, the snapshot trigger or the step
+   budget, in that order; otherwise fire any fault due here. *)
+let settle t machine steps =
+  match t.error with
+  | Some _ -> stop t machine
+  | None ->
+        if steps >= t.deadline_step then begin
+          t.error <-
+            (if t.cfg.suspend_on_deadline then
+               Some (Error.Suspended { steps; deadline = true })
+             else
+               Some
+                 (Error.Deadline_exceeded
+                    { steps; deadline = Option.get t.cfg.deadline }));
+          stop t machine
+        end
+        else if steps >= t.snapshot_step then begin
+          t.error <- Some (Error.Suspended { steps; deadline = false });
+          stop t machine
+        end
+        else if steps >= t.cfg.max_steps then begin
+          t.error <-
+            Some (Error.Limit_exceeded { steps; max_steps = t.cfg.max_steps });
+          stop t machine
+        end
+        else
+          match t.inj with
+          | Some inj when Injector.due inj ~step:steps ->
+              t.clock := steps;
+              inject_dispatch_faults t machine inj
+          | Some _ | None -> ()
+
+(* Execution is back at a dispatch point, at guest step [steps], after
+   a block (or a region) that ended with [outcome]. *)
+let after_dispatch t machine outcome steps =
+  if t.checkpoint_every > 0 && steps >= t.next_checkpoint then begin
+    t.on_checkpoint ~steps (current_snapshot t);
+    t.next_checkpoint <- steps + t.checkpoint_every
+  end;
+  match outcome with
+  | Driver.Trapped ->
+      (match Machine.last_trap machine with
+      | Some trap -> t.error <- Some (Error.Trap trap)
+      | None ->
+          t.error <- Some (Error.Dispatch_lost { pc = Machine.pc machine }));
+      stop t machine
+  | Driver.Finished -> stop t machine
+  | Driver.Flowed | Driver.Took_not | Driver.Took -> settle t machine steps
+
+(* The region's layout no longer matches execution: a typed error
+   instead of an assertion, before the block runs. *)
+let lose t machine =
+  t.error <- Some (Error.Dispatch_lost { pc = Machine.pc machine });
+  t.cur <- -1;
+  after_dispatch t machine Driver.Finished (Machine.steps machine)
+
+(* No block starts at the pc. *)
+let no_block t d =
+  let machine = d.Driver.machine in
+  if t.cur >= 0 then lose t machine
+  else if Driver.off_end d then begin
+    (* legal: fuzz-generated images end this way once shrinking nops out
+       the halt *)
+    Driver.halt_off_end d;
+    stop t machine
+  end
+  else begin
+    (* Control landed mid-block: the dispatcher and the block map
+       disagree. *)
+    t.error <- Some (Error.Dispatch_lost { pc = Machine.pc machine });
+    stop t machine
+  end
+
+let leave_region t machine re outcome after =
+  t.cur <- -1;
+  if
+    t.sampled && t.error = None
+    && match outcome with Driver.Trapped -> false | _ -> true
+  then
+    shadow_check t machine re.r_region.Region.id;
+  after_dispatch t machine outcome after
+
+(* Still inside region [re]: the block the driver has located next must
+   be the next slot's, checked before that block runs. *)
+let[@inline] continue_region t machine re ~next =
+  if re.r_region.Region.slots.(t.slot) <> next then lose t machine
+
+(* Block [bid] ran from [before] to [after] with [outcome], and the
+   driver located block [next] after it. *)
+let[@inline] consume t machine bid outcome ~before ~after ~next =
+  if t.cur < 0 then begin
+    let re = t.entry.(bid) in
+    if
+      re != no_region
+      && match t.state.(bid) with Optimized -> true | Cold | Registered -> false
+    then begin
+      enter_region t re ~before;
+      if region_slot t re outcome ~before ~after then
+        leave_region t machine re outcome after
+      else continue_region t machine re ~next
+    end
+    else begin
+      single t bid outcome ~before ~after;
+      after_dispatch t machine outcome after
+    end
+  end
+  else
+    let re = t.entry.(t.cur) in
+    if region_slot t re outcome ~before ~after then
+      leave_region t machine re outcome after
+    else continue_region t machine re ~next
+
+(* ------------------------------------------------------------------ *)
+(* One driver, N models                                                 *)
+(* ------------------------------------------------------------------ *)
+
+type t = {
+  driver : Driver.t;
+  models : model array;
+  every : int;  (* group snapshot trigger period, 0 = off *)
+  hard_stop : int;  (* group deadline suspension step, [max_int] = off *)
+  mutable started : bool;
+  mutable suspend_step : int;
+}
+
+(* Open a run of one model.  [solo] models arm their own suspension
+   triggers; a group's members leave them to the group. *)
+let begin_run t machine ~solo =
+  let steps = Machine.steps machine in
+  t.clock := steps;
   if t.trace then begin
     emit t (Event.Phase_begin { phase = "run" });
     Span.enter t.spans "engine.run"
   end;
   t.cycles_acc.(0) <- t.counters.Perf_model.cycles;
   (* A suspension is a resumable stop, not a verdict: re-entering [run]
-     clears it and continues from exactly where the loop left off. *)
+     clears it and continues from exactly where the model left off. *)
   (match t.error with
   | Some (Error.Suspended _) -> t.error <- None
   | Some _ | None -> ());
-  let next_checkpoint = ref checkpoint_every in
-  (* The supervisor's cooperative watchdog: polled per block, like
-     every other dispatch-time check — a deadlined task stops itself
-     instead of wedging its worker domain.  Hoisted to a plain int so
-     the poll is one comparison, no option match. *)
-  let deadline_step =
-    match t.cfg.deadline with Some d -> d | None -> max_int
-  in
-  (* Cooperative snapshot trigger, same shape as the deadline poll: one
-     int comparison per dispatched block, [max_int] (never fires, no
-     allocation) when disabled.  The step at which it fires is fixed at
-     entry — [run] returns [Suspended] there and the caller snapshots
-     and re-enters, so the trigger period is measured from the resume
-     point. *)
-  let snapshot_step =
-    if t.cfg.snapshot_every > 0 then
-      Machine.steps t.machine + t.cfg.snapshot_every
-    else max_int
-  in
-  let rec loop () =
-    if Machine.halted t.machine then ()
-    else
-      match t.error with
-      | Some _ -> ()
-      | None ->
-          if Machine.steps t.machine >= deadline_step then
-            t.error <-
-              (if t.cfg.suspend_on_deadline then
-                 Some
-                   (Error.Suspended
-                      { steps = Machine.steps t.machine; deadline = true })
-               else
-                 Some
-                   (Error.Deadline_exceeded
-                      {
-                        steps = Machine.steps t.machine;
-                        deadline = Option.get t.cfg.deadline;
-                      }))
-          else if Machine.steps t.machine >= snapshot_step then
-            t.error <-
-              Some
-                (Error.Suspended
-                   { steps = Machine.steps t.machine; deadline = false })
-          else if Machine.steps t.machine >= t.cfg.max_steps then
-            t.error <-
-              Some
-                (Error.Limit_exceeded
-                   {
-                     steps = Machine.steps t.machine;
-                     max_steps = t.cfg.max_steps;
-                   })
-          else begin
-            (match t.inj with
-            | Some inj when Injector.due inj ~step:(Machine.steps t.machine) ->
-                inject_dispatch_faults t inj
-            | Some _ | None -> ());
-            let pc = Machine.pc t.machine in
-            let bid = Block_map.id_at t.bmap pc in
-            if bid < 0 then
-              if pc < 0 || pc >= t.code_len then begin
-                (* Fallthrough past the last instruction: when the
-                   final block ends in a plain instruction (legal —
-                   fuzz-generated images end this way once shrinking
-                   nops out the halt), the machine halts on its next
-                   step, charging nothing.  Take that step so the end
-                   state is bit-identical to the interpreter's. *)
-                ignore (Machine.step_code t.machine);
-                loop ()
-              end
-              else
-                (* Control landed mid-block: the dispatcher and the
-                   block map disagree.  Stop with a typed error instead
-                   of asserting. *)
-                t.error <- Some (Error.Dispatch_lost { pc })
-            else begin
-              let rid = t.region_entry.(bid) in
-              let outcome =
-                if
-                  rid >= 0
-                  &&
-                  match t.state.(bid) with
-                  | Optimized -> true
-                  | Cold | Registered -> false
-                then exec_region t rid
-                else exec_single t bid
-              in
-              if
-                checkpoint_every > 0
-                && Machine.steps t.machine >= !next_checkpoint
-              then begin
-                on_checkpoint
-                  ~steps:(Machine.steps t.machine)
-                  (current_snapshot t);
-                next_checkpoint := Machine.steps t.machine + checkpoint_every
-              end;
-              if outcome = oc_trapped then
-                match Machine.last_trap t.machine with
-                | Some trap -> t.error <- Some (Error.Trap trap)
-                | None -> t.error <- Some (Error.Dispatch_lost { pc })
-              else if outcome = oc_finished then ()
-              else loop ()
-            end
-          end
-  in
-  loop ();
-  t.counters.Perf_model.cycles <- t.cycles_acc.(0);
-  if t.trace then begin
-    (* Attribution first, inside the still-open run span, so the
-       profiler hangs the stage costs beneath "engine.run". *)
-    emit_costs t;
-    Span.leave t.spans "engine.run";
-    emit t (Event.Phase_end { phase = "run" })
-  end;
-  (* The cache keeps the authoritative eviction tally (the engine may
-     trigger it from several sites); mirror it into the perf counters
-     once, here, so the result is self-contained. *)
-  let cs = Code_cache.stats t.cache in
-  t.counters.Perf_model.cache_evictions <- cs.Code_cache.evictions;
-  t.counters.Perf_model.cache_flushes <- cs.Code_cache.flushes;
-  t.counters.Perf_model.cache_evicted_instrs <- cs.Code_cache.evicted_instrs;
-  t.counters.Perf_model.cache_peak_instrs <- cs.Code_cache.peak;
+  t.live <- true;
+  (* The supervisor's cooperative watchdog and the snapshot trigger are
+     polled at every dispatch point as plain int comparisons against
+     [max_int] when disabled.  The snapshot step is fixed here, so the
+     trigger period is measured from the resume point. *)
+  t.deadline_step <-
+    (match t.cfg.deadline with
+    | Some d when solo || not t.cfg.suspend_on_deadline -> d
+    | Some _ | None -> max_int);
+  t.snapshot_step <-
+    (if solo && t.cfg.snapshot_every > 0 then steps + t.cfg.snapshot_every
+     else max_int);
+  (* A group member restored inside a region is not at a dispatch
+     point: it polls nothing until it leaves the region. *)
+  if t.cur < 0 then
+    if Machine.halted machine then stop t machine else settle t machine steps
+
+(* Feed every live model the guest's blocks until all have stopped, or
+   until the group's suspension step; [true] when it suspended.  A
+   model inside a region checks the block the driver located next
+   against its next slot before that block runs, so a lost model stops
+   exactly where it lost sync. *)
+let rec drive_group g d machine models n =
+  let before = d.Driver.steps in
+  if before >= g.suspend_step then true
+  else
+    let bid = d.Driver.next in
+    if bid < 0 then begin
+      for i = 0 to n - 1 do
+        let t = models.(i) in
+        if t.live then no_block t d
+      done;
+      false
+    end
+    else begin
+      let outcome = Driver.step d in
+      let after = d.Driver.steps in
+      let next = d.Driver.next in
+      let live = ref false in
+      for i = 0 to n - 1 do
+        let t = models.(i) in
+        if t.live then begin
+          consume t machine bid outcome ~before ~after ~next;
+          if t.live then live := true
+        end
+      done;
+      !live && drive_group g d machine models n
+    end
+
+(* The same loop for a single model — every engine — without the loop
+   over models, and with a region's blocks run in an inner loop as the
+   old single-model engine ran them: on a region-heavy run the loop
+   over models costs a tenth of its time. *)
+let rec drive_one g d machine t =
+  let before = d.Driver.steps in
+  if before >= g.suspend_step then true
+  else
+    let bid = d.Driver.next in
+    if bid < 0 then begin
+      no_block t d;
+      false
+    end
+    else if t.cur >= 0 then in_region_one g d machine t t.entry.(t.cur)
+    else begin
+      let outcome = Driver.step d in
+      consume t machine bid outcome ~before ~after:d.Driver.steps
+        ~next:d.Driver.next;
+      t.live && drive_one g d machine t
+    end
+
+and in_region_one g d machine t re =
+  let before = d.Driver.steps in
+  if before >= g.suspend_step then true
+  else begin
+    let outcome = Driver.step d in
+    let after = d.Driver.steps in
+    if region_slot t re outcome ~before ~after then begin
+      leave_region t machine re outcome after;
+      t.live && drive_one g d machine t
+    end
+    else begin
+      continue_region t machine re ~next:d.Driver.next;
+      t.live && in_region_one g d machine t re
+    end
+  end
+
+(* Feed every live model the guest's blocks until all have stopped, or
+   until the group's suspension step; [true] when it suspended.  A
+   model inside a region checks the block the driver located next
+   against its next slot before that block runs, so a lost model stops
+   exactly where it lost sync. *)
+let drive g =
+  let d = g.driver in
+  match g.models with
+  | [| t |] -> t.live && drive_one g d d.Driver.machine t
+  | models ->
+      Array.exists (fun t -> t.live) models
+      && drive_group g d d.Driver.machine models (Array.length models)
+
+let of_parts driver models =
+  { driver; models; every = 0; hard_stop = max_int; started = false;
+    suspend_step = max_int }
+
+let result_of t machine =
   let snapshot = current_snapshot t in
   let region_stats =
     Hashtbl.fold
-      (fun id mon acc ->
+      (fun id re acc ->
+        let mon = re.r_mon in
         ( id,
           {
             entries = mon.m_entries;
@@ -1349,19 +1607,43 @@ let run ?(checkpoint_every = 0) ?(on_checkpoint = fun ~steps:_ _ -> ()) t =
             loop_back_seen = mon.m_lb_seen;
           } )
         :: acc)
-      t.monitors []
+      t.regions []
     |> List.sort compare
   in
   {
     snapshot;
     counters = t.counters;
-    steps = Machine.steps t.machine;
+    steps = t.stop_steps;
     profiling_ops = Snapshot.profiling_ops snapshot;
-    outputs = Machine.outputs t.machine;
+    outputs = Machine.outputs_upto machine t.stop_outputs;
     region_stats;
     error = t.error;
     faults = Option.map Injector.report t.inj;
   }
+
+(* ------------------------------------------------------------------ *)
+(* The engine: one driver feeding one model                             *)
+(* ------------------------------------------------------------------ *)
+
+let create ?config:(cfg = config ~threshold:1000 ()) ?mem_words ~seed program =
+  let machine = Machine.create ?mem_words ~seed program in
+  let bmap = Block_map.build program in
+  of_parts (Driver.of_machine machine bmap) [| model_create cfg program bmap |]
+
+let solo g = g.models.(0)
+let block_map g = g.driver.Driver.bmap
+let machine g = g.driver.Driver.machine
+
+let run ?(checkpoint_every = 0) ?(on_checkpoint = no_checkpoint) g =
+  let t = solo g in
+  let machine = machine g in
+  t.checkpoint_every <- checkpoint_every;
+  t.next_checkpoint <- checkpoint_every;
+  t.on_checkpoint <- on_checkpoint;
+  begin_run t machine ~solo:true;
+  ignore (drive g);
+  t.on_checkpoint <- no_checkpoint;
+  result_of t machine
 
 let suspended (r : result) =
   match r.error with Some (Error.Suspended _) -> true | Some _ | None -> false
@@ -1370,8 +1652,8 @@ let suspended (r : result) =
 (* Mid-run images (snapshot / suspend / resume)                        *)
 (* ------------------------------------------------------------------ *)
 
-(* The complete evolving state of an engine between two [run] calls, as
-   plain data: the machine image plus every translation, profiling,
+(* The complete evolving state of a model between two [run] calls, as
+   plain data, plus the machine image: every translation, profiling,
    cache, recovery and fault-injection structure.  Derived state — the
    block map, per-region slot cycles, the hot region mirrors and the
    dispatcher's entry map — is deliberately absent: [restore] recomputes
@@ -1414,16 +1696,14 @@ let block_state_of_code = function
   | 2 -> Optimized
   | c -> invalid_arg (Printf.sprintf "Engine.restore: bad block state %d" c)
 
-(* Capture is only meaningful between [run] calls (typically after a
-   [Suspended] stop): [run] has mirrored [cycles_acc] back into the
-   counters, so the counters copy is complete. *)
-let capture t =
+let capture_model t ex_machine =
+  sync_counters t;
   let pending, fired =
     match t.inj with Some inj -> Injector.cursor inj | None -> ([], [])
   in
   let cs = Code_cache.stats t.cache in
   {
-    ex_machine = Machine.capture t.machine;
+    ex_machine;
     ex_use = Array.copy t.use;
     ex_taken = Array.copy t.taken;
     ex_state = Array.map block_state_code t.state;
@@ -1432,12 +1712,13 @@ let capture t =
     ex_regions = List.rev t.regions_rev;
     ex_monitors =
       Hashtbl.fold
-        (fun rid m acc ->
+        (fun rid re acc ->
+          let m = re.r_mon in
           ( rid,
             (m.m_entries, m.m_side_exits, m.m_lb_taken, m.m_lb_seen,
              m.m_disabled) )
           :: acc)
-        t.monitors []
+        t.regions []
       |> List.sort compare;
     ex_next_region_id = t.next_region_id;
     ex_pool = t.pool;
@@ -1463,14 +1744,18 @@ let capture t =
         cs.Code_cache.flushes,
         cs.Code_cache.evicted_instrs,
         cs.Code_cache.peak );
-    ex_counters = { t.counters with Perf_model.cycles = t.counters.Perf_model.cycles };
+    ex_counters = { t.counters with Perf_model.cycles = t.cycles_acc.(0) };
     ex_pending = pending;
     ex_fired = fired;
   }
 
-let restore ?config:(cfg = config ~threshold:1000 ()) program image =
-  let machine = Machine.restore program image.ex_machine in
-  let bmap = Block_map.build program in
+(* Meaningful between [run] calls — in practice, after a run stopped
+   with [Suspended]. *)
+let capture g = capture_model (solo g) (Machine.capture (machine g))
+
+(* A model rebuilt from [image] over an already-restored program:
+   validated against the block map, its regions reinstalled. *)
+let restore_model cfg program bmap image =
   let n = Block_map.block_count bmap in
   let check_len label a =
     if Array.length a <> n then
@@ -1491,6 +1776,14 @@ let restore ?config:(cfg = config ~threshold:1000 ()) program image =
       if b < 0 || b >= n then
         invalid_arg (Printf.sprintf "Engine.restore: pooled block %d" b))
     image.ex_pool;
+  let t = model_create cfg program bmap in
+  Array.blit image.ex_use 0 t.use 0 n;
+  Array.blit image.ex_taken 0 t.taken 0 n;
+  Array.iteri (fun b c -> t.state.(b) <- block_state_of_code c) image.ex_state;
+  Array.blit image.ex_touched 0 t.touched 0 n;
+  Array.blit image.ex_dissolve 0 t.dissolve_count 0 n;
+  Array.blit image.ex_fault_fails 0 t.fault_fails 0 n;
+  Array.blit image.ex_quarantined 0 t.quarantined 0 n;
   let counters =
     {
       image.ex_counters with
@@ -1499,77 +1792,57 @@ let restore ?config:(cfg = config ~threshold:1000 ()) program image =
   in
   let t =
     {
-      cfg;
-      program;
-      machine;
-      bmap;
-      code_len = Array.length program.Tpdbt_isa.Program.code;
-      use = Array.copy image.ex_use;
-      taken = Array.copy image.ex_taken;
-      state = Array.map block_state_of_code image.ex_state;
-      touched = Array.copy image.ex_touched;
-      dissolve_count = Array.copy image.ex_dissolve;
-      region_entry = Array.make n (-1);
-      regions = Hashtbl.create 32;
-      monitors = Hashtbl.create 32;
-      rentries = Array.make 32 None;
+      t with
       regions_rev = List.rev image.ex_regions;
       next_region_id = image.ex_next_region_id;
       pool = image.ex_pool;
       pool_size = List.length image.ex_pool;
       pool_trigger_now = image.ex_pool_trigger_now;
-      fault_fails = Array.copy image.ex_fault_fails;
-      cache =
-        Code_cache.create ?capacity:cfg.cache_capacity
-          ~policy:cfg.cache_policy ();
-      quarantined = Array.copy image.ex_quarantined;
       quarantine_count = image.ex_quarantine_count;
       degraded = image.ex_degraded;
       last_round_step = image.ex_last_round_step;
       inj =
-        (if image.ex_pending = [] && image.ex_fired = [] then
-           Option.map Injector.create cfg.faults
+        (if image.ex_pending = [] && image.ex_fired = [] then t.inj
          else
            Some
              (Injector.of_cursor ~pending:image.ex_pending
                 ~fired:image.ex_fired));
       counters;
       cycles_acc = Array.make 1 counters.Perf_model.cycles;
-      error = None;
-      trace = not (Sink.is_null cfg.sink);
-      spans = Span.create ~clock:(fun () -> Machine.steps machine) cfg.sink;
-      stage_cycles = Array.make (Array.length stage_labels) 0.0;
-      stage_steps = Array.make (Array.length stage_labels) 0;
-      stage_count = Array.make (Array.length stage_labels) 0;
-      region_cost = Hashtbl.create 16;
     }
   in
+  (* Region ids are labels below the id counter, each used once: the
+     dispatcher keys nothing by id, but an id the counter never issued
+     names a region no run could have formed. *)
+  if image.ex_next_region_id < 0 then
+    invalid_arg
+      (Printf.sprintf "Engine.restore: region id counter %d"
+         image.ex_next_region_id);
   (* Reinstall the regions: slot cycles and the hot mirrors are pure
      functions of (region, program, config), recomputed exactly as the
      optimiser's commit computed them. *)
   List.iter
     (fun (r : Region.t) ->
+      let rid = r.Region.id in
+      if rid < 0 || rid >= image.ex_next_region_id then
+        invalid_arg
+          (Printf.sprintf "Engine.restore: region id %d outside [0, %d)" rid
+             image.ex_next_region_id);
+      if Hashtbl.mem t.regions rid then
+        invalid_arg (Printf.sprintf "Engine.restore: region id %d twice" rid);
       Array.iter
         (fun b ->
           if b < 0 || b >= n then
             invalid_arg
               (Printf.sprintf "Engine.restore: region %d references block %d"
-                 r.Region.id b))
+                 rid b))
         r.Region.slots;
-      let slot_cycles =
-        let code = program.Tpdbt_isa.Program.code in
-        if cfg.trace_scheduling then
-          Optimizer.region_slot_cycles_pipelined bmap ~code r
-        else Optimizer.region_slot_cycles bmap ~code r
-      in
-      Hashtbl.replace t.regions r.Region.id (r, slot_cycles);
       let e, s, lt, ls, disabled =
-        match List.assoc_opt r.Region.id image.ex_monitors with
+        match List.assoc_opt rid image.ex_monitors with
         | Some m -> m
         | None ->
             invalid_arg
-              (Printf.sprintf "Engine.restore: region %d has no monitor"
-                 r.Region.id)
+              (Printf.sprintf "Engine.restore: region %d has no monitor" rid)
       in
       let mon =
         {
@@ -1580,8 +1853,8 @@ let restore ?config:(cfg = config ~threshold:1000 ()) program image =
           m_disabled = disabled;
         }
       in
-      Hashtbl.replace t.monitors r.Region.id mon;
-      set_rentry t r.Region.id (build_rentry t r slot_cycles mon))
+      Hashtbl.replace t.regions rid
+        (build_rentry t r (slot_cycles_of cfg program bmap r) mon))
     image.ex_regions;
   rebuild_region_entries t;
   let evictions, flushes, evicted_instrs, peak = image.ex_cache_stats in
@@ -1599,3 +1872,160 @@ let restore ?config:(cfg = config ~threshold:1000 ()) program image =
     image.ex_cache;
   Code_cache.set_stats t.cache ~evictions ~flushes ~evicted_instrs ~peak;
   t
+
+let restore ?config:(cfg = config ~threshold:1000 ()) program image =
+  let machine = Machine.restore program image.ex_machine in
+  let bmap = Block_map.build program in
+  of_parts (Driver.of_machine machine bmap)
+    [| restore_model cfg program bmap image |]
+
+(* ------------------------------------------------------------------ *)
+(* Groups: one driver feeding many models                              *)
+(* ------------------------------------------------------------------ *)
+
+type position =
+  | At_dispatch
+  | In_region of { region : int; slot : int }
+  | Stopped of { steps : int; outputs : int; error : Error.t option }
+
+type group_image = {
+  gi_machine : Machine.image;
+  gi_members : (position * image) list;
+}
+
+module Group = struct
+  type nonrec t = t
+
+  (* A translator that reads or writes the machine cannot share it. *)
+  let check_configs = function
+    | [] -> invalid_arg "Engine.Group: no models"
+    | (c0 : config) :: _ as configs ->
+        List.iter
+          (fun (c : config) ->
+            if c.faults <> None then
+              invalid_arg "Engine.Group: a fault plan needs its own driver";
+            if c.shadow_sample > 0 then
+              invalid_arg
+                "Engine.Group: the shadow oracle needs its own driver";
+            if
+              c.snapshot_every <> c0.snapshot_every
+              || c.suspend_on_deadline <> c0.suspend_on_deadline
+              || (c.suspend_on_deadline && c.deadline <> c0.deadline)
+            then invalid_arg "Engine.Group: members disagree on suspension")
+          configs;
+        let hard_stop =
+          match c0.deadline with
+          | Some d when c0.suspend_on_deadline -> d
+          | Some _ | None -> max_int
+        in
+        (c0.snapshot_every, hard_stop)
+
+  let of_models driver configs models =
+    let every, hard_stop = check_configs configs in
+    { (of_parts driver models) with every; hard_stop }
+
+  let create ?mem_words ~seed program configs =
+    let machine = Machine.create ?mem_words ~seed program in
+    let bmap = Block_map.build program in
+    of_models
+      (Driver.of_machine machine bmap)
+      configs
+      (Array.of_list (List.map (fun c -> model_create c program bmap) configs))
+
+  let run g =
+    let machine = g.driver.Driver.machine in
+    if not g.started then begin
+      g.started <- true;
+      Array.iter
+        (fun t ->
+          if t.live then begin
+            begin_run t machine ~solo:false;
+            if t.cur >= 0 then
+              continue_region t machine t.entry.(t.cur)
+                ~next:g.driver.Driver.next
+          end)
+        g.models
+    end;
+    let steps = Machine.steps machine in
+    g.suspend_step <-
+      min g.hard_stop (if g.every > 0 then steps + g.every else max_int);
+    if drive g then
+      let steps = Machine.steps machine in
+      Some (Error.Suspended { steps; deadline = steps >= g.hard_stop })
+    else None
+
+  let results g =
+    let machine = g.driver.Driver.machine in
+    Array.to_list (Array.map (fun t -> result_of t machine) g.models)
+
+  let capture g =
+    let gi_machine = Machine.capture g.driver.Driver.machine in
+    {
+      gi_machine;
+      gi_members =
+        Array.to_list
+          (Array.map
+             (fun t ->
+               let at =
+                 if not t.live then
+                   Stopped
+                     {
+                       steps = t.stop_steps;
+                       outputs = t.stop_outputs;
+                       error = t.error;
+                     }
+                 else if t.cur < 0 then At_dispatch
+                 else
+                   In_region
+                     {
+                       region = t.entry.(t.cur).r_region.Region.id;
+                       slot = t.slot;
+                     }
+               in
+               (at, capture_model t gi_machine))
+             g.models);
+    }
+
+  (* Put a restored member back where it stood in the block stream. *)
+  let place machine t = function
+    | At_dispatch -> ()
+    | In_region { region; slot } -> (
+        match Hashtbl.find_opt t.regions region with
+        | Some re
+          when t.entry.(Region.entry_block re.r_region) == re
+               && slot >= 0
+               && slot < Array.length re.r_region.Region.slots
+               && not (Machine.halted machine) ->
+            t.cur <- Region.entry_block re.r_region;
+            t.slot <- slot
+        | Some _ | None ->
+            invalid_arg
+              (Printf.sprintf "Engine.Group.restore: no slot %d of region %d"
+                 slot region))
+    | Stopped { steps; outputs; error } ->
+        if
+          steps < 0
+          || steps > Machine.steps machine
+          || outputs < 0
+          || outputs > Machine.output_count machine
+        then invalid_arg "Engine.Group.restore: stop past the machine";
+        t.live <- false;
+        t.stop_steps <- steps;
+        t.stop_outputs <- outputs;
+        t.error <- error
+
+  let restore program configs image =
+    if List.length configs <> List.length image.gi_members then
+      invalid_arg "Engine.Group.restore: member count";
+    let machine = Machine.restore program image.gi_machine in
+    let bmap = Block_map.build program in
+    let models =
+      List.map2
+        (fun cfg (at, im) ->
+          let t = restore_model cfg program bmap im in
+          place machine t at;
+          t)
+        configs image.gi_members
+    in
+    of_models (Driver.of_machine machine bmap) configs (Array.of_list models)
+end

@@ -15,7 +15,15 @@
     performance model.
 
     A run with [threshold = 0] never optimises: the final counters are
-    the AVEP (reference input) or INIP(train) (training input) profile. *)
+    the AVEP (reference input) or INIP(train) (training input) profile.
+
+    The engine is a {e guest driver} (the machine and the block map,
+    one block at a time) feeding a {e translator model}
+    (everything above, plus the code cache, the monitors and the cycle
+    charges).  A translator never changes what the guest does, so one
+    driver can feed many models at once: a {!Group} runs N
+    configurations over one interpretation of the guest, each model
+    ending exactly as its own engine would. *)
 
 type config = {
   threshold : int;  (** retranslation threshold T; [<= 0] = never optimise *)
@@ -276,4 +284,65 @@ val restore : ?config:config -> Tpdbt_isa.Program.t -> image -> t
     run's determinism guarantee holds only then.
     @raise Invalid_argument if the image is inconsistent with the
     program (array lengths vs block count, out-of-range block ids,
-    malformed cache entries or block states). *)
+    malformed cache entries or block states) or with itself (a region
+    id at or above the id counter, or used twice). *)
+
+(** {2 Groups: one driver, many models}
+
+    A group runs several configurations over {e one} interpretation of
+    the guest.  Each member stops where its own engine would — at its
+    own dispatch point, under its own [max_steps] and fatal [deadline],
+    with its own step count and outputs — and its {!result} is
+    identical to that engine's.  The driver runs until the last member
+    stops.
+
+    The members' suspension triggers act on the group as a whole:
+    [snapshot_every] suspends it every that many guest instructions and
+    a [deadline] with [suspend_on_deadline] suspends it at the
+    deadline, in both cases at the first block boundary at or past the
+    step.  A suspended group is {!Group.capture}d with each member's
+    position in the block stream — at a dispatch point, inside a region
+    at a given slot, or stopped — and resumes byte-identically. *)
+
+type position =
+  | At_dispatch  (** outside every region, before the next block *)
+  | In_region of { region : int; slot : int }
+      (** executing region [region]; the next block is slot [slot]'s *)
+  | Stopped of { steps : int; outputs : int; error : Error.t option }
+      (** finished at guest step [steps] with [outputs] values emitted *)
+
+type group_image = {
+  gi_machine : Tpdbt_vm.Machine.image;  (** the driver's machine *)
+  gi_members : (position * image) list;
+      (** in member order; every [ex_machine] is [gi_machine] *)
+}
+
+module Group : sig
+  type t
+
+  val create :
+    ?mem_words:int -> seed:int64 -> Tpdbt_isa.Program.t -> config list -> t
+  (** One driver over [program] feeding one model per config, in order.
+      @raise Invalid_argument on an empty list, a config with a fault
+      plan or [shadow_sample > 0] (both need the machine itself), or
+      members that disagree on their suspension triggers. *)
+
+  val run : t -> Error.t option
+  (** Drive until every member has stopped ([None]: read {!results}),
+      or until the group suspends ([Some (Error.Suspended _)], with
+      [deadline = true] for a deadline suspension): {!capture} it, or
+      [run] it again to continue. *)
+
+  val results : t -> result list
+  (** One result per member, in order; meaningful once {!run} returned
+      [None]. *)
+
+  val capture : t -> group_image
+
+  val restore :
+    Tpdbt_isa.Program.t -> config list -> group_image -> t
+  (** [configs] must be the captured group's, in order.
+      @raise Invalid_argument as {!val-restore} does for each member, or
+      when a position names no slot of an installed region entered at
+      its entry block, or a stop lies past the machine. *)
+end

@@ -63,11 +63,7 @@ let role_code = function
 let bits a = Array.map (fun b -> if b then 1 else 0) a
 let spaced f l = String.concat "" (List.map f l)
 
-let payload ~config_digest:cd ~program_digest:pd (im : Engine.image) =
-  let w = W.create () in
-  W.line w "config %s" cd;
-  W.line w "program %s" pd;
-  let m = im.Engine.ex_machine in
+let write_machine w (m : Machine.image) =
   W.line w "mem_words %d" m.Machine.im_mem_words;
   W.ints w "regs" m.Machine.im_regs;
   W.line w "mem %d%s"
@@ -82,7 +78,10 @@ let payload ~config_digest:cd ~program_digest:pd (im : Engine.image) =
   W.ints w "outputs" m.Machine.im_outputs;
   W.line w "msteps %d" m.Machine.im_steps;
   W.line w "halted %d" (if m.Machine.im_halted then 1 else 0);
-  W.ints w "poisoned" (Array.of_list m.Machine.im_poisoned);
+  W.ints w "poisoned" (Array.of_list m.Machine.im_poisoned)
+
+(* Everything but the machine: the model's half of an image. *)
+let write_model w (im : Engine.image) =
   W.ints w "use" im.Engine.ex_use;
   W.ints w "taken" im.Engine.ex_taken;
   W.ints w "bstate" im.Engine.ex_state;
@@ -144,7 +143,14 @@ let payload ~config_digest:cd ~program_digest:pd (im : Engine.image) =
       W.line w "shot %d %s %Ld %d %d" s.Fault.arm.Fault.step
         (Fault.kind_name s.Fault.arm.Fault.kind)
         s.Fault.arm.Fault.salt s.Fault.fired_step s.Fault.target)
-    im.Engine.ex_fired;
+    im.Engine.ex_fired
+
+let payload ~config_digest:cd ~program_digest:pd (im : Engine.image) =
+  let w = W.create () in
+  W.line w "config %s" cd;
+  W.line w "program %s" pd;
+  write_machine w im.Engine.ex_machine;
+  write_model w im;
   W.line w "end";
   W.contents w
 
@@ -211,11 +217,7 @@ let region r =
   let ls = R.int r "monitor" in
   (region, (id, (e, s, lt, ls, flag r "monitor")))
 
-let read_payload r =
-  R.tagged r "config";
-  let sn_config_digest = R.word r "config" in
-  R.tagged r "program";
-  let sn_program_digest = R.word r "program" in
+let read_machine r =
   R.tagged r "mem_words";
   let im_mem_words = R.int r "mem_words" in
   let im_regs = R.ints r "regs" in
@@ -238,6 +240,20 @@ let read_payload r =
   R.tagged r "halted";
   let im_halted = flag r "halted" in
   let im_poisoned = Array.to_list (R.ints r "poisoned") in
+  {
+    Machine.im_mem_words;
+    im_regs;
+    im_mem = Array.of_list im_mem;
+    im_pc;
+    im_ret_stack;
+    im_prng;
+    im_outputs;
+    im_steps;
+    im_halted;
+    im_poisoned;
+  }
+
+let read_model r ex_machine =
   let ex_use = R.ints r "use" in
   let ex_taken = R.ints r "taken" in
   let ex_state = R.ints r "bstate" in
@@ -289,68 +305,189 @@ let read_payload r =
         let fired_step = R.int r "shot" in
         { Fault.arm; fired_step; target = R.int r "shot" })
   in
-  R.finish r;
   {
-    sn_config_digest;
-    sn_program_digest;
-    sn_image =
-      {
-        Engine.ex_machine =
-          {
-            Machine.im_mem_words;
-            im_regs;
-            im_mem = Array.of_list im_mem;
-            im_pc;
-            im_ret_stack;
-            im_prng;
-            im_outputs;
-            im_steps;
-            im_halted;
-            im_poisoned;
-          };
-        ex_use;
-        ex_taken;
-        ex_state;
-        ex_touched;
-        ex_dissolve;
-        ex_regions = List.map fst with_monitors;
-        ex_monitors = List.sort compare (List.map snd with_monitors);
-        ex_next_region_id;
-        ex_pool;
-        ex_pool_trigger_now;
-        ex_fault_fails;
-        ex_quarantined;
-        ex_quarantine_count;
-        ex_degraded;
-        ex_last_round_step;
-        ex_cache;
-        ex_cache_stats;
-        ex_counters;
-        ex_pending;
-        ex_fired;
-      };
+    Engine.ex_machine;
+    ex_use;
+    ex_taken;
+    ex_state;
+    ex_touched;
+    ex_dissolve;
+    ex_regions = List.map fst with_monitors;
+    ex_monitors = List.sort compare (List.map snd with_monitors);
+    ex_next_region_id;
+    ex_pool;
+    ex_pool_trigger_now;
+    ex_fault_fails;
+    ex_quarantined;
+    ex_quarantine_count;
+    ex_degraded;
+    ex_last_round_step;
+    ex_cache;
+    ex_cache_stats;
+    ex_counters;
+    ex_pending;
+    ex_fired;
   }
+
+let read_payload r =
+  R.tagged r "config";
+  let sn_config_digest = R.word r "config" in
+  R.tagged r "program";
+  let sn_program_digest = R.word r "program" in
+  let sn_image = read_model r (read_machine r) in
+  R.finish r;
+  { sn_config_digest; sn_program_digest; sn_image }
 
 let of_string = Durable.parse ~magic read_payload
 
 (* ---- restore ----------------------------------------------------------- *)
 
-let restore ~config ~program parsed =
-  let cd = config_digest config in
-  let pd = program_digest program in
-  if not (String.equal cd parsed.sn_config_digest) then
-    Error
-      (Printf.sprintf "config mismatch: snapshot taken under %s, resuming under %s"
-         parsed.sn_config_digest cd)
-  else if not (String.equal pd parsed.sn_program_digest) then
-    Error
-      (Printf.sprintf
-         "program mismatch: snapshot taken under %s, resuming under %s"
-         parsed.sn_program_digest pd)
+let digests_match ~what ~expected ~found =
+  if String.equal expected found then Ok ()
   else
-    match Engine.restore ~config program parsed.sn_image with
-    | t -> Ok t
-    | exception Invalid_argument reason -> Error reason
+    Error
+      (Printf.sprintf "%s mismatch: snapshot taken under %s, resuming under %s"
+         what found expected)
+
+let restore ~config ~program parsed =
+  let ( let* ) = Result.bind in
+  let* () =
+    digests_match ~what:"config" ~expected:(config_digest config)
+      ~found:parsed.sn_config_digest
+  in
+  let* () =
+    digests_match ~what:"program" ~expected:(program_digest program)
+      ~found:parsed.sn_program_digest
+  in
+  match Engine.restore ~config program parsed.sn_image with
+  | t -> Ok t
+  | exception Invalid_argument reason -> Error reason
+
+(* ---- group records ------------------------------------------------------ *)
+
+(* Version 1: one driver and its models — the machine once, then each
+   member's label, config digest, position in the block stream and
+   model state in the engine snapshot's own lines. *)
+let group_magic = "TPDBT-GROUP 1"
+
+type group_parsed = {
+  gp_program_digest : string;
+  gp_members : (string * string) list;
+  gp_image : Engine.group_image;
+}
+
+let is_group text =
+  String.starts_with ~prefix:(String.sub group_magic 0 12) text
+
+let write_position w = function
+  | Engine.At_dispatch -> W.line w "at dispatch"
+  | Engine.In_region { region; slot } -> W.line w "at region %d %d" region slot
+  | Engine.Stopped { steps; outputs; error } ->
+      let why =
+        match error with
+        | None -> "halt"
+        | Some (Error.Limit_exceeded { steps; max_steps }) ->
+            Printf.sprintf "limit %d %d" steps max_steps
+        | Some (Error.Deadline_exceeded { steps; deadline }) ->
+            Printf.sprintf "deadline %d %d" steps deadline
+        | Some (Error.Dispatch_lost { pc }) -> Printf.sprintf "lost %d" pc
+        | Some e ->
+            invalid_arg
+              ("Exec_snapshot.group_to_string: a member stopped with "
+             ^ Error.to_string e)
+      in
+      W.line w "at stopped %d %d %s" steps outputs why
+
+let group_to_string ~program members (g : Engine.group_image) =
+  if List.length members <> List.length g.Engine.gi_members then
+    invalid_arg "Exec_snapshot.group_to_string: member count";
+  let w = W.create () in
+  W.line w "program %s" (program_digest program);
+  write_machine w g.Engine.gi_machine;
+  W.line w "members %d" (List.length members);
+  List.iter2
+    (fun (label, config) (at, image) ->
+      W.line w "member %s %s" label (config_digest config);
+      write_position w at;
+      write_model w image)
+    members g.Engine.gi_members;
+  W.line w "end";
+  Durable.seal ~magic:group_magic (W.contents w)
+
+let read_position r =
+  R.tagged r "at";
+  match R.word r "at" with
+  | "dispatch" -> Engine.At_dispatch
+  | "region" ->
+      let region = R.int r "at" in
+      Engine.In_region { region; slot = R.int r "at" }
+  | "stopped" ->
+      let steps = R.int r "at" in
+      let outputs = R.int r "at" in
+      let error =
+        match R.word r "at" with
+        | "halt" -> None
+        | "limit" ->
+            let steps = R.int r "at" in
+            Some (Error.Limit_exceeded { steps; max_steps = R.int r "at" })
+        | "deadline" ->
+            let steps = R.int r "at" in
+            Some (Error.Deadline_exceeded { steps; deadline = R.int r "at" })
+        | "lost" -> Some (Error.Dispatch_lost { pc = R.int r "at" })
+        | why -> R.fail r "at" ("bad stop " ^ why)
+      in
+      Engine.Stopped { steps; outputs; error }
+  | at -> R.fail r "at" ("bad position " ^ at)
+
+let read_group r =
+  R.tagged r "program";
+  let gp_program_digest = R.word r "program" in
+  let machine = read_machine r in
+  let members =
+    R.list r "members" (fun r ->
+        R.tagged r "member";
+        let label = R.word r "member" in
+        let digest = R.word r "member" in
+        let at = read_position r in
+        ((label, digest), (at, read_model r machine)))
+  in
+  R.finish r;
+  {
+    gp_program_digest;
+    gp_members = List.map fst members;
+    gp_image =
+      { Engine.gi_machine = machine; gi_members = List.map snd members };
+  }
+
+let group_of_string = Durable.parse ~magic:group_magic read_group
+
+let group_restore ~program members parsed =
+  let ( let* ) = Result.bind in
+  let* () =
+    digests_match ~what:"program" ~expected:(program_digest program)
+      ~found:parsed.gp_program_digest
+  in
+  let* () =
+    if List.length members <> List.length parsed.gp_members then
+      Error
+        (Printf.sprintf "the group holds %d members, not %d"
+           (List.length parsed.gp_members) (List.length members))
+    else
+      List.fold_left2
+        (fun acc (label, config) (found_label, found) ->
+          let* () = acc in
+          if not (String.equal label found_label) then
+            Error
+              (Printf.sprintf "member %s where %s was expected" found_label
+                 label)
+          else
+            digests_match ~what:("config of " ^ label)
+              ~expected:(config_digest config) ~found)
+        (Ok ()) members parsed.gp_members
+  in
+  match Engine.Group.restore program (List.map snd members) parsed.gp_image with
+  | g -> Ok g
+  | exception Invalid_argument reason -> Error reason
 
 (* ---- info -------------------------------------------------------------- *)
 

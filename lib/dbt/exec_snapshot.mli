@@ -45,6 +45,48 @@ val restore :
 (** Digest checks, then {!Engine.restore}; its [Invalid_argument]
     (image inconsistent with the program) comes back as [Error]. *)
 
+(** {2 Group records}
+
+    A suspended {!Engine.Group} travels as one sealed record under the
+    magic [TPDBT-GROUP 1]: the program digest and the driver's machine
+    once, then per member its label, its config digest, its position in
+    the block stream ({!Engine.position}) and its model state in the
+    engine snapshot's own lines.  Damage is classified exactly as for
+    [TPDBT-SNAP]. *)
+
+type group_parsed = {
+  gp_program_digest : string;
+  gp_members : (string * string) list;  (** (label, config digest) *)
+  gp_image : Engine.group_image;
+}
+
+val is_group : string -> bool
+(** The text names the group format (any version): the dispatch a
+    reader of either kind of record makes before parsing. *)
+
+val group_to_string :
+  program:Tpdbt_isa.Program.t ->
+  (string * Engine.config) list ->
+  Engine.group_image ->
+  string
+(** [group_to_string ~program members image]: [members] are the group's
+    (label, config) pairs, in member order; labels are single words.
+    @raise Invalid_argument if the counts differ, or a member stopped
+    with an error a group cannot meet (a trap, a fault's error or a
+    member-level suspension end the group's run first). *)
+
+val group_of_string : string -> group_parsed Tpdbt_durable.Durable.classified
+(** Total, like {!of_string}. *)
+
+val group_restore :
+  program:Tpdbt_isa.Program.t ->
+  (string * Engine.config) list ->
+  group_parsed ->
+  (Engine.Group.t, string) result
+(** Checks the program digest and every member's label and config
+    digest, in order, then {!Engine.Group.restore}; its
+    [Invalid_argument] comes back as [Error]. *)
+
 type info = {
   steps : int;  (** guest instructions executed before suspension *)
   halted : bool;

@@ -4,6 +4,7 @@ module Spec = Tpdbt_workloads.Spec
 module Suite = Tpdbt_workloads.Suite
 module Profile_io = Tpdbt_profiles.Profile_io
 module Durable = Tpdbt_durable.Durable
+module Exec_snapshot = Tpdbt_dbt.Exec_snapshot
 
 (* Version 4 lets the store hold mid-run state: a file is either a
    finished benchmark (the v3 payload behind a "kind finished" line)
@@ -186,14 +187,20 @@ let read_payload expect_thresholds spec r =
       R.tagged r "next";
       let p_next = read_stage labels r "next" in
       let p_snapshot = R.section_text r "exec" in
-      (* The embedded engine snapshot carries its own magic and CRC —
-         validate it now so a damaged one classifies the whole store
-         entry as corrupt instead of failing at resume time. *)
+      (* The embedded snapshot — one engine's, or a group's — carries
+         its own magic and CRC: validate it now so a damaged one
+         classifies the whole store entry as corrupt instead of failing
+         at resume time. *)
+      let valid c = Durable.bind c (fun _ -> Valid ()) in
       (match
-         Durable.to_result ~what:"snapshot"
-           (Tpdbt_dbt.Exec_snapshot.of_string p_snapshot)
+         if Exec_snapshot.is_group p_snapshot then
+           Durable.to_result ~what:"group snapshot"
+             (valid (Exec_snapshot.group_of_string p_snapshot))
+         else
+           Durable.to_result ~what:"snapshot"
+             (valid (Exec_snapshot.of_string p_snapshot))
        with
-      | Ok _ -> ()
+      | Ok () -> ()
       | Error msg -> R.fail r "exec" ("embedded " ^ msg));
       R.finish r;
       Suspended

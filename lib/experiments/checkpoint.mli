@@ -9,8 +9,10 @@
     checkpoints produces output byte-identical to an uninterrupted one.
 
     A {e suspended} checkpoint (format v4) additionally exists mid-run:
-    the completed stages plus the in-flight engine's serialized image
-    ({!Tpdbt_dbt.Exec_snapshot}).  A benchmark's file monotonically
+    the completed stages plus the in-flight run's serialized state
+    ({!Tpdbt_dbt.Exec_snapshot}: a [TPDBT-GROUP] record for the
+    reference group, a [TPDBT-SNAP] image for one engine), validated
+    on load like the rest of the file.  A benchmark's file monotonically
     progresses suspended -> ... -> suspended -> finished in the same
     slot, so a sweep killed at {e any} guest instruction resumes from
     its last snapshot — and, by the engine's capture/restore guarantee,

@@ -90,9 +90,8 @@ let run_benchmark_result ?(thresholds = Suite.thresholds) ?max_steps ?deadline
     else { config with Engine.snapshot_every; suspend_on_deadline }
   in
   let program, ref_input, train_input = Spec.build bench in
-  let stages =
-    Avep :: Train :: List.map (fun (l, s) -> Threshold (l, s)) thresholds
-  in
+  let threshold_stages = List.map (fun (l, s) -> Threshold (l, s)) thresholds in
+  let stages = Avep :: Train :: threshold_stages in
   let stage_config stage =
     arm
       (budget
@@ -104,6 +103,7 @@ let run_benchmark_result ?(thresholds = Suite.thresholds) ?max_steps ?deadline
     | Train -> train_input
     | Avep | Threshold _ -> ref_input
   in
+  let ref_program = Spec.apply_input program ref_input in
   let* () =
     match resume with
     | Some p when not (String.equal p.p_bench.Spec.name bench.Spec.name) ->
@@ -117,75 +117,156 @@ let run_benchmark_result ?(thresholds = Suite.thresholds) ?max_steps ?deadline
              "suspended state recorded under a different threshold list")
     | _ -> Ok ()
   in
-  (* Drive one stage to completion.  A snapshot-trigger suspension
-     publishes the partial state and keeps running the same engine; a
-     deadline suspension publishes it and stops the whole benchmark —
-     the caller resumes it later, from exactly this point. *)
-  let exec done_ stage =
+  (* Finished stages, and a publisher of the partial state that sits
+     between them and the interrupted run. *)
+  let finished = ref (match resume with Some p -> p.p_done | None -> []) in
+  let publish next text =
+    Option.iter
+      (fun f ->
+        f
+          {
+            p_bench = bench;
+            p_thresholds = thresholds;
+            p_done =
+              List.filter_map
+                (fun s ->
+                  Option.map (fun r -> (s, r)) (List.assoc_opt s !finished))
+                stages;
+            p_next = next;
+            p_snapshot = text;
+          })
+      on_snapshot
+  in
+  let rejected reason =
+    Error (Error.Io_error ("snapshot rejected: " ^ reason))
+  in
+  (* Drive a suspendable run to its end.  A snapshot-trigger suspension
+     publishes the partial state and keeps running; a deadline
+     suspension publishes it and stops the whole benchmark — the caller
+     resumes it later, from exactly this point. *)
+  let rec until_done run snapshot =
+    match run () with
+    | Some (Error.Suspended { deadline = hard; _ } as e) ->
+        let next, text = snapshot () in
+        publish next text;
+        if hard then Error e else until_done run snapshot
+    | _ -> Ok ()
+  in
+  (* One stage on an engine of its own: the training input, or a stage a
+     per-stage snapshot interrupted. *)
+  let solo stage engine =
     let config = stage_config stage in
-    let input = stage_input stage in
-    let aprogram = Spec.apply_input program input in
-    let* engine =
-      match resume with
-      | Some p when p.p_next = stage -> (
+    let aprogram = Spec.apply_input program (stage_input stage) in
+    let result = ref None in
+    let* () =
+      until_done
+        (fun () ->
+          let r = Engine.run engine in
+          result := Some r;
+          r.Engine.error)
+        (fun () ->
+          ( stage,
+            Exec_snapshot.to_string ~config ~program:aprogram
+              (Engine.capture engine) ))
+    in
+    finished := (stage, Option.get !result) :: !finished;
+    Ok ()
+  in
+  (* The reference-input stages left to run share one interpretation of
+     the guest: one driver feeding a model per stage. *)
+  let members group =
+    List.map (fun s -> (stage_label s, stage_config s)) group
+  in
+  let ref_group group g =
+    let* () =
+      until_done
+        (fun () -> Engine.Group.run g)
+        (fun () ->
+          ( List.hd group,
+            Exec_snapshot.group_to_string ~program:ref_program (members group)
+              (Engine.Group.capture g) ))
+    in
+    List.iter2
+      (fun s r -> finished := (s, r) :: !finished)
+      group (Engine.Group.results g);
+    Ok ()
+  in
+  let pending () =
+    List.filter
+      (fun s -> not (List.mem_assoc s !finished))
+      (Avep :: threshold_stages)
+  in
+  let* () =
+    match resume with
+    | Some { p_next; p_snapshot; _ } when not (List.mem_assoc p_next !finished)
+      ->
+        if Exec_snapshot.is_group p_snapshot then begin
+          let group = pending () in
+          match
+            Tpdbt_durable.Durable.to_result ~what:"group snapshot"
+              (Exec_snapshot.group_of_string p_snapshot)
+          with
+          | Error msg -> Error (Error.Io_error msg)
+          | Ok _ when (match group with s :: _ -> s <> p_next | [] -> true) ->
+              rejected "the group does not start at the interrupted stage"
+          | Ok parsed -> (
+              match
+                Exec_snapshot.group_restore ~program:ref_program
+                  (members group) parsed
+              with
+              | Ok g -> ref_group group g
+              | Error reason -> rejected reason)
+        end
+        else begin
+          let config = stage_config p_next in
+          let aprogram = Spec.apply_input program (stage_input p_next) in
           match
             Tpdbt_durable.Durable.to_result ~what:"snapshot"
-              (Exec_snapshot.of_string p.p_snapshot)
+              (Exec_snapshot.of_string p_snapshot)
           with
+          | Error msg -> Error (Error.Io_error msg)
           | Ok parsed -> (
               match Exec_snapshot.restore ~config ~program:aprogram parsed with
-              | Ok t -> Ok t
-              | Error reason ->
-                  Error (Error.Io_error ("snapshot rejected: " ^ reason)))
-          | Error msg -> Error (Error.Io_error msg))
-      | _ -> Ok (Engine.create ~config ~seed:input.Spec.seed aprogram)
-    in
-    let rec go () =
-      let result = Engine.run engine in
-      match result.Engine.error with
-      | Some (Error.Suspended { deadline = hard; _ } as e) ->
-          (match on_snapshot with
-          | Some f ->
-              f
-                {
-                  p_bench = bench;
-                  p_thresholds = thresholds;
-                  p_done = List.rev done_;
-                  p_next = stage;
-                  p_snapshot =
-                    Exec_snapshot.to_string ~config ~program:aprogram
-                      (Engine.capture engine);
-                }
-          | None -> ());
-          if hard then Error e else go ()
-      | Some e when Error.fatal e -> Error e
-      | _ -> Ok result
-    in
-    go ()
+              | Ok engine -> solo p_next engine
+              | Error reason -> rejected reason)
+        end
+    | _ -> Ok ()
   in
-  let rec stages_loop done_ = function
-    | [] -> Ok (List.rev done_)
-    | stage :: tl -> (
-        match
-          Option.bind resume (fun p -> List.assoc_opt stage p.p_done)
-        with
-        | Some result -> stages_loop ((stage, result) :: done_) tl
-        | None ->
-            let* result = exec done_ stage in
-            stages_loop ((stage, result) :: done_) tl)
+  let* () =
+    match pending () with
+    | [] -> Ok ()
+    | group ->
+        ref_group group
+          (Engine.Group.create ~seed:ref_input.Spec.seed ref_program
+             (List.map stage_config group))
   in
-  let* all = stages_loop [] stages in
-  match all with
-  | (Avep, avep) :: (Train, train) :: rest ->
-      let raw_runs =
-        List.map
-          (function
-            | Threshold (label, scaled), r -> (label, scaled, r)
-            | (Avep | Train), _ -> assert false)
-          rest
-      in
-      Ok (assemble bench avep train raw_runs)
-  | _ -> assert false
+  (* The first fatal error in stage order wins, as it would if the
+     stages ran one after another. *)
+  let fatal stage =
+    match (List.assoc stage !finished).Engine.error with
+    | Some e when Error.fatal e -> Error e
+    | _ -> Ok ()
+  in
+  let* () = fatal Avep in
+  let* () =
+    if List.mem_assoc Train !finished then Ok ()
+    else
+      solo Train
+        (Engine.create ~config:(stage_config Train)
+           ~seed:train_input.Spec.seed
+           (Spec.apply_input program train_input))
+  in
+  let* () = fatal Train in
+  let* () =
+    List.fold_left (fun acc s -> Result.bind acc (fun () -> fatal s)) (Ok ())
+      threshold_stages
+  in
+  let result s = List.assoc s !finished in
+  Ok
+    (assemble bench (result Avep) (result Train)
+       (List.map (fun (label, scaled) ->
+            (label, scaled, result (Threshold (label, scaled))))
+          thresholds))
 
 let run_benchmark ?thresholds ?max_steps ?deadline bench =
   match run_benchmark_result ?thresholds ?max_steps ?deadline bench with

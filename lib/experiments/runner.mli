@@ -7,7 +7,12 @@
     - one two-phase run per retranslation threshold (INIP(T)),
 
     then compares each INIP(T) against AVEP ({!Tpdbt_profiles.Metrics})
-    and INIP(train) against AVEP. *)
+    and INIP(train) against AVEP.
+
+    The AVEP run and the threshold runs share one interpretation of the
+    reference input: one guest driver feeds a translator model per
+    stage ({!Tpdbt_dbt.Engine.Group}), each of which ends exactly as
+    its own engine would.  The training input runs on its own engine. *)
 
 type threshold_run = {
   label : string;  (** paper-equivalent label, e.g. "2k" *)
@@ -48,12 +53,12 @@ val run_benchmark :
 
 (** {2 Suspend / resume}
 
-    A benchmark is a fixed sequence of engine runs ("stages"): the AVEP
-    profile, the training profile, then one optimised run per
-    threshold.  The suspension machinery works over this sequence: a
-    mid-run snapshot is the finished stages plus the in-flight engine's
-    serialized image ({!Tpdbt_dbt.Exec_snapshot}), and resuming a
-    {!partial} then running to completion produces a {!data} — and
+    A benchmark is a fixed set of runs ("stages"): the AVEP profile, the
+    training profile, then one optimised run per threshold.  A mid-run
+    snapshot is the finished stages plus the in-flight run's serialized
+    state ({!Tpdbt_dbt.Exec_snapshot}): the reference group's
+    [TPDBT-GROUP] record, or one engine's [TPDBT-SNAP] image.  Resuming
+    a {!partial} then running to completion produces a {!data} — and
     hence checkpoint bytes — identical to an uninterrupted run's. *)
 
 type stage =
@@ -69,8 +74,14 @@ type partial = {
   p_thresholds : (string * int) list;
   p_done : (stage * Tpdbt_dbt.Engine.result) list;
       (** finished stages, in stage order *)
-  p_next : stage;  (** the stage the snapshot interrupts *)
-  p_snapshot : string;  (** {!Tpdbt_dbt.Exec_snapshot.to_string} text *)
+  p_next : stage;
+      (** the stage the snapshot interrupts; for a group, its first
+          member *)
+  p_snapshot : string;
+      (** {!Tpdbt_dbt.Exec_snapshot.group_to_string} text for the
+          reference group, {!Tpdbt_dbt.Exec_snapshot.to_string} text
+          for one stage's engine (the training stage, or a slot that
+          names one interrupted stage) *)
 }
 
 val run_benchmark_result :
@@ -87,16 +98,18 @@ val run_benchmark_result :
     use to isolate a failing benchmark without losing the others.
 
     [snapshot_every n] (default 0 = off) publishes a {!partial} to
-    [on_snapshot] roughly every [n] guest instructions of the in-flight
-    stage, then {e continues}; the final result is byte-identical to a
-    run without the trigger.  [suspend_on_deadline] (default false)
-    turns a blown [deadline] into a parked benchmark: the last state is
-    published to [on_snapshot] and the call returns
+    [on_snapshot] every [n] guest instructions of the reference pass and
+    of the training pass, then {e continues}; the final result is
+    byte-identical to a run without the trigger.  [suspend_on_deadline]
+    (default false) turns a blown [deadline] into a parked benchmark:
+    the last state is published to [on_snapshot] and the call returns
     [Error (Suspended _)] — a {e non-fatal} error marking work to
-    resume, not a failure.  [resume] continues from a previously
-    published {!partial}: finished stages are reused as recorded, the
-    interrupted stage continues from its engine image, and the rest run
-    normally.  A damaged or mismatched [resume] (wrong benchmark,
+    resume, not a failure.  A fatal [deadline] stops each stage at its
+    own dispatch point, and a failing benchmark reports the first fatal
+    error in AVEP, training, thresholds order.  [resume] continues from
+    a previously published {!partial}: finished stages are reused as
+    recorded, the interrupted group or stage continues from its
+    snapshot, and the rest run normally.  A damaged or mismatched [resume] (wrong benchmark,
     different thresholds, corrupt or stale snapshot text, config or
     program digest mismatch) yields [Error (Io_error _)] — never a
     wrong result. *)

@@ -69,6 +69,43 @@ let arm_labels = List.map (fun a -> a.label) arms
    re-instruments dissolved members). *)
 let translation_invariant = [ "t0"; "t2"; "t8"; "t2-shadow"; "t2-trace" ]
 
+(* Arms that never touch the machine, so one driver can feed them all:
+   every arm but the shadow oracle's, which reads the registers. *)
+let one_pass =
+  [
+    "t0"; "t2"; "t8"; "t2-lru"; "t2-flush"; "t2-hot"; "t2-adaptive"; "t2-trace";
+  ]
+
+(* Everything a run reports, as text, so a divergence names its line. *)
+let run_text (r : Engine.result) =
+  let w = Tpdbt_durable.Durable.Writer.create () in
+  let line fmt = Tpdbt_durable.Durable.Writer.line w fmt in
+  line "steps %d" r.Engine.steps;
+  Tpdbt_durable.Durable.Writer.ints w "outputs"
+    (Array.of_list r.Engine.outputs);
+  line "error %s"
+    (match r.Engine.error with None -> "none" | Some e -> Error.to_string e);
+  Perf_model.write_counters w r.Engine.counters;
+  List.iter
+    (fun (id, (s : Engine.region_stats)) ->
+      line "regstat %d %d %d %d %d" id s.Engine.entries s.Engine.side_exits
+        s.Engine.loop_back_taken s.Engine.loop_back_seen)
+    r.Engine.region_stats;
+  Tpdbt_durable.Durable.Writer.section w "profile"
+    (Tpdbt_profiles.Profile_io.to_string r.Engine.snapshot);
+  Tpdbt_durable.Durable.Writer.contents w
+
+let first_difference a b =
+  let la = String.split_on_char '\n' a and lb = String.split_on_char '\n' b in
+  let rec go i = function
+    | x :: xs, y :: ys ->
+        if String.equal x y then go (i + 1) (xs, ys) else Some (i, x, y)
+    | x :: _, [] -> Some (i, x, "<end>")
+    | [], y :: _ -> Some (i, "<end>", y)
+    | [], [] -> None
+  in
+  go 1 (la, lb)
+
 (* ---- running one engine configuration ----------------------------------- *)
 
 (* An exception escaping the engine is exactly what the fuzzer hunts:
@@ -237,6 +274,42 @@ let check ?(perturb = fun ~arm:_ fp -> fp) ~seed program =
                       Printf.sprintf "stage steps sum %d <> steps %d"
                         !stage_steps sres.Engine.steps)
                     (!stage_steps = sres.Engine.steps)));
+          (* One pass: the machine-independent arms as members of one
+             group, fed by one interpretation of the guest, must each
+             report exactly what their own run reported. *)
+          (let members =
+             List.filter_map
+               (fun label ->
+                 Option.map (fun (a, res, _) -> (a, res)) (find label))
+               one_pass
+           in
+           if members <> [] then
+             match
+               let g =
+                 Engine.Group.create ~mem_words ~seed program
+                   (List.map (fun (a, _) -> a.config) members)
+               in
+               ignore (Engine.Group.run g);
+               Engine.Group.results g
+             with
+             | exception exn ->
+                 incr checks;
+                 report "one-pass" "crash" (Printexc.to_string exn)
+             | results ->
+                 List.iter2
+                   (fun (a, res) grouped ->
+                     let d () =
+                       match
+                         first_difference (run_text res) (run_text grouped)
+                       with
+                       | Some (line, alone, one) ->
+                           Printf.sprintf "%s line %d: alone %S, one pass %S"
+                             a.label line alone one
+                       | None -> a.label
+                     in
+                     expect "one-pass" "metamorphic:one-pass" d
+                       (String.equal (run_text res) (run_text grouped)))
+                   members results);
           (* Suspend/resume identity: stop the optimizing arm at a
              seeded guest instruction, round-trip the engine image
              through its serialized text (capture -> to_string ->

@@ -29,7 +29,14 @@
       seeded guest instruction, round-tripping the engine image
       through its serialized snapshot text and completing the run
       reproduces the uninterrupted arm's fingerprint and cycle count
-      exactly (the fuzz-scale form of docs/snapshots.md's guarantee).
+      exactly (the fuzz-scale form of docs/snapshots.md's guarantee);
+    - {b one pass}: the eight arms that never touch the machine ([t0],
+      [t2], [t8], [t2-lru], [t2-flush], [t2-hot], [t2-adaptive],
+      [t2-trace]) run again as one {!Tpdbt_dbt.Engine.Group}, all fed
+      by one interpretation of the guest, and each member reports
+      exactly what its own run reported: steps, outputs, error, cycles,
+      every perf counter, region stats and profile text ([t2-shadow]
+      reads the registers, so it keeps a driver of its own).
 
     Everything is deterministic: same program + seed, same verdict. *)
 

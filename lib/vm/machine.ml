@@ -796,3 +796,9 @@ let pp_trap ppf = function
       Format.fprintf ppf "branch at pc %d to out-of-range target %d" pc target
   | Invalid_rnd_bound { pc; bound } ->
       Format.fprintf ppf "rnd with non-positive bound %d at pc %d" bound pc
+
+let output_count t = t.out_len
+
+let outputs_upto t n =
+  if n < 0 || n > t.out_len then invalid_arg "Machine.outputs_upto";
+  Array.to_list (Array.sub t.out_buf 0 n)

@@ -77,6 +77,14 @@ val set_mem : t -> int -> int -> unit
 val outputs : t -> int list
 (** Values emitted by [out], oldest first. *)
 
+val output_count : t -> int
+(** [List.length (outputs t)], without building the list. *)
+
+val outputs_upto : t -> int -> int list
+(** The first [n] values of {!outputs}: the output log as it stood when
+    {!output_count} was [n].
+    @raise Invalid_argument unless [0 <= n <= output_count t]. *)
+
 val poison : t -> int -> unit
 (** Corrupt the instruction at this pc: executing it henceforth traps
     with {!Illegal_instruction}.  Fault injection uses this to model a

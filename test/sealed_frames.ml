@@ -4,8 +4,11 @@
    keep their reason strings, and a payload damaged and then re-sealed
    with a correct CRC — damage the frame cannot see — is still
    classified without an exception.  The checkpoint formats run it in
-   test_robustness.ml, the engine snapshot in test_snapshots.ml and
-   profile files in test_profiles.ml. *)
+   test_robustness.ml, the engine and group snapshots in
+   test_snapshots.ml and profile files in test_profiles.ml.  A format
+   whose parsed value is later restored into live state passes
+   [restore]: every integer-substituted payload that still parses must
+   then restore or be refused, never raise or exhaust memory. *)
 
 module Durable = Tpdbt_durable.Durable
 
@@ -46,9 +49,10 @@ let int_tokens payload =
     payload;
   List.rev !tokens
 
-(* One format instance: its text and its total classifier. *)
-let check name text classify =
-  let classify t = erase (classify t) in
+(* One format instance: its text, its total classifier and, for a state
+   image, the restore that must refuse what the grammar let through. *)
+let check ?restore name text classify_value =
+  let classify t = erase (classify_value t) in
   let magic = String.sub text 0 (String.index text '\n') in
   let kind = String.sub magic 0 (String.rindex magic ' ') in
   let payload =
@@ -111,16 +115,34 @@ let check name text classify =
     payload;
   (* ... but never into a sign or a far larger number: replace each
      integer whole, so that a count or an id turns negative, names
-     nothing, or promises far more than follows. *)
+     nothing, or promises far more than follows.  A restored image also
+     meets an id or a size far past anything its run could reach. *)
+  let substituted what mutant =
+    match classify_value (Durable.seal ~magic mutant) with
+    | Durable.Valid v -> (
+        match Option.map (fun restore -> restore v) restore with
+        | _ -> ()
+        | exception e ->
+            Alcotest.failf "%s: restoring %s raised %s" name (what ())
+              (Printexc.to_string e))
+    | Durable.Missing | Durable.Stale_version _ | Durable.Corrupt _ -> ()
+    | exception e ->
+        Alcotest.failf "%s: re-sealed %s raised %s" name (what ())
+          (Printexc.to_string e)
+  in
+  let values =
+    [ "-1"; "-7"; "100000" ]
+    @ if Option.is_none restore then [] else [ "1000000000" ]
+  in
   List.iter
     (fun (i, len) ->
       List.iter
         (fun v ->
-          resealed
+          substituted
             (fun () ->
               Printf.sprintf "%S at payload byte %d replaced by %s"
                 (String.sub payload i len) i v)
             (String.sub payload 0 i ^ v
             ^ String.sub payload (i + len) (String.length payload - i - len)))
-        [ "-1"; "-7"; "100000" ])
+        values)
     (int_tokens payload)

@@ -8,7 +8,8 @@
      a memory size whose prefix grows on demand as well;
    - the steady-state interpreter loop must not allocate (a hard
      [Gc.minor_words] budget per million steps — this is the number
-     the CI alloc-gate keeps honest end to end);
+     the CI alloc-gate keeps honest end to end), and neither may a
+     group of translator models fed by one driver;
    - [tpdbt perfdiff] must refuse BENCH files without host metadata
      (exit 2) and must judge only alloc_per_instr under --alloc-only. *)
 
@@ -215,6 +216,37 @@ let test_steady_state_allocation () =
     Alcotest.failf "steady state allocates %.0f words per 1M steps (budget %.0f)"
       per_msteps alloc_budget_words_per_msteps
 
+(* One driver feeding a profiling model and optimising models, as the
+   sweep's group does: past the first optimisation rounds every block
+   is a table lookup and a few counter updates per model, so a whole
+   group run stays inside the interpreter's budget. *)
+let test_group_allocation () =
+  let module Engine = Tpdbt_dbt.Engine in
+  let configs =
+    [
+      Engine.profiling_only;
+      Engine.config ~threshold:2 ();
+      Engine.config ~threshold:50 ();
+    ]
+  in
+  let g =
+    Engine.Group.create ~mem_words:1024 ~seed:1L (tight_loop 1_000_000) configs
+  in
+  let before = Gc.minor_words () in
+  checkb "the group ran to the end" true (Engine.Group.run g = None);
+  let after = Gc.minor_words () in
+  let steps =
+    List.fold_left max 0
+      (List.map
+         (fun (r : Engine.result) -> r.Engine.steps)
+         (Engine.Group.results g))
+  in
+  checkb "loop was long enough to meter" true (steps > 1_000_000);
+  let per_msteps = (after -. before) /. (float_of_int steps /. 1e6) in
+  if per_msteps > alloc_budget_words_per_msteps then
+    Alcotest.failf "a group run allocates %.0f words per 1M steps (budget %.0f)"
+      per_msteps alloc_budget_words_per_msteps
+
 (* ------------------------------------------------------------------ *)
 (* perfdiff CLI: host validation and --alloc-only                       *)
 (* ------------------------------------------------------------------ *)
@@ -291,6 +323,8 @@ let suite =
       test_dispatch_table_identity;
     Alcotest.test_case "steady-state allocation budget" `Quick
       test_steady_state_allocation;
+    Alcotest.test_case "group run allocation budget" `Quick
+      test_group_allocation;
     Alcotest.test_case "perfdiff host validation and alloc-only" `Quick
       test_perfdiff_cli_host_and_alloc_only;
   ]

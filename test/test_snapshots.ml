@@ -179,6 +179,7 @@ let test_snapshot_text_corruption_matrix () =
       checkb "not halted mid-run" false i.Snap.halted
   | _ -> Alcotest.fail "intact snapshot rejected");
   Sealed_frames.check "engine snapshot" text Snap.of_string
+    ~restore:(fun parsed -> ignore (Snap.restore ~config ~program parsed))
 
 (* ------------------------------------------------------------------ *)
 (* v4 suspended-checkpoint store                                        *)
@@ -280,6 +281,131 @@ let test_suspended_resume_byte_identity () =
       checks "resumed data serializes byte-identically"
         (Checkpoint.data_to_string straight)
         (Checkpoint.data_to_string resumed))
+
+(* ------------------------------------------------------------------ *)
+(* One guest pass: group suspension and per-stage slots                 *)
+(* ------------------------------------------------------------------ *)
+
+let straight_data () =
+  match Runner.run_benchmark_result ~thresholds:mini_thresholds mini with
+  | Ok d -> d
+  | Error e -> Alcotest.fail ("straight run failed: " ^ Error.to_string e)
+
+let group_members () =
+  let program, ref_input, _ = Spec.build mini in
+  ( Spec.apply_input program ref_input,
+    ("avep", Engine.profiling_only)
+    :: List.map
+         (fun (label, t) -> (label, Engine.config ~threshold:t ()))
+         mini_thresholds )
+
+let in_region text =
+  match Snap.group_of_string text with
+  | Durable.Valid g ->
+      List.exists
+        (fun (at, _) ->
+          match at with Engine.In_region _ -> true | _ -> false)
+        g.Snap.gp_image.Engine.gi_members
+  | _ -> Alcotest.fail "group snapshot does not parse"
+
+(* The first of a seeded run of block boundaries at which the reference
+   group suspends with a member inside a region. *)
+let group_suspended_in_region () =
+  let rng = Tpdbt_vm.Prng.create ~seed:23L in
+  let rec attempt k =
+    if k = 0 then Alcotest.fail "no suspension found a member in a region"
+    else
+      let deadline = 500 + Tpdbt_vm.Prng.below rng 20_000 in
+      let captured = ref None in
+      match
+        Runner.run_benchmark_result ~thresholds:mini_thresholds ~deadline
+          ~suspend_on_deadline:true
+          ~on_snapshot:(fun p -> captured := Some p)
+          mini
+      with
+      | Error (Error.Suspended _) -> (
+          match !captured with
+          | Some p when Snap.is_group p.Runner.p_snapshot
+                        && in_region p.Runner.p_snapshot ->
+              p
+          | Some _ -> attempt (k - 1)
+          | None -> Alcotest.fail "suspension published no partial")
+      | _ -> Alcotest.fail "the group did not suspend at its deadline"
+  in
+  attempt 50
+
+let test_group_resume_in_region () =
+  with_temp_dir (fun dir ->
+      let partial = group_suspended_in_region () in
+      checkb "the group stands at its first stage" true
+        (partial.Runner.p_next = Runner.Avep && partial.Runner.p_done = []);
+      Checkpoint.save_suspended ~dir partial;
+      let resumed =
+        match
+          Runner.run_benchmark_result ~thresholds:mini_thresholds
+            ?resume:
+              (Checkpoint.load_suspended ~thresholds:mini_thresholds ~dir mini)
+            mini
+        with
+        | Ok d -> d
+        | Error e -> Alcotest.fail ("resume failed: " ^ Error.to_string e)
+      in
+      checks "resumed group serializes byte-identically"
+        (Checkpoint.data_to_string (straight_data ()))
+        (Checkpoint.data_to_string resumed))
+
+(* A suspended slot as the performance ledger's stage-by-stage pipeline
+   writes it: finished AVEP and training stages, and one threshold
+   stage's own engine image.  It must resume to the same bytes. *)
+let test_per_stage_slot_resumes () =
+  with_temp_dir (fun dir ->
+      let program, ref_input, train_input = Spec.build mini in
+      let finish config (input : Spec.input) =
+        Engine.run
+          (Engine.create ~config ~seed:input.Spec.seed
+             (Spec.apply_input program input))
+      in
+      let avep = finish Engine.profiling_only ref_input in
+      let train = finish Engine.profiling_only train_input in
+      let label, t = List.hd mini_thresholds in
+      let config =
+        { (Engine.config ~threshold:t ()) with Engine.snapshot_every = 1_000 }
+      in
+      let aprogram = Spec.apply_input program ref_input in
+      let eng = Engine.create ~config ~seed:ref_input.Spec.seed aprogram in
+      checkb "the threshold stage suspended" true
+        (Engine.suspended (Engine.run eng));
+      Checkpoint.save_suspended ~dir
+        {
+          Runner.p_bench = mini;
+          p_thresholds = mini_thresholds;
+          p_done = [ (Runner.Avep, avep); (Runner.Train, train) ];
+          p_next = Runner.Threshold (label, t);
+          p_snapshot =
+            Snap.to_string ~config ~program:aprogram (Engine.capture eng);
+        };
+      match Checkpoint.classify ~thresholds:mini_thresholds ~dir mini with
+      | Checkpoint.Valid (Checkpoint.Suspended p) ->
+          let resumed =
+            match
+              Runner.run_benchmark_result ~thresholds:mini_thresholds
+                ~resume:p mini
+            with
+            | Ok d -> d
+            | Error e -> Alcotest.fail ("resume failed: " ^ Error.to_string e)
+          in
+          checks "per-stage slot resumes byte-identically"
+            (Checkpoint.data_to_string (straight_data ()))
+            (Checkpoint.data_to_string resumed)
+      | Checkpoint.Stale_version _ -> ()
+      | _ -> Alcotest.fail "per-stage slot misread")
+
+let test_group_record_frames () =
+  let partial = group_suspended_in_region () in
+  let program, members = group_members () in
+  Sealed_frames.check "group snapshot" partial.Runner.p_snapshot
+    Snap.group_of_string ~restore:(fun parsed ->
+      ignore (Snap.group_restore ~program members parsed))
 
 (* ------------------------------------------------------------------ *)
 (* Single-run CLI: tpdbt dbt --suspend-after / --snapshot / --resume-run *)
@@ -426,6 +552,12 @@ let suite =
       test_suspended_store_corruption_matrix;
     Alcotest.test_case "suspended resume byte identity" `Quick
       test_suspended_resume_byte_identity;
+    Alcotest.test_case "group resumes from inside a region" `Quick
+      test_group_resume_in_region;
+    Alcotest.test_case "per-stage suspended slot resumes" `Quick
+      test_per_stage_slot_resumes;
+    Alcotest.test_case "group record corruption matrix" `Quick
+      test_group_record_frames;
     Alcotest.test_case "dbt --snapshot rewrites atomically" `Quick
       test_cli_snapshot_rewrite_atomic;
     Alcotest.test_case "journal snapshot refs" `Quick
