@@ -839,6 +839,16 @@ let perfdiff_cmd =
           nonzero on any regression beyond the tolerance.")
     Term.(const run $ old_file $ new_file $ tolerance $ warn_only $ alloc_only)
 
+(* Two profiles compared block by block must come from one program. *)
+let require_same_program (file_a, a) (file_b, b) =
+  if not (Tpdbt_profiles.Profile_io.same_program a b) then begin
+    Printf.eprintf
+      "error: %s and %s are profiles of different programs (their block maps \
+       differ)\n"
+      file_a file_b;
+    exit exit_invalid
+  end
+
 let report_cmd =
   let file =
     Arg.(required & pos 0 (some file) None & info [] ~docv:"PROFILE.prof")
@@ -853,7 +863,12 @@ let report_cmd =
   let run file avep_file =
     let snapshot = or_die_err (Tpdbt_profiles.Profile_io.load file) in
     let avep =
-      Option.map (fun f -> or_die_err (Tpdbt_profiles.Profile_io.load f)) avep_file
+      Option.map
+        (fun f ->
+          let avep = or_die_err (Tpdbt_profiles.Profile_io.load f) in
+          require_same_program (file, snapshot) (f, avep);
+          avep)
+        avep_file
     in
     print_string (Tpdbt_profiles.Report.render ?avep snapshot)
   in
@@ -872,6 +887,7 @@ let analyze_cmd =
   let run inip_file avep_file =
     let inip = or_die_err (Tpdbt_profiles.Profile_io.load inip_file) in
     let avep = or_die_err (Tpdbt_profiles.Profile_io.load avep_file) in
+    require_same_program (inip_file, inip) (avep_file, avep);
     if inip.Tpdbt_dbt.Snapshot.regions = [] then
       (* Two flat profiles: the train-vs-AVEP comparison. *)
       let f = Tpdbt_profiles.Metrics.compare_flat ~predicted:inip ~avep in

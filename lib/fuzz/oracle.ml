@@ -7,6 +7,10 @@ module Perf_model = Tpdbt_dbt.Perf_model
 module Code_cache = Tpdbt_dbt.Code_cache
 module Sink = Tpdbt_telemetry.Sink
 module Event = Tpdbt_telemetry.Event
+module Linear_solver = Tpdbt_numerics.Linear_solver
+module Markov = Tpdbt_numerics.Markov
+module Navep = Tpdbt_profiles.Navep
+module Metrics = Tpdbt_profiles.Metrics
 
 type divergence = { arm : string; kind : string; detail : string }
 
@@ -124,6 +128,49 @@ let fingerprint_of (res : Engine.result) m =
     Fingerprint.status_of_error res.Engine.error ~halted:(Machine.halted m)
   in
   Fingerprint.of_machine ~status ~mem_words m
+
+(* ---- the analysis arm ---------------------------------------------------- *)
+
+let same_bits a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       a b
+
+(* NAVEP's system solved sparse and dense: the same bits, or both
+   refused. *)
+let sparse_equals_dense (sys : Markov.system) =
+  match
+    ( Linear_solver.sparse_gauss sys.Markov.rows sys.Markov.rhs,
+      Linear_solver.gauss
+        (Linear_solver.to_matrix sys.Markov.rows)
+        sys.Markov.rhs )
+  with
+  | Ok x, Ok y -> same_bits x y
+  | Error _, Error _ -> true
+  | Ok _, Error _ | Error _, Ok _ -> false
+
+(* [gauss] and [jacobi] on the system scaled so its right-hand side
+   peaks at 1 (Jacobi's 1e-12 tolerance is absolute, and frequencies
+   run to the thousands): the largest difference, or [None] where
+   Jacobi does not converge within its budget. *)
+let jacobi_gap (sys : Markov.system) =
+  let peak =
+    Array.fold_left (fun m v -> max m (abs_float v)) 0.0 sys.Markov.rhs
+  in
+  let rhs =
+    if peak > 0.0 then Array.map (fun v -> v /. peak) sys.Markov.rhs
+    else sys.Markov.rhs
+  in
+  let a = Linear_solver.to_matrix sys.Markov.rows in
+  match
+    (Linear_solver.gauss a rhs, Linear_solver.jacobi ~max_iters:2_000 a rhs)
+  with
+  | Ok g, Ok j ->
+      Some
+        (Array.fold_left max 0.0
+           (Array.map2 (fun x y -> abs_float (x -. y)) g j))
+  | (Error _, _ | _, Error _) -> None
 
 (* ---- the check ---------------------------------------------------------- *)
 
@@ -310,6 +357,93 @@ let check ?(perturb = fun ~arm:_ fp -> fp) ~seed program =
                      expect "one-pass" "metamorphic:one-pass" d
                        (String.equal (run_text res) (run_text grouped)))
                    members results);
+          (* Analysis: NAVEP and the metrics over this case's profiles,
+             AVEP from the profiling-only arm and INIP from each other
+             arm.  The system NAVEP solves must come out of the sparse
+             solve bit for bit as out of dense [gauss], and within 1e-6
+             of Jacobi wherever Jacobi converges; each block's copies
+             must sum to its AVEP frequency; and a run whose threshold
+             exceeds its step count must be AVEP itself, every Sd and
+             mismatch exactly 0. *)
+          (match find "t0" with
+          | None -> ()
+          | Some (_, t0, _) -> (
+              let avep = t0.Engine.snapshot in
+              List.iter
+                (fun (a, res, _) ->
+                  if a.label <> "t0" then begin
+                    let inip = res.Engine.snapshot in
+                    let navep = Navep.build ~inip ~avep in
+                    let sys = Navep.system navep in
+                    let unknowns = Array.length sys.Markov.unknowns in
+                    if unknowns > 0 then begin
+                      expect "analysis" "metamorphic:navep-sparse"
+                        (fun () ->
+                          Printf.sprintf
+                            "%s: sparse and dense solves differ (%d unknowns)"
+                            a.label unknowns)
+                        (sparse_equals_dense sys);
+                      match jacobi_gap sys with
+                      | None -> ()
+                      | Some gap ->
+                          expect "analysis" "metamorphic:gauss-jacobi"
+                            (fun () ->
+                              Printf.sprintf "%s: gauss and jacobi differ by %g"
+                                a.label gap)
+                            (gap <= 1e-6)
+                    end;
+                    let unbalanced =
+                      List.find_map
+                        (fun block ->
+                          let expected = Snapshot.block_freq avep block in
+                          let total = Navep.total_block_freq navep block in
+                          let slack = 1e-6 *. (1.0 +. expected) in
+                          if abs_float (total -. expected) > slack then
+                            Some
+                              (Printf.sprintf
+                                 "%s: block %d's copies sum to %g, AVEP %g"
+                                 a.label block total expected)
+                          else None)
+                        (List.init
+                           (Block_map.block_count avep.Snapshot.block_map)
+                           Fun.id)
+                    in
+                    expect "analysis" "metamorphic:navep-flow"
+                      (fun () -> Option.value unbalanced ~default:"")
+                      (unbalanced = None)
+                  end)
+                runs;
+              let late = arm_config ~threshold:(t0.Engine.steps + 1) () in
+              match run_engine late ~seed program with
+              | Error msg ->
+                  incr checks;
+                  report "analysis" "crash" msg
+              | Ok (res, _) ->
+                  let inip = res.Engine.snapshot in
+                  expect "analysis" "metamorphic:late-threshold-counters"
+                    (fun () ->
+                      Printf.sprintf
+                        "threshold %d: %d regions, counters %s AVEP's"
+                        late.Engine.threshold
+                        (List.length inip.Snapshot.regions)
+                        (if inip.Snapshot.use = avep.Snapshot.use
+                            && inip.Snapshot.taken = avep.Snapshot.taken
+                         then "equal" else "differ from"))
+                    (inip.Snapshot.regions = []
+                    && inip.Snapshot.use = avep.Snapshot.use
+                    && inip.Snapshot.taken = avep.Snapshot.taken);
+                  let c = Metrics.compare_snapshots ~inip ~avep in
+                  expect "analysis" "metamorphic:late-threshold-metrics"
+                    (fun () -> Format.asprintf "%a" Metrics.pp_comparison c)
+                    (List.for_all
+                       (fun v -> v = 0.0)
+                       [
+                         c.Metrics.sd_bp;
+                         c.Metrics.sd_cp;
+                         c.Metrics.sd_lp;
+                         c.Metrics.bp_mismatch;
+                         c.Metrics.lp_mismatch;
+                       ])));
           (* Suspend/resume identity: stop the optimizing arm at a
              seeded guest instruction, round-trip the engine image
              through its serialized text (capture -> to_string ->

@@ -36,7 +36,17 @@
       by one interpretation of the guest, and each member reports
       exactly what its own run reported: steps, outputs, error, cycles,
       every perf counter, region stats and profile text ([t2-shadow]
-      reads the registers, so it keeps a driver of its own).
+      reads the registers, so it keeps a driver of its own);
+    - {b analysis}: NAVEP and the metrics over the case's profiles
+      (AVEP from [t0], INIP from every other arm): the system NAVEP
+      solves ({!Tpdbt_profiles.Navep.system}) comes out of
+      {!Tpdbt_numerics.Linear_solver.sparse_gauss} bit for bit as out
+      of dense [gauss]; [gauss] and [jacobi] agree within 1e-6 on it
+      (scaled so its right-hand side peaks at 1) wherever Jacobi
+      converges; each block's NAVEP copies sum to its AVEP frequency;
+      and a run whose threshold exceeds [t0]'s step count forms no
+      region, has AVEP's counters, and scores exactly 0 on every Sd
+      and mismatch rate.  Divergences name the arm ["analysis"].
 
     Everything is deterministic: same program + seed, same verdict. *)
 

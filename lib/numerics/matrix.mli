@@ -1,7 +1,11 @@
-(** Small dense matrices of floats (row-major).
+(** Dense matrices of floats (row-major).
 
-    Sized for NAVEP's region-local linear systems: tens of unknowns, not
-    thousands — a dense representation is simplest and fastest here. *)
+    The representation {!Linear_solver.gauss} and {!Linear_solver.jacobi}
+    work on, and the reference form tests build.  NAVEP's own systems
+    are not region-local: one system spans every duplicated block copy
+    of a program (hundreds of unknowns, a handful of entries per row),
+    so NAVEP solves them sparse with {!Linear_solver.sparse_gauss} and
+    never builds a matrix. *)
 
 type t
 

@@ -31,9 +31,6 @@ let is_cond bmap block =
    executed in both profiles. *)
 let bp_samples_of navep ~inip ~avep =
   let bmap = inip.Snapshot.block_map in
-  let region_of id =
-    List.find (fun r -> r.Region.id = id) inip.Snapshot.regions
-  in
   List.filter_map
     (fun (c : Navep.copy) ->
       if not (is_cond bmap c.Navep.block) then None
@@ -41,8 +38,9 @@ let bp_samples_of navep ~inip ~avep =
         let actual = Snapshot.branch_prob avep c.Navep.block in
         let predicted =
           match c.Navep.location with
-          | Navep.In_region { region; slot } ->
-              Region.frozen_branch_prob (region_of region) slot
+          | Navep.In_region { slot; _ } ->
+              Option.bind (Navep.region_of_node navep c.Navep.node) (fun r ->
+                  Region.frozen_branch_prob r slot)
           | Navep.Standalone -> Snapshot.branch_prob inip c.Navep.block
         in
         match (predicted, actual) with

@@ -1,219 +1,295 @@
 module Snapshot = Tpdbt_dbt.Snapshot
 module Region = Tpdbt_dbt.Region
 module Block_map = Tpdbt_dbt.Block_map
-module Graph = Tpdbt_cfg.Graph
 module Markov = Tpdbt_numerics.Markov
 
 type location = In_region of { region : int; slot : int } | Standalone
 type copy = { node : int; block : int; location : location }
 
+(* Every table is an array indexed by node, block or region position.
+   A region's copies are consecutive nodes, so its slot [s] is node
+   [first_node.(r) + s]. *)
 type t = {
   copies : copy array;
   freqs : float array;
-  slot_node : (int * int, int) Hashtbl.t;  (* (region id, slot) -> node *)
-  standalone_node : (int, int) Hashtbl.t;  (* block -> node *)
-  block_copies : (int, copy list) Hashtbl.t;
+  regions : Region.t array;  (* INIP's regions, in formation order *)
+  first_node : int array;  (* region position -> node of its slot 0 *)
+  region_of : int array;  (* node -> region position, -1 if standalone *)
+  standalone : int array;  (* block -> standalone node, -1 if none *)
+  block_copies : int array array;  (* block -> its copies' nodes *)
+  flow : Markov.flow;
+  known : float option array;
   fallback : bool;
 }
 
-(* CFG out-edges of a block with AVEP probabilities:
-   (role, successor block, probability). *)
-let out_flow avep block =
+let role_index = function
+  | Region.Taken -> 0
+  | Region.Not_taken -> 1
+  | Region.Always -> 2
+
+(* CFG out-edges of a block with AVEP probabilities, as calls
+   [f role successor probability]. *)
+let iter_out_flow avep block f =
   let bmap = avep.Snapshot.block_map in
   match (Block_map.block bmap block).Block_map.terminator with
   | Block_map.Cond { taken; fallthrough } ->
       let p =
         match Snapshot.branch_prob avep block with Some p -> p | None -> 0.5
       in
-      [ (Region.Taken, taken, p); (Region.Not_taken, fallthrough, 1.0 -. p) ]
-  | Block_map.Goto dst | Block_map.Fallthrough dst ->
-      [ (Region.Always, dst, 1.0) ]
-  | Block_map.Call_to { callee; retsite = _ } ->
-      [ (Region.Always, callee, 1.0) ]
-  | Block_map.Return | Block_map.Stop -> []
+      f Region.Taken taken p;
+      f Region.Not_taken fallthrough (1.0 -. p)
+  | Block_map.Goto dst | Block_map.Fallthrough dst -> f Region.Always dst 1.0
+  | Block_map.Call_to { callee; retsite = _ } -> f Region.Always callee 1.0
+  | Block_map.Return | Block_map.Stop -> ()
+
+(* Growable edge list: (src, dst, probability) in the order added. *)
+type edges = {
+  mutable count : int;
+  mutable esrc : int array;
+  mutable edst : int array;
+  mutable eprob : float array;
+}
+
+let push edges src dst p =
+  let k = edges.count in
+  if k = Array.length edges.esrc then begin
+    let cap = max 16 (2 * k) in
+    let extend a fill = Array.append a (Array.make (cap - k) fill) in
+    edges.esrc <- extend edges.esrc 0;
+    edges.edst <- extend edges.edst 0;
+    edges.eprob <- extend edges.eprob 0.0
+  end;
+  edges.esrc.(k) <- src;
+  edges.edst.(k) <- dst;
+  edges.eprob.(k) <- p;
+  edges.count <- k + 1
+
+(* Each node's in-edges, one per source, with the probabilities of a
+   source's parallel edges summed in the order they were added.  Edges
+   are added copy by copy in node order, so a node's in-edges arrive
+   with non-decreasing sources: parallel edges are adjacent, and the
+   first-arrival order is the predecessor order a graph would record. *)
+let in_edges nodes edges =
+  let first = Array.make (nodes + 1) 0 in
+  for k = 0 to edges.count - 1 do
+    let d = edges.edst.(k) in
+    first.(d + 1) <- first.(d + 1) + 1
+  done;
+  for node = 0 to nodes - 1 do
+    first.(node + 1) <- first.(node + 1) + first.(node)
+  done;
+  let fill = Array.sub first 0 nodes in
+  let src = Array.make edges.count 0 and prob = Array.make edges.count 0.0 in
+  for k = 0 to edges.count - 1 do
+    let d = edges.edst.(k) in
+    src.(fill.(d)) <- edges.esrc.(k);
+    prob.(fill.(d)) <- edges.eprob.(k);
+    fill.(d) <- fill.(d) + 1
+  done;
+  (* Merge the parallel edges in place. *)
+  let merged = Array.make (nodes + 1) 0 in
+  let out = ref 0 in
+  for node = 0 to nodes - 1 do
+    merged.(node) <- !out;
+    for k = first.(node) to first.(node + 1) - 1 do
+      if !out > merged.(node) && src.(!out - 1) = src.(k) then
+        prob.(!out - 1) <- prob.(!out - 1) +. prob.(k)
+      else begin
+        src.(!out) <- src.(k);
+        prob.(!out) <- 0.0 +. prob.(k);
+        incr out
+      end
+    done
+  done;
+  merged.(nodes) <- !out;
+  {
+    Markov.first = merged;
+    src = Array.sub src 0 !out;
+    prob = Array.sub prob 0 !out;
+  }
 
 let build ~inip ~avep =
-  let bmap = inip.Snapshot.block_map in
-  let nblocks = Block_map.block_count bmap in
-  (* 1. Enumerate copies. *)
-  let copies_rev = ref [] in
-  let ncopies = ref 0 in
-  let slot_node = Hashtbl.create 64 in
-  let standalone_node = Hashtbl.create 64 in
-  let block_copies = Hashtbl.create 64 in
+  let nblocks = Block_map.block_count inip.Snapshot.block_map in
+  let regions = Array.of_list inip.Snapshot.regions in
+  (* 1. Enumerate copies: each region's slots in formation order, then
+     every block outside all regions. *)
   let in_region = Array.make nblocks false in
-  let add_copy block location =
-    let node = !ncopies in
-    incr ncopies;
-    let c = { node; block; location } in
-    copies_rev := c :: !copies_rev;
-    (match location with
-    | In_region { region; slot } -> Hashtbl.replace slot_node (region, slot) node
-    | Standalone -> Hashtbl.replace standalone_node block node);
-    let existing =
-      match Hashtbl.find_opt block_copies block with Some l -> l | None -> []
-    in
-    Hashtbl.replace block_copies block (existing @ [ c ])
+  Array.iter
+    (fun r -> Array.iter (fun b -> in_region.(b) <- true) r.Region.slots)
+    regions;
+  let first_node = Array.make (Array.length regions) 0 in
+  let copies_rev = ref [] and next = ref 0 in
+  let add block location =
+    copies_rev := { node = !next; block; location } :: !copies_rev;
+    incr next
   in
-  List.iter
-    (fun r ->
+  Array.iteri
+    (fun ri r ->
+      first_node.(ri) <- !next;
       Array.iteri
-        (fun slot block ->
-          in_region.(block) <- true;
-          add_copy block (In_region { region = r.Region.id; slot }))
+        (fun slot block -> add block (In_region { region = r.Region.id; slot }))
         r.Region.slots)
-    inip.Snapshot.regions;
+    regions;
+  let region_copies = !next in
+  let standalone = Array.make nblocks (-1) in
   for block = 0 to nblocks - 1 do
-    if not in_region.(block) then add_copy block Standalone
+    if not in_region.(block) then begin
+      standalone.(block) <- !next;
+      add block Standalone
+    end
   done;
   let copies = Array.of_list (List.rev !copies_rev) in
-  (* Entry copies of a block: slot-0 nodes of regions it heads, plus its
-     standalone node; used as targets for cross (non-region) edges. *)
-  let entry_targets block =
-    let from_regions =
-      List.filter_map
-        (fun c ->
-          match c.location with
-          | In_region { slot = 0; _ } -> Some c.node
-          | In_region _ | Standalone -> None)
-        (match Hashtbl.find_opt block_copies block with
-        | Some l -> l
-        | None -> [])
-    in
-    let standalone =
-      match Hashtbl.find_opt standalone_node block with
-      | Some n -> [ n ]
-      | None -> []
-    in
-    match from_regions @ standalone with
-    | [] ->
-        (* Only non-entry region copies exist: split between all of them
-           (documented approximation). *)
-        List.map
-          (fun c -> c.node)
-          (match Hashtbl.find_opt block_copies block with
-          | Some l -> l
-          | None -> [])
-    | targets -> targets
+  let nodes = Array.length copies in
+  let region_of = Array.make nodes (-1) in
+  Array.iteri
+    (fun ri r ->
+      Array.fill region_of first_node.(ri) (Region.slot_count r) ri)
+    regions;
+  let ncopies = Array.make nblocks 0 in
+  Array.iter (fun c -> ncopies.(c.block) <- ncopies.(c.block) + 1) copies;
+  let block_copies = Array.map (fun k -> Array.make k 0) ncopies in
+  Array.fill ncopies 0 nblocks 0;
+  Array.iter
+    (fun c ->
+      block_copies.(c.block).(ncopies.(c.block)) <- c.node;
+      ncopies.(c.block) <- ncopies.(c.block) + 1)
+    copies;
+  let is_entry node =
+    node < region_copies && node = first_node.(region_of.(node))
   in
-  (* 2. Build the NAVEP flow graph with edge probabilities. *)
-  let g = Graph.create () in
-  Array.iter (fun c -> Graph.add_node g c.node) copies;
-  let edge_prob : (int * int, float) Hashtbl.t = Hashtbl.create 256 in
-  let add_flow src dst p =
-    if p > 0.0 then begin
-      let key = (src, dst) in
-      let existing =
-        match Hashtbl.find_opt edge_prob key with Some v -> v | None -> 0.0
+  (* 2. The region's own edge for each (copy, role): the first of the
+     slot's forward, then back, edges with that role, as a node. *)
+  let internal = Array.make (3 * region_copies) (-1) in
+  Array.iteri
+    (fun ri r ->
+      let n = Region.slot_count r and base = first_node.(ri) in
+      let record e =
+        if e.Region.src >= 0 && e.Region.src < n && e.Region.dst >= 0
+           && e.Region.dst < n
+        then begin
+          let k = (3 * (base + e.Region.src)) + role_index e.Region.role in
+          if internal.(k) < 0 then internal.(k) <- base + e.Region.dst
+        end
       in
-      Hashtbl.replace edge_prob key (existing +. p);
-      Graph.add_edge g src dst
-    end
+      List.iter record r.Region.edges;
+      List.iter record r.Region.back_edges)
+    regions;
+  (* 3. The NAVEP flow edges, copy by copy: along the region's edge of
+     the same role if there is one, otherwise to the successor block's
+     entry copies (slot-0 region copies, or its standalone copy), or,
+     when it only exists as non-entry region copies, split equally
+     between all of them (documented approximation). *)
+  let edges =
+    { count = 0; esrc = [||]; edst = [||]; eprob = [||] }
   in
-  let region_of_id id =
-    List.find (fun r -> r.Region.id = id) inip.Snapshot.regions
-  in
+  let add_flow src dst p = if p > 0.0 then push edges src dst p in
   let route_external src succ p =
-    match entry_targets succ with
-    | [] -> ()
-    | targets ->
-        let share = p /. float_of_int (List.length targets) in
-        List.iter (fun dst -> add_flow src dst share) targets
+    if succ >= 0 && succ < nblocks then begin
+      let targets = block_copies.(succ) in
+      let entries =
+        Array.fold_left (fun k n -> if is_entry n then k + 1 else k) 0 targets
+      in
+      let k = if entries > 0 then entries else Array.length targets in
+      let share = p /. float_of_int k in
+      Array.iter
+        (fun n -> if entries = 0 || is_entry n then add_flow src n share)
+        targets
+    end
   in
   Array.iter
     (fun c ->
-      let flows = out_flow avep c.block in
-      match c.location with
-      | Standalone ->
-          List.iter (fun (_role, succ, p) -> route_external c.node succ p) flows
-      | In_region { region = rid; slot } ->
-          let r = region_of_id rid in
-          let internal = Region.out_edges r slot in
-          List.iter
-            (fun (role, succ, p) ->
-              match
-                List.find_opt (fun e -> e.Region.role = role) internal
-              with
-              | Some e ->
-                  let dst = Hashtbl.find slot_node (rid, e.Region.dst) in
-                  add_flow c.node dst p
-              | None -> route_external c.node succ p)
-            flows)
+      iter_out_flow avep c.block (fun role succ p ->
+          let dst =
+            if c.node < region_copies then
+              internal.((3 * c.node) + role_index role)
+            else -1
+          in
+          if dst >= 0 then add_flow c.node dst p
+          else route_external c.node succ p))
     copies;
-  (* 3. Known constants: blocks with a single copy keep their AVEP
+  let flow = in_edges nodes edges in
+  (* 4. Known constants: blocks with a single copy keep their AVEP
      frequency. *)
-  let copy_count block =
-    match Hashtbl.find_opt block_copies block with
-    | Some l -> List.length l
-    | None -> 0
-  in
   let known =
-    Array.to_list copies
-    |> List.filter_map (fun c ->
-           if copy_count c.block = 1 then
-             Some (c.node, Snapshot.block_freq avep c.block)
-           else None)
+    Array.map
+      (fun c ->
+        if Array.length block_copies.(c.block) = 1 then
+          Some (Snapshot.block_freq avep c.block)
+        else None)
+      copies
   in
-  let prob_of src dst =
-    match Hashtbl.find_opt edge_prob (src, dst) with Some p -> p | None -> 0.0
+  let freqs, fallback =
+    match Markov.solve flow ~known with
+    | Ok solved -> (Array.map (fun f -> max 0.0 f) solved, false)
+    | Error _ ->
+        ( Array.map
+            (fun c ->
+              Snapshot.block_freq avep c.block
+              /. float_of_int (Array.length block_copies.(c.block)))
+            copies,
+          true )
   in
-  let freqs = Array.make (Array.length copies) 0.0 in
-  let fallback = ref false in
-  (match Markov.solve ~graph:g ~prob:prob_of ~known with
-  | Ok table ->
-      Array.iter
-        (fun c ->
-          freqs.(c.node) <-
-            (match Hashtbl.find_opt table c.node with
-            | Some f -> max 0.0 f
-            | None -> 0.0))
-        copies
-  | Error _ ->
-      fallback := true;
-      Array.iter
-        (fun c ->
-          let k = copy_count c.block in
-          freqs.(c.node) <- Snapshot.block_freq avep c.block /. float_of_int k)
-        copies);
-  (* 4. Renormalise the copies of each duplicated block so they sum to
+  (* 5. Renormalise the copies of each duplicated block so they sum to
      the block's AVEP frequency: the solver fixes the split ratios, AVEP
      fixes the total (paper §3.1 invariant). *)
-  Hashtbl.iter
+  Array.iteri
     (fun block cs ->
-      match cs with
-      | [] | [ _ ] -> ()
-      | _ :: _ :: _ ->
-          let total = List.fold_left (fun acc c -> acc +. freqs.(c.node)) 0.0 cs in
-          let target = Snapshot.block_freq avep block in
-          if total > 1e-9 then
-            List.iter
-              (fun c -> freqs.(c.node) <- freqs.(c.node) *. target /. total)
-              cs
-          else begin
-            let k = float_of_int (List.length cs) in
-            List.iter (fun c -> freqs.(c.node) <- target /. k) cs
-          end)
+      if Array.length cs >= 2 then begin
+        let total = Array.fold_left (fun acc n -> acc +. freqs.(n)) 0.0 cs in
+        let target = Snapshot.block_freq avep block in
+        if total > 1e-9 then
+          Array.iter (fun n -> freqs.(n) <- freqs.(n) *. target /. total) cs
+        else begin
+          let k = float_of_int (Array.length cs) in
+          Array.iter (fun n -> freqs.(n) <- target /. k) cs
+        end
+      end)
     block_copies;
   {
     copies;
     freqs;
-    slot_node;
-    standalone_node;
+    regions;
+    first_node;
+    region_of;
+    standalone;
     block_copies;
-    fallback = !fallback;
+    flow;
+    known;
+    fallback;
   }
 
 let copies t = Array.to_list t.copies
 
 let copies_of_block t block =
-  match Hashtbl.find_opt t.block_copies block with Some l -> l | None -> []
+  if block < 0 || block >= Array.length t.block_copies then []
+  else Array.to_list (Array.map (fun n -> t.copies.(n)) t.block_copies.(block))
 
 let freq t node =
   if node < 0 || node >= Array.length t.freqs then 0.0 else t.freqs.(node)
 
-let node_of_slot t ~region ~slot = Hashtbl.find_opt t.slot_node (region, slot)
-let node_of_standalone t block = Hashtbl.find_opt t.standalone_node block
+let region_of_node t node =
+  if node < 0 || node >= Array.length t.region_of || t.region_of.(node) < 0
+  then None
+  else Some t.regions.(t.region_of.(node))
+
+let node_of_slot t ~region ~slot =
+  let rec find ri =
+    if ri = Array.length t.regions then None
+    else if t.regions.(ri).Region.id <> region then find (ri + 1)
+    else if slot < 0 || slot >= Region.slot_count t.regions.(ri) then None
+    else Some (t.first_node.(ri) + slot)
+  in
+  find 0
+
+let node_of_standalone t block =
+  if block < 0 || block >= Array.length t.standalone || t.standalone.(block) < 0
+  then None
+  else Some t.standalone.(block)
+
 let used_fallback t = t.fallback
+let system t = Markov.system t.flow ~known:t.known
 
 let total_block_freq t block =
-  List.fold_left (fun acc c -> acc +. t.freqs.(c.node)) 0.0 (copies_of_block t block)
+  if block < 0 || block >= Array.length t.block_copies then 0.0
+  else
+    Array.fold_left (fun acc n -> acc +. t.freqs.(n)) 0.0 t.block_copies.(block)

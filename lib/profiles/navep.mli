@@ -13,7 +13,11 @@
     Approximations (documented in DESIGN.md): a CFG edge into a block
     that only exists as non-entry region copies is split equally between
     those copies, and if the linear system is singular the block's AVEP
-    frequency is split equally between its copies ([used_fallback]). *)
+    frequency is split equally between its copies ([used_fallback]).
+
+    The graph is built on node-indexed arrays (one node per copy, a
+    region's copies consecutive) and solved with
+    {!Tpdbt_numerics.Linear_solver.sparse_gauss}. *)
 
 type location = In_region of { region : int; slot : int } | Standalone
 
@@ -33,10 +37,18 @@ val copies_of_block : t -> int -> copy list
 val freq : t -> int -> float
 (** NAVEP frequency of a node. *)
 
+val region_of_node : t -> int -> Tpdbt_dbt.Region.t option
+(** The INIP region a node's copy sits in; [None] for a standalone
+    copy or an unknown node. *)
+
 val node_of_slot : t -> region:int -> slot:int -> int option
 val node_of_standalone : t -> int -> int option
 val used_fallback : t -> bool
 (** True if the equal-split fallback replaced the linear solve. *)
+
+val system : t -> Tpdbt_numerics.Markov.system
+(** The linear system the solve was handed (rows and right-hand side),
+    so tests and the fuzz oracle can solve it again both ways. *)
 
 val total_block_freq : t -> int -> float
 (** Sum of the frequencies of a block's copies — should equal the

@@ -204,6 +204,16 @@ let read_counts r bmap =
 
 let read r = read_counts r (read_blocks r)
 
+let blocks_text bmap =
+  let w = W.create () in
+  write_blocks w bmap;
+  W.contents w
+
+let same_program (a : Snapshot.t) (b : Snapshot.t) =
+  String.equal
+    (blocks_text a.Snapshot.block_map)
+    (blocks_text b.Snapshot.block_map)
+
 (* Profiles of one program — a checkpoint's stages — repeat one block
    section: the first is parsed, every later one must match it byte for
    byte, and all share its block map. *)
@@ -213,9 +223,7 @@ let reader_sharing_blocks () =
     match !first with
     | None ->
         let bmap = read_blocks r in
-        let w = W.create () in
-        write_blocks w bmap;
-        first := Some (W.contents w, bmap);
+        first := Some (blocks_text bmap, bmap);
         read_counts r bmap
     | Some (text, bmap) ->
         let line = R.line_number r + 1 in

@@ -40,6 +40,12 @@ val to_string : Tpdbt_dbt.Snapshot.t -> string
 val of_string : string -> (Tpdbt_dbt.Snapshot.t, Tpdbt_dbt.Error.t) result
 (** Inverse of {!to_string}. *)
 
+val same_program : Tpdbt_dbt.Snapshot.t -> Tpdbt_dbt.Snapshot.t -> bool
+(** Whether two profiles describe one program: their block sections are
+    byte for byte the same, the test {!reader_sharing_blocks} applies to
+    a checkpoint's profiles.  Comparing profiles of two programs reads
+    one program's blocks through the other's counters. *)
+
 val reader_sharing_blocks :
   unit -> Tpdbt_durable.Durable.Reader.t -> Tpdbt_dbt.Snapshot.t
 (** A reader for the profiles of one program that another record

@@ -1,6 +1,4 @@
 module Region = Tpdbt_dbt.Region
-module Graph = Tpdbt_cfg.Graph
-module Markov = Tpdbt_numerics.Markov
 
 let edge_probability role ~branch_prob =
   let p = match branch_prob with Some p -> p | None -> 0.5 in
@@ -10,63 +8,74 @@ let edge_probability role ~branch_prob =
   | Region.Always -> 1.0
 
 (* Propagate frequency 1 from slot 0 through the region's forward edges
-   (plus, optionally, back edges redirected to a dummy node) and return
-   the resulting per-node frequency table. *)
-let propagate region ~prob ~with_dummy =
+   (plus, with [with_dummy], the back edges redirected to a dummy node
+   [slot_count]) and return the frequency of node [target].  A node's
+   inflow sums its distinct predecessors in the order their first edge
+   appears, each weighted by its edges' probabilities summed in edge
+   order (two roles may join the same slots): the order
+   [Markov.propagate_acyclic] sums in over the graph of these edges.
+   Nodes are visited in a topological order (Kahn's), so every
+   predecessor is final when it is read. *)
+let propagate region ~prob ~with_dummy ~target =
   let nslots = Region.slot_count region in
-  let dummy = nslots in
-  let g = Graph.create () in
-  for slot = 0 to nslots - 1 do
-    Graph.add_node g slot
-  done;
-  let edge_prob = Hashtbl.create 16 in
-  let record src dst p =
-    (* Accumulate in case two parallel roles connect the same slots. *)
-    let key = (src, dst) in
-    let existing =
-      match Hashtbl.find_opt edge_prob key with Some v -> v | None -> 0.0
-    in
-    Hashtbl.replace edge_prob key (existing +. p);
-    Graph.add_edge g src dst
+  let size = if with_dummy then nslots + 1 else nslots in
+  let edges =
+    if with_dummy then
+      region.Region.edges
+      @ List.map
+          (fun e -> { e with Region.dst = nslots })
+          region.Region.back_edges
+    else region.Region.edges
   in
+  (* [preds.(n)]: (source, summed probability), latest first. *)
+  let preds = Array.make size [] and succs = Array.make size [] in
+  let indegree = Array.make size 0 in
   List.iter
-    (fun e ->
-      record e.Region.src e.Region.dst
-        (edge_probability e.Region.role ~branch_prob:(prob e.Region.src)))
-    region.Region.edges;
-  if with_dummy then begin
-    Graph.add_node g dummy;
+    (fun { Region.src; dst; role } ->
+      if src < 0 || src >= nslots || dst < 0 || dst >= size then
+        invalid_arg "Region_prob.propagate: edge slot out of range";
+      let p = edge_probability role ~branch_prob:(prob src) in
+      match List.assoc_opt src preds.(dst) with
+      | Some w -> w := !w +. p
+      | None ->
+          preds.(dst) <- (src, ref (0.0 +. p)) :: preds.(dst);
+          succs.(src) <- dst :: succs.(src);
+          indegree.(dst) <- indegree.(dst) + 1)
+    edges;
+  let freq = Array.make size 0.0 in
+  let ready = Queue.create () in
+  for n = 0 to size - 1 do
+    if indegree.(n) = 0 then Queue.add n ready
+  done;
+  let visited = ref 0 in
+  while not (Queue.is_empty ready) do
+    let n = Queue.pop ready in
+    incr visited;
+    freq.(n) <-
+      (if n = 0 then 1.0
+       else
+         List.fold_left
+           (fun acc (p, w) -> acc +. (freq.(p) *. !w))
+           0.0 (List.rev preds.(n)));
     List.iter
-      (fun e ->
-        record e.Region.src dummy
-          (edge_probability e.Region.role ~branch_prob:(prob e.Region.src)))
-      region.Region.back_edges
-  end;
-  let prob_of src dst =
-    match Hashtbl.find_opt edge_prob (src, dst) with
-    | Some p -> p
-    | None -> 0.0
-  in
-  match Markov.propagate_acyclic ~graph:g ~prob:prob_of ~entry:0 ~entry_freq:1.0 with
-  | Ok freq -> freq
-  | Error msg ->
-      (* Region forward edges are acyclic by construction. *)
-      invalid_arg ("Region_prob.propagate: " ^ msg)
+      (fun s ->
+        indegree.(s) <- indegree.(s) - 1;
+        if indegree.(s) = 0 then Queue.add s ready)
+      succs.(n)
+  done;
+  (* Region forward edges are acyclic by construction. *)
+  if !visited < size then
+    invalid_arg "Region_prob.propagate: forward edges contain a cycle";
+  freq.(target)
 
 let completion_probability region ~prob =
-  let freq = propagate region ~prob ~with_dummy:false in
-  match Hashtbl.find_opt freq (Region.tail_slot region) with
-  | Some f -> f
-  | None -> 0.0
+  propagate region ~prob ~with_dummy:false ~target:(Region.tail_slot region)
 
 let loopback_probability region ~prob =
   if region.Region.back_edges = [] then 0.0
-  else begin
-    let freq = propagate region ~prob ~with_dummy:true in
-    match Hashtbl.find_opt freq (Region.slot_count region) with
-    | Some f -> f
-    | None -> 0.0
-  end
+  else
+    propagate region ~prob ~with_dummy:true
+      ~target:(Region.slot_count region)
 
 let trip_count_of_loopback lp =
   if lp >= 1.0 -. 1e-9 then 1e9 else 1.0 /. (1.0 -. lp)

@@ -10,6 +10,7 @@ let () =
       ("paper-examples", Test_paper_examples.suite);
       ("workloads", Test_workloads.suite);
       ("experiments", Test_experiments.suite);
+      ("claims", Test_claims.suite);
       ("faults", Test_faults.suite);
       ("cache", Test_cache.suite);
       ("integration", Test_integration.suite);

@@ -6,6 +6,12 @@ module Solver = Tpdbt_numerics.Linear_solver
 module Markov = Tpdbt_numerics.Markov
 module Stats = Tpdbt_numerics.Stats
 module Graph = Tpdbt_cfg.Graph
+module Region = Tpdbt_dbt.Region
+module Snapshot = Tpdbt_dbt.Snapshot
+module Engine = Tpdbt_dbt.Engine
+module Navep = Tpdbt_profiles.Navep
+module Region_prob = Tpdbt_profiles.Region_prob
+module Runner = Tpdbt_experiments.Runner
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
@@ -106,12 +112,35 @@ let test_gauss_1x1 () =
   | Ok x -> checkf6 "trivial" 2.0 x.(0)
   | Error msg -> Alcotest.fail msg
 
+(* [Markov.solve] over the nodes [0 .. nodes - 1] of a graph, each
+   node's in-edges in [Graph.preds] order. *)
+let flow_of_graph ~nodes g prob =
+  let first = Array.make (nodes + 1) 0 in
+  let edges =
+    List.concat_map
+      (fun n ->
+        let preds = Graph.preds g n in
+        first.(n + 1) <- first.(n) + List.length preds;
+        List.map (fun p -> (p, prob p n)) preds)
+      (List.init nodes Fun.id)
+  in
+  {
+    Markov.first;
+    src = Array.of_list (List.map fst edges);
+    prob = Array.of_list (List.map snd edges);
+  }
+
+let markov_solve ~nodes g ~prob ~known =
+  let known_at = Array.make nodes None in
+  List.iter (fun (n, f) -> known_at.(n) <- Some f) known;
+  Markov.solve (flow_of_graph ~nodes g prob) ~known:known_at
+
 let test_markov_no_inflow_zero () =
   (* An unknown node with no predecessors solves to zero. *)
   let g = Graph.create () in
   Graph.add_node g 3;
-  match Markov.solve ~graph:g ~prob:(fun _ _ -> 0.0) ~known:[] with
-  | Ok freq -> checkf "isolated unknown" 0.0 (Hashtbl.find freq 3)
+  match markov_solve ~nodes:4 g ~prob:(fun _ _ -> 0.0) ~known:[] with
+  | Ok freq -> checkf "isolated unknown" 0.0 freq.(3)
   | Error msg -> Alcotest.fail msg
 
 let test_markov_flow_conservation () =
@@ -121,10 +150,8 @@ let test_markov_flow_conservation () =
   let prob src dst =
     match (src, dst) with 0, 1 -> 0.3 | 0, 2 -> 0.7 | _ -> 0.0
   in
-  match Markov.solve ~graph:g ~prob ~known:[ (0, 1000.0) ] with
-  | Ok freq ->
-      checkf6 "split conserves flow" 1000.0
-        (Hashtbl.find freq 1 +. Hashtbl.find freq 2)
+  match markov_solve ~nodes:3 g ~prob ~known:[ (0, 1000.0) ] with
+  | Ok freq -> checkf6 "split conserves flow" 1000.0 (freq.(1) +. freq.(2))
   | Error msg -> Alcotest.fail msg
 
 (* Property: gauss solution satisfies A x = b (residual small) for
@@ -182,16 +209,16 @@ let test_markov_solve_paper_shape () =
     | _ -> 0.0
   in
   match
-    Markov.solve ~graph:g ~prob
+    markov_solve ~nodes:23 g ~prob
       ~known:[ (1, 1000.0); (3, 6000.0); (4, 44000.0) ]
   with
   | Error msg -> Alcotest.fail msg
   | Ok freq ->
-      checkf6 "copy 20" 1000.0 (Hashtbl.find freq 20);
-      checkf6 "copy 21" 44000.0 (Hashtbl.find freq 21);
-      checkf6 "copy 22" 5000.0 (Hashtbl.find freq 22);
+      checkf6 "copy 20" 1000.0 freq.(20);
+      checkf6 "copy 21" 44000.0 freq.(21);
+      checkf6 "copy 22" 5000.0 freq.(22);
       checkf6 "copies sum to b2 AVEP freq" 50000.0
-        (Hashtbl.find freq 20 +. Hashtbl.find freq 21 +. Hashtbl.find freq 22)
+        (freq.(20) +. freq.(21) +. freq.(22))
 
 let test_markov_solve_cycle () =
   (* Unknown with a self loop: x = 1000 + 0.5 x  ->  x = 2000. *)
@@ -199,9 +226,9 @@ let test_markov_solve_cycle () =
   let prob src dst =
     match (src, dst) with 0, 1 -> 1.0 | 1, 1 -> 0.5 | _ -> 0.0
   in
-  match Markov.solve ~graph:g ~prob ~known:[ (0, 1000.0) ] with
+  match markov_solve ~nodes:2 g ~prob ~known:[ (0, 1000.0) ] with
   | Error msg -> Alcotest.fail msg
-  | Ok freq -> checkf6 "geometric" 2000.0 (Hashtbl.find freq 1)
+  | Ok freq -> checkf6 "geometric" 2000.0 freq.(1)
 
 let test_markov_mutual_unknowns () =
   (* Two unknowns feeding each other:
@@ -214,19 +241,21 @@ let test_markov_mutual_unknowns () =
     | 2, 1 -> 0.5
     | _ -> 0.0
   in
-  match Markov.solve ~graph:g ~prob ~known:[ (9, 100.0) ] with
+  match markov_solve ~nodes:10 g ~prob ~known:[ (9, 100.0) ] with
   | Error msg -> Alcotest.fail msg
   | Ok freq ->
-      checkf6 "x" (400.0 /. 3.0) (Hashtbl.find freq 1);
-      checkf6 "y" (200.0 /. 3.0) (Hashtbl.find freq 2)
+      checkf6 "x" (400.0 /. 3.0) freq.(1);
+      checkf6 "y" (200.0 /. 3.0) freq.(2)
 
 let test_markov_all_known () =
   let g = Graph.of_edges [ (0, 1) ] in
-  match Markov.solve ~graph:g ~prob:(fun _ _ -> 1.0) ~known:[ (0, 5.0); (1, 7.0) ] with
+  match
+    markov_solve ~nodes:2 g ~prob:(fun _ _ -> 1.0) ~known:[ (0, 5.0); (1, 7.0) ]
+  with
   | Error msg -> Alcotest.fail msg
   | Ok freq ->
-      checkf "knowns preserved" 5.0 (Hashtbl.find freq 0);
-      checkf "knowns preserved 2" 7.0 (Hashtbl.find freq 1)
+      checkf "knowns preserved" 5.0 freq.(0);
+      checkf "knowns preserved 2" 7.0 freq.(1)
 
 let test_propagate_acyclic_fig6 () =
   (* Paper Fig 6: b5 -(0.4)-> b6 -(0.8)-> b8, b5 -(0.6)-> b7 -(0.9)-> b8.
@@ -329,6 +358,226 @@ let prop_sd_bounds =
       in
       sd >= -1e-12 && sd <= max_dev +. 1e-9)
 
+(* ------------------------------------------------------------------ *)
+(* Sparse against dense elimination, bit for bit                       *)
+(* ------------------------------------------------------------------ *)
+
+let same_bits a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       a b
+
+(* Both solvers return the same bits, or both refuse the system. *)
+let sparse_matches_dense (rows : Solver.row array) rhs =
+  match
+    (Solver.sparse_gauss rows rhs, Solver.gauss (Solver.to_matrix rows) rhs)
+  with
+  | Ok x, Ok y -> same_bits x y
+  | Error _, Error _ -> true
+  | Ok _, Error _ | Error _, Ok _ -> false
+
+(* A random sparse system drawn from [seed].  Row [i] has an entry in
+   column [sigma i] for a random permutation [sigma], so the system is
+   structurally nonsingular, and up to five more; the diagonal is often
+   missing or explicitly zero, so columns need row swaps.  Half the
+   values are of equal magnitude, so pivot candidates tie, and the rest
+   are not dyadic, so a different pivot rounds differently.  Now and
+   then a repeated row or an emptied column makes the system exactly
+   singular. *)
+let random_system n seed =
+  let st = Random.State.make [| n; seed |] in
+  let ties = [| 1.0; -1.0; 0.5; -0.5; 2.0; -2.0 |] in
+  let nonzero () =
+    if Random.State.bool st then ties.(Random.State.int st (Array.length ties))
+    else if Random.State.bool st then Random.State.float st 1.0 +. 0.01
+    else -.(Random.State.float st 1.0 +. 0.01)
+  in
+  let value () = if Random.State.int st 12 = 0 then 0.0 else nonzero () in
+  let sigma = Array.init n Fun.id in
+  for i = n - 1 downto 1 do
+    let j = Random.State.int st (i + 1) in
+    let t = sigma.(i) in
+    sigma.(i) <- sigma.(j);
+    sigma.(j) <- t
+  done;
+  let rows =
+    Array.init n (fun i ->
+        let cols = Hashtbl.create 8 in
+        (match Random.State.int st 3 with
+        | 0 -> ()
+        | 1 -> Hashtbl.replace cols i 0.0
+        | _ -> Hashtbl.replace cols i (nonzero ()));
+        for _ = 1 to Random.State.int st 6 do
+          Hashtbl.replace cols (Random.State.int st n) (value ())
+        done;
+        Hashtbl.replace cols sigma.(i) (nonzero ());
+        Hashtbl.fold (fun j v acc -> (j, v) :: acc) cols [] |> List.sort compare)
+  in
+  (match Random.State.int st 12 with
+  | 0 when n > 1 -> rows.(Random.State.int st n) <- rows.(Random.State.int st n)
+  | 1 ->
+      let c = Random.State.int st n in
+      Array.iteri
+        (fun i r -> rows.(i) <- List.filter (fun (j, _) -> j <> c) r)
+        rows
+  | _ -> ());
+  let to_row r =
+    {
+      Solver.cols = Array.of_list (List.map fst r);
+      vals = Array.of_list (List.map snd r);
+    }
+  in
+  ( Array.map to_row rows,
+    Array.init n (fun _ -> Random.State.float st 20.0 -. 10.0) )
+
+let prop_sparse_gauss_bitwise =
+  let open QCheck in
+  let gen =
+    Gen.(
+      pair
+        (frequency
+           [ (6, int_range 1 30); (3, int_range 31 150); (1, int_range 151 500) ])
+        (int_bound 1_000_000))
+  in
+  Test.make ~name:"sparse_gauss equals gauss bit for bit" ~count:150
+    (make ~print:Print.(pair int int) gen)
+    (fun (n, seed) ->
+      let rows, rhs = random_system n seed in
+      sparse_matches_dense rows rhs)
+
+let test_sparse_gauss_ties_and_singularity () =
+  (* Rows 1 and 2 tie for the first pivot at magnitude 2; the earlier
+     one wins, as in [gauss]. *)
+  let row cols vals = { Solver.cols; vals } in
+  let rows =
+    [|
+      row [| 1 |] [| 0.3 |];
+      row [| 0; 1; 2 |] [| 2.0; 0.7; 0.1 |];
+      row [| 0; 2 |] [| -2.0; 0.9 |];
+    |]
+  in
+  checkb "tie resolved as gauss" true (sparse_matches_dense rows [| 1.0; 2.0; 3.0 |]);
+  let singular = [| row [| 0; 1 |] [| 1.0; 2.0 |]; row [| 0; 1 |] [| 2.0; 4.0 |] |] in
+  checkb "singular refused" true
+    (Result.is_error (Solver.sparse_gauss singular [| 1.0; 2.0 |]));
+  checkb "repeated column refused" true
+    (Result.is_error
+       (Solver.sparse_gauss [| row [| 0; 0 |] [| 1.0; 1.0 |] |] [| 1.0 |]));
+  checkb "column out of range refused" true
+    (Result.is_error (Solver.sparse_gauss [| row [| 1 |] [| 1.0 |] |] [| 1.0 |]));
+  checkb "dimension mismatch refused" true
+    (Result.is_error (Solver.sparse_gauss [| row [| 0 |] [| 1.0 |] |] [||]))
+
+(* ------------------------------------------------------------------ *)
+(* NAVEP and region propagation over a 26-member sweep                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Every suite member at 200k instructions per stage: the sweep
+   test/golden/figures.txt pins. *)
+let sweep =
+  lazy
+    (List.map
+       (Runner.run_benchmark ~max_steps:200_000)
+       Tpdbt_workloads.Suite.all)
+
+(* Each (INIP, AVEP) pair [Runner.assemble] compares: every threshold
+   run, and the training profile with its offline-formed regions. *)
+let compared_pairs () =
+  List.concat_map
+    (fun (d : Runner.data) ->
+      let avep = d.Runner.avep.Engine.snapshot in
+      ( Tpdbt_profiles.Offline_regions.form d.Runner.train.Engine.snapshot,
+        avep )
+      :: List.map
+           (fun (r : Runner.threshold_run) -> (r.Runner.result.Engine.snapshot, avep))
+           d.Runner.runs)
+    (Lazy.force sweep)
+
+let test_navep_systems_both_ways () =
+  let solved = ref 0 in
+  List.iter
+    (fun (inip, avep) ->
+      let sys = Navep.system (Navep.build ~inip ~avep) in
+      if Array.length sys.Markov.unknowns > 0 then begin
+        incr solved;
+        checkb
+          (Printf.sprintf "system %d (%d unknowns) solves bit for bit" !solved
+             (Array.length sys.Markov.unknowns))
+          true
+          (sparse_matches_dense sys.Markov.rows sys.Markov.rhs)
+      end)
+    (compared_pairs ());
+  checkb "the sweep duplicates blocks" true (!solved > 100)
+
+(* The propagation Region_prob used to run: the region's edges as a
+   graph, their probabilities in a table, [Markov.propagate_acyclic]
+   over both. *)
+let reference_propagation region ~prob ~with_dummy =
+  let nslots = Region.slot_count region in
+  let g = Graph.create () in
+  for slot = 0 to nslots - 1 do
+    Graph.add_node g slot
+  done;
+  let edge_prob = Hashtbl.create 16 in
+  let record src dst p =
+    let existing = Option.value ~default:0.0 (Hashtbl.find_opt edge_prob (src, dst)) in
+    Hashtbl.replace edge_prob (src, dst) (existing +. p);
+    Graph.add_edge g src dst
+  in
+  let role_prob e =
+    Region_prob.edge_probability e.Region.role ~branch_prob:(prob e.Region.src)
+  in
+  List.iter
+    (fun e -> record e.Region.src e.Region.dst (role_prob e))
+    region.Region.edges;
+  if with_dummy then begin
+    Graph.add_node g nslots;
+    List.iter
+      (fun e -> record e.Region.src nslots (role_prob e))
+      region.Region.back_edges
+  end;
+  let prob_of src dst =
+    Option.value ~default:0.0 (Hashtbl.find_opt edge_prob (src, dst))
+  in
+  match Markov.propagate_acyclic ~graph:g ~prob:prob_of ~entry:0 ~entry_freq:1.0 with
+  | Ok freq -> freq
+  | Error msg -> Alcotest.fail msg
+
+let test_region_propagation_matches_reference () =
+  let checked = ref 0 in
+  let bits_equal what expected actual =
+    incr checked;
+    if not (Int64.equal (Int64.bits_of_float expected) (Int64.bits_of_float actual))
+    then Alcotest.failf "%s: reference %h, arrays %h" what expected actual
+  in
+  List.iter
+    (fun (inip, avep) ->
+      List.iter
+        (fun r ->
+          let probs =
+            [
+              ("frozen", Region.frozen_branch_prob r);
+              ("avep", fun slot -> Snapshot.branch_prob avep r.Region.slots.(slot));
+            ]
+          in
+          List.iter
+            (fun (label, prob) ->
+              let what kind = Printf.sprintf "region %d %s %s" r.Region.id kind label in
+              bits_equal (what "completion")
+                (Hashtbl.find (reference_propagation r ~prob ~with_dummy:false)
+                   (Region.tail_slot r))
+                (Region_prob.completion_probability r ~prob);
+              if r.Region.back_edges <> [] then
+                bits_equal (what "loop-back")
+                  (Hashtbl.find (reference_propagation r ~prob ~with_dummy:true)
+                     (Region.slot_count r))
+                  (Region_prob.loopback_probability r ~prob))
+            probs)
+        inip.Snapshot.regions)
+    (compared_pairs ());
+  checkb "the sweep forms regions" true (!checked > 1000)
+
 let suite =
   [
     ("matrix basics", `Quick, test_matrix_basics);
@@ -356,6 +605,14 @@ let suite =
     ("weighted mean", `Quick, test_weighted_mean);
     ("mismatch rate", `Quick, test_mismatch_rate);
     ("mean", `Quick, test_mean);
+    ( "sparse gauss ties and singularity",
+      `Quick,
+      test_sparse_gauss_ties_and_singularity );
+    ("navep systems solve both ways", `Quick, test_navep_systems_both_ways);
+    ( "region propagation matches reference",
+      `Quick,
+      test_region_propagation_matches_reference );
     QCheck_alcotest.to_alcotest prop_solvers_agree;
+    QCheck_alcotest.to_alcotest prop_sparse_gauss_bitwise;
     QCheck_alcotest.to_alcotest prop_sd_bounds;
   ]

@@ -478,7 +478,34 @@ let test_cli_exit_taxonomy () =
         checki "perf regression is 3" 3
           (exit_of [ "perfdiff"; old_json; new_json ]);
         checki "garbage perfdiff input is validation (2)" 2
-          (exit_of [ "perfdiff"; bad; new_json ]))
+          (exit_of [ "perfdiff"; bad; new_json ]);
+        (* Profiles of two programs compared block by block: refused
+           as validation, in either order, flat or not. *)
+        let profile name bench threshold =
+          let path = Filename.concat dir name in
+          checki ("profile " ^ name) 0
+            (exit_of
+               [
+                 "profile"; bench; "-t"; threshold; "--max-steps"; "200000";
+                 "--out-dir"; dir; "-o"; path;
+               ]);
+          path
+        in
+        let gzip_t50 = profile "gzip-t50.prof" "gzip" "50" in
+        let gzip_avep = profile "gzip-avep.prof" "gzip" "0" in
+        let swim_avep = profile "swim-avep.prof" "swim" "0" in
+        checki "analyze across programs is validation (2)" 2
+          (exit_of [ "analyze"; gzip_t50; swim_avep ]);
+        checki "analyze across programs, reversed, is validation (2)" 2
+          (exit_of [ "analyze"; swim_avep; gzip_t50 ]);
+        checki "flat analyze across programs is validation (2)" 2
+          (exit_of [ "analyze"; gzip_avep; swim_avep ]);
+        checki "report --avep across programs is validation (2)" 2
+          (exit_of [ "report"; gzip_t50; "--avep"; swim_avep ]);
+        checki "analyze within one program succeeds" 0
+          (exit_of [ "analyze"; gzip_t50; gzip_avep ]);
+        checki "report --avep within one program succeeds" 0
+          (exit_of [ "report"; gzip_t50; "--avep"; gzip_avep ]))
   end
 
 let suite =
