@@ -16,8 +16,8 @@ PAR_SMOKE_DIR := _build/par-smoke
 
 .PHONY: all build test fmt fmt-strict check clean faults-smoke cache-smoke \
 	par-smoke par-bench chaos-smoke chaos-serve-smoke serve-smoke \
-	profile-smoke fuzz-smoke snapshot-smoke figures-check perf-bench perfdiff \
-	alloc-gate
+	profile-smoke fuzz-smoke snapshot-smoke examples-smoke figures-check \
+	perf-bench perfdiff alloc-gate
 
 all: build
 
@@ -245,6 +245,25 @@ snapshot-smoke: build
 	diff -r $(SNAPSHOT_SMOKE_DIR)/ref-ckpt $(SNAPSHOT_SMOKE_DIR)/sus-ckpt
 	@echo "snapshot-smoke: resumed sweep byte-identical to uninterrupted run"
 
+# Examples smoke: dune build compiles examples/, this runs them.  Each
+# example, at its documented default, must exit 0 and print exactly
+# the committed examples/expected/<name>.txt.  An example whose output
+# changes on purpose updates its file in the same commit.
+EXAMPLES := quickstart region_explorer threshold_sweep phase_detector \
+	phase_change adaptive_reopt
+EXAMPLES_SMOKE_DIR := _build/examples-smoke
+
+examples-smoke: build
+	rm -rf $(EXAMPLES_SMOKE_DIR)
+	mkdir -p $(EXAMPLES_SMOKE_DIR)
+	@for e in $(EXAMPLES); do \
+		_build/default/examples/$$e.exe > $(EXAMPLES_SMOKE_DIR)/$$e.txt \
+			|| { echo "examples-smoke: $$e failed"; exit 1; }; \
+		cmp examples/expected/$$e.txt $(EXAMPLES_SMOKE_DIR)/$$e.txt \
+			|| { echo "examples-smoke: $$e differs from examples/expected/"; exit 1; }; \
+	done
+	@echo "examples-smoke: every example printed its expected output"
+
 # The paper's numbers at full length: the whole figure sweep, with no
 # step cap, must reproduce the committed results/fig8.csv ... fig18.csv
 # byte for byte.  (results/ablation-*.csv and cache-sweep.csv come from
@@ -309,7 +328,7 @@ fmt-strict:
 
 check: build test faults-smoke cache-smoke par-smoke chaos-smoke \
 	chaos-serve-smoke serve-smoke profile-smoke fuzz-smoke \
-	snapshot-smoke fmt
+	snapshot-smoke examples-smoke fmt
 
 clean:
 	$(DUNE) clean

@@ -55,7 +55,7 @@ let worked_examples () =
   in
   let prob6 = function 0 -> Some 0.4 | 1 -> Some 0.8 | 2 -> Some 0.9 | _ -> None in
   Printf.printf "Fig 6 completion probability: %.3f (paper: 0.86)\n"
-    (Region_prob.completion_probability fig6 ~prob:prob6);
+    (Region_prob.completion_probability (Region.layout fig6) ~prob:prob6);
   let fig7 =
     mk_region ~kind:Region.Loop 4
       ~edges:
@@ -80,7 +80,7 @@ let worked_examples () =
   Printf.printf
     "Fig 7 loop-back probability:  %.3f (paper prints 0.886; its own \
      products sum to 0.882)\n"
-    (Region_prob.loopback_probability fig7 ~prob:prob7);
+    (Region_prob.loopback_probability (Region.layout fig7) ~prob:prob7);
   let sd_bp =
     Stats.weighted_sd
       [
@@ -507,7 +507,8 @@ let ablation_studies ~quick =
   print_endline "-----------------------------------------------";
   let benchmarks = if quick then Some [ "gzip"; "mcf" ] else None in
   List.iter
-    (fun (id, table) ->
+    (fun (id, study) ->
+      let table = study () in
       print_endline id;
       Table.print ~precision:3 table;
       print_newline ();

@@ -1033,7 +1033,7 @@ let ablate_cmd =
       & info [ "study"; "s" ] ~docv:"NAME"
           ~doc:
             "Study to run: region-formation, min-branch-prob, pool-trigger, \
-             adaptive (repeatable; default: all).")
+             scheduling, adaptive (repeatable; default: all).")
   in
   let benches =
     Arg.(
@@ -1042,19 +1042,37 @@ let ablate_cmd =
           ~doc:"Benchmark to include (repeatable).")
   in
   let run studies benches =
+    List.iter
+      (fun n ->
+        if Tpdbt_workloads.Suite.find n = None then begin
+          prerr_endline ("unknown benchmark: " ^ n);
+          exit exit_usage
+        end)
+      benches;
     let benchmarks = match benches with [] -> None | l -> Some l in
-    let tables = Tpdbt_experiments.Ablations.all ?benchmarks () in
-    let tables =
+    let all = Tpdbt_experiments.Ablations.all ?benchmarks () in
+    List.iter
+      (fun id ->
+        if not (List.mem_assoc id all) then begin
+          prerr_endline
+            ("unknown study: " ^ id ^ " (one of: "
+            ^ String.concat ", " (List.map fst all)
+            ^ ")");
+          exit exit_usage
+        end)
+      studies;
+    let chosen =
       match studies with
-      | [] -> tables
-      | wanted -> List.filter (fun (id, _) -> List.mem id wanted) tables
+      | [] -> all
+      | wanted -> List.filter (fun (id, _) -> List.mem id wanted) all
     in
     List.iter
-      (fun (id, table) ->
+      (fun (id, study) ->
+        let table = study () in
         print_endline id;
         Tpdbt_experiments.Table.print ~precision:3 table;
         print_newline ())
-      tables
+      chosen
   in
   Cmd.v
     (Cmd.info "ablate"

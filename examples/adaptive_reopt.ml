@@ -56,7 +56,8 @@ let () =
         with
         | Some region when region.Region.kind = Region.Loop ->
             let frozen =
-              Tpdbt_profiles.Region_prob.loopback_probability region
+              Tpdbt_profiles.Region_prob.loopback_probability
+                (Region.layout region)
                 ~prob:(Region.frozen_branch_prob region)
             in
             let live =

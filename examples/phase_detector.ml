@@ -1,11 +1,12 @@
 (* Phase detection: finding the change points the initial profile
    cannot see.
 
-   Runs the phase-changing "mcf" benchmark with periodic profile
-   checkpoints, differences them into window profiles, and reports
-   where adjacent windows' branch behaviour diverges — the change
-   points that make Mcf's initial prediction inaccurate at every
-   threshold in the paper's Figure 9.
+   Runs the phase-changing "mcf" benchmark, suspending it every 100k
+   instructions to take a cumulative profile checkpoint, differences
+   the checkpoints into window profiles, and reports where adjacent
+   windows' branch behaviour diverges — the change points that make
+   Mcf's initial prediction inaccurate at every threshold in the
+   paper's Figure 9.
 
    Run with:  dune exec examples/phase_detector.exe [-- benchmark] *)
 
@@ -24,17 +25,11 @@ let () =
   let program, ref_input, _ = Tpdbt_workloads.Spec.build bench in
   let program = Tpdbt_workloads.Spec.apply_input program ref_input in
   let engine =
-    Engine.create ~config:Engine.profiling_only
+    Engine.create
+      ~config:{ Engine.profiling_only with Engine.snapshot_every = 100_000 }
       ~seed:ref_input.Tpdbt_workloads.Spec.seed program
   in
-  let checkpoints = ref [] in
-  let result =
-    Engine.run ~checkpoint_every:100_000
-      ~on_checkpoint:(fun ~steps snapshot ->
-        checkpoints := (steps, snapshot) :: !checkpoints)
-      engine
-  in
-  let series = List.rev !checkpoints in
+  let result, series = Phases.series engine in
   Printf.printf "%s: %d guest instructions, %d checkpoints of 100k \
                  instructions\n\n"
     name result.Engine.steps (List.length series);

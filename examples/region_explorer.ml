@@ -53,10 +53,12 @@ let () =
       match region.Tpdbt_dbt.Region.kind with
       | Tpdbt_dbt.Region.Loop ->
           Format.printf "    loop-back probability (frozen profile): %.4f@."
-            (Tpdbt_profiles.Region_prob.loopback_probability region ~prob)
+            (Tpdbt_profiles.Region_prob.loopback_probability
+               (Tpdbt_dbt.Region.layout region) ~prob)
       | Tpdbt_dbt.Region.Trace ->
           Format.printf "    completion probability (frozen profile): %.4f@."
-            (Tpdbt_profiles.Region_prob.completion_probability region ~prob))
+            (Tpdbt_profiles.Region_prob.completion_probability
+               (Tpdbt_dbt.Region.layout region) ~prob))
     inip.Tpdbt_dbt.Engine.snapshot.Tpdbt_dbt.Snapshot.regions;
 
   print_endline "\nNAVEP: average-profile frequencies per block copy:";

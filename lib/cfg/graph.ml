@@ -2,16 +2,10 @@ type t = {
   succs : (int, int list ref) Hashtbl.t;
   preds : (int, int list ref) Hashtbl.t;
   mutable nodes_rev : int list;
-  mutable edge_count : int;
 }
 
 let create () =
-  {
-    succs = Hashtbl.create 16;
-    preds = Hashtbl.create 16;
-    nodes_rev = [];
-    edge_count = 0;
-  }
+  { succs = Hashtbl.create 16; preds = Hashtbl.create 16; nodes_rev = [] }
 
 let mem_node t n = Hashtbl.mem t.succs n
 
@@ -34,8 +28,7 @@ let add_edge t a b =
   if not (mem_edge t a b) then begin
     let sa = Hashtbl.find t.succs a and pb = Hashtbl.find t.preds b in
     sa := b :: !sa;
-    pb := a :: !pb;
-    t.edge_count <- t.edge_count + 1
+    pb := a :: !pb
   end
 
 let of_edges edges =
@@ -46,22 +39,3 @@ let of_edges edges =
 let succs t n = List.rev (adjacency t.succs n)
 let preds t n = List.rev (adjacency t.preds n)
 let nodes t = List.rev t.nodes_rev
-let node_count t = List.length t.nodes_rev
-let edge_count t = t.edge_count
-
-let iter_edges t f =
-  List.iter (fun a -> List.iter (fun b -> f a b) (succs t a)) (nodes t)
-
-let copy t =
-  let fresh = create () in
-  List.iter (add_node fresh) (nodes t);
-  iter_edges t (add_edge fresh);
-  fresh
-
-let remove_edge t a b =
-  if mem_edge t a b then begin
-    let sa = Hashtbl.find t.succs a and pb = Hashtbl.find t.preds b in
-    sa := List.filter (fun x -> x <> b) !sa;
-    pb := List.filter (fun x -> x <> a) !pb;
-    t.edge_count <- t.edge_count - 1
-  end

@@ -1,9 +1,9 @@
 (** Directed graphs over integer node identifiers.
 
-    A thin mutable adjacency structure used for control-flow graphs:
-    region-local CFGs, NAVEP normalisation graphs, and workload
-    skeletons.  Nodes are arbitrary non-negative integers; parallel
-    edges are collapsed. *)
+    A thin mutable adjacency structure: the graph that
+    [Tpdbt_numerics.Markov.propagate_acyclic], a test reference for the
+    array analyses, propagates over.  Nodes are arbitrary non-negative
+    integers; parallel edges are collapsed. *)
 
 type t
 
@@ -13,19 +13,9 @@ val add_edge : t -> int -> int -> unit
 (** Adds both endpoints as nodes. *)
 
 val of_edges : (int * int) list -> t
-val mem_node : t -> int -> bool
-val mem_edge : t -> int -> int -> bool
 val succs : t -> int -> int list
 (** Successors in insertion order; [] for unknown nodes. *)
 
 val preds : t -> int -> int list
 val nodes : t -> int list
 (** All nodes in insertion order. *)
-
-val node_count : t -> int
-val edge_count : t -> int
-val iter_edges : t -> (int -> int -> unit) -> unit
-val copy : t -> t
-
-val remove_edge : t -> int -> int -> unit
-(** No-op if the edge is absent. *)

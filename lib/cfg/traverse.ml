@@ -1,31 +1,3 @@
-let postorder g ~root =
-  let visited = Hashtbl.create 16 in
-  let order = ref [] in
-  (* Explicit stack with a "children pending" marker to avoid deep
-     recursion on long traces. *)
-  let rec visit n =
-    if not (Hashtbl.mem visited n) then begin
-      Hashtbl.replace visited n ();
-      List.iter visit (Graph.succs g n);
-      order := n :: !order
-    end
-  in
-  if Graph.mem_node g root then visit root;
-  List.rev !order
-
-let reverse_postorder g ~root = List.rev (postorder g ~root)
-
-let reachable g ~root =
-  let visited = Hashtbl.create 16 in
-  let rec visit n =
-    if not (Hashtbl.mem visited n) then begin
-      Hashtbl.replace visited n ();
-      List.iter visit (Graph.succs g n)
-    end
-  in
-  if Graph.mem_node g root then visit root;
-  visited
-
 let topological_sort g =
   let nodes = Graph.nodes g in
   let indegree = Hashtbl.create 16 in
@@ -47,5 +19,3 @@ let topological_sort g =
   done;
   if !count = List.length nodes then Ok (List.rev !order)
   else Error "topological_sort: graph has a cycle"
-
-let is_acyclic g = Result.is_ok (topological_sort g)

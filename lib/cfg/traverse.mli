@@ -1,16 +1,5 @@
-(** Graph traversals: depth-first order, reverse postorder, reachability,
-    and topological sorting of acyclic graphs. *)
-
-val postorder : Graph.t -> root:int -> int list
-(** Depth-first postorder of the nodes reachable from [root]. *)
-
-val reverse_postorder : Graph.t -> root:int -> int list
-
-val reachable : Graph.t -> root:int -> (int, unit) Hashtbl.t
-(** Set of nodes reachable from [root] (including [root]). *)
+(** Topological sorting of acyclic graphs. *)
 
 val topological_sort : Graph.t -> (int list, string) result
 (** Kahn's algorithm over the whole graph; [Error] if the graph has a
     cycle. *)
-
-val is_acyclic : Graph.t -> bool

@@ -143,8 +143,8 @@ type rentry = {
   r_region : Region.t;
   r_mon : monitor;
   r_slot_cycles : float array;
-  (* Per-slot successor slot for each edge role (first matching edge in
-     [Region.out_edges] order), -1 when the role has no edge. *)
+  (* Per-slot successor slot for each edge role, -1 when the role has
+     no edge: the region's {!Region.layout} tables. *)
   r_dst_taken : int array;
   r_dst_not_taken : int array;
   r_dst_always : int array;
@@ -369,12 +369,7 @@ type model = {
   (* Per-run triggers, armed by [begin_run]. *)
   mutable deadline_step : int;
   mutable snapshot_step : int;
-  mutable checkpoint_every : int;
-  mutable next_checkpoint : int;
-  mutable on_checkpoint : steps:int -> Snapshot.t -> unit;
 }
-
-let no_checkpoint ~steps:_ _ = ()
 
 let model_create cfg program bmap =
   let n = Block_map.block_count bmap in
@@ -425,9 +420,6 @@ let model_create cfg program bmap =
     stop_outputs = 0;
     deadline_step = max_int;
     snapshot_step = max_int;
-    checkpoint_every = 0;
-    next_checkpoint = 0;
-    on_checkpoint = no_checkpoint;
   }
 
 (* Call only under [if t.trace then ...] so disabled telemetry never
@@ -487,53 +479,35 @@ let region_instrs t (r : Region.t) =
     (fun acc b -> acc + (Block_map.block t.bmap b).Block_map.size)
     0 r.Region.slots
 
-let build_rentry t (r : Region.t) slot_cycles mon =
-  let n = Array.length r.Region.slots in
-  let dst_taken = Array.make n (-1)
-  and dst_not_taken = Array.make n (-1)
-  and dst_always = Array.make n (-1)
-  and always_ok = Array.make n false
-  and has_back = Array.make n false in
-  Array.iteri
-    (fun slot bid ->
-      let b = Block_map.block t.bmap bid in
-      (match b.Block_map.terminator with
-      | Block_map.Goto _ | Block_map.Fallthrough _ | Block_map.Call_to _ ->
-          always_ok.(slot) <- true
-      | Block_map.Cond _ | Block_map.Return | Block_map.Stop -> ());
-      List.iter
-        (fun (e : Region.edge) ->
-          let cell =
-            match e.Region.role with
-            | Region.Taken -> dst_taken
-            | Region.Not_taken -> dst_not_taken
-            | Region.Always -> dst_always
-          in
-          if cell.(slot) < 0 then cell.(slot) <- e.Region.dst)
-        (Region.out_edges r slot);
-      has_back.(slot) <-
-        List.exists
-          (fun (e : Region.edge) -> e.Region.src = slot)
-          r.Region.back_edges)
-    r.Region.slots;
+let slot_cycles_of t r layout =
+  let code = t.program.Tpdbt_isa.Program.code in
+  if t.cfg.trace_scheduling then
+    Optimizer.region_slot_cycles_pipelined t.bmap ~code r layout
+  else Optimizer.region_slot_cycles t.bmap ~code r
+
+let build_rentry t (r : Region.t) mon =
+  let layout = Region.layout r in
+  let always_ok =
+    Array.map
+      (fun bid ->
+        match (Block_map.block t.bmap bid).Block_map.terminator with
+        | Block_map.Goto _ | Block_map.Fallthrough _ | Block_map.Call_to _ ->
+            true
+        | Block_map.Cond _ | Block_map.Return | Block_map.Stop -> false)
+      r.Region.slots
+  in
   {
     r_region = r;
     r_mon = mon;
-    r_slot_cycles = slot_cycles;
-    r_dst_taken = dst_taken;
-    r_dst_not_taken = dst_not_taken;
-    r_dst_always = dst_always;
+    r_slot_cycles = slot_cycles_of t r layout;
+    r_dst_taken = layout.Region.dst_taken;
+    r_dst_not_taken = layout.Region.dst_not_taken;
+    r_dst_always = layout.Region.dst_always;
     r_always_ok = always_ok;
-    r_has_back = has_back;
-    r_tail = Region.tail_slot r;
+    r_has_back = layout.Region.has_back;
+    r_tail = layout.Region.tail;
     r_is_loop = r.Region.kind = Region.Loop;
   }
-
-let slot_cycles_of cfg program bmap r =
-  let code = program.Tpdbt_isa.Program.code in
-  if cfg.trace_scheduling then
-    Optimizer.region_slot_cycles_pipelined bmap ~code r
-  else Optimizer.region_slot_cycles bmap ~code r
 
 let unlink_region t rid =
   Hashtbl.remove t.regions rid;
@@ -742,8 +716,7 @@ let optimize t =
     regions
   in
   let commit r =
-      let slot_cycles = slot_cycles_of t.cfg t.program t.bmap r in
-      let re = build_rentry t r slot_cycles (fresh_monitor ()) in
+      let re = build_rentry t r (fresh_monitor ()) in
       Hashtbl.replace t.regions r.Region.id re;
       t.regions_rev <- r :: t.regions_rev;
       t.counters.Perf_model.regions_formed <-
@@ -1385,10 +1358,6 @@ let settle t machine steps =
 (* Execution is back at a dispatch point, at guest step [steps], after
    a block (or a region) that ended with [outcome]. *)
 let after_dispatch t machine outcome steps =
-  if t.checkpoint_every > 0 && steps >= t.next_checkpoint then begin
-    t.on_checkpoint ~steps (current_snapshot t);
-    t.next_checkpoint <- steps + t.checkpoint_every
-  end;
   match outcome with
   | Driver.Trapped ->
       (match Machine.last_trap machine with
@@ -1634,15 +1603,11 @@ let solo g = g.models.(0)
 let block_map g = g.driver.Driver.bmap
 let machine g = g.driver.Driver.machine
 
-let run ?(checkpoint_every = 0) ?(on_checkpoint = no_checkpoint) g =
+let run g =
   let t = solo g in
   let machine = machine g in
-  t.checkpoint_every <- checkpoint_every;
-  t.next_checkpoint <- checkpoint_every;
-  t.on_checkpoint <- on_checkpoint;
   begin_run t machine ~solo:true;
   ignore (drive g);
-  t.on_checkpoint <- no_checkpoint;
   result_of t machine
 
 let suspended (r : result) =
@@ -1853,8 +1818,7 @@ let restore_model cfg program bmap image =
           m_disabled = disabled;
         }
       in
-      Hashtbl.replace t.regions rid
-        (build_rentry t r (slot_cycles_of cfg program bmap r) mon))
+      Hashtbl.replace t.regions rid (build_rentry t r mon))
     image.ex_regions;
   rebuild_region_entries t;
   let evictions, flushes, evicted_instrs, peak = image.ex_cache_stats in

@@ -198,18 +198,15 @@ val create :
   ?config:config -> ?mem_words:int -> seed:int64 -> Tpdbt_isa.Program.t -> t
 (** [config] defaults to [config ~threshold:1000 ()]. *)
 
-val run :
-  ?checkpoint_every:int ->
-  ?on_checkpoint:(steps:int -> Snapshot.t -> unit) ->
-  t ->
-  result
-(** Run to halt, trap or step budget, then snapshot.
+val run : t -> result
+(** Run to halt, trap, step budget or suspension, then snapshot.
 
-    If [checkpoint_every] is given (in guest instructions),
-    [on_checkpoint] is called at block boundaries roughly that often
-    with the number of instructions executed and a copy of the current
-    cumulative profile — the raw material for phase analysis
-    ([Tpdbt_profiles.Phases]). *)
+    With [snapshot_every] set, the run suspends at the first dispatch
+    point at least that many guest instructions after it started
+    ({!suspended}), and running again continues from there.  Each
+    suspended result carries the step count and the cumulative profile
+    at that point: a series of them, one per period, is the raw
+    material for phase analysis ([Tpdbt_profiles.Phases]). *)
 
 val block_map : t -> Block_map.t
 

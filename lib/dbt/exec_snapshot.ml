@@ -207,7 +207,7 @@ let region r =
     { Region.id; kind; slots; edges; back_edges; frozen_use; frozen_taken }
   in
   (match Region.validate region with
-  | Ok () -> ()
+  | Ok _ -> ()
   | Error reason ->
       R.fail r "region" (Printf.sprintf "region %d: %s" id reason));
   R.tagged r "monitor";

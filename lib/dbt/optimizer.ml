@@ -224,15 +224,11 @@ let region_slot_cycles block_map ~code region =
       float_of_int (optimize_block instrs).cycles)
     region.Region.slots
 
-let region_slot_cycles_pipelined block_map ~code region =
+let region_slot_cycles_pipelined block_map ~code region layout =
   (* A slot with a region-internal successor only pays its issue span:
      the latency drain of its last results is hidden by the successor's
      independent instructions.  Slots without an internal successor (the
      trace tail and side-exit-only slots) pay the full schedule. *)
-  let has_internal_successor = Array.make (Array.length region.Region.slots) false in
-  List.iter
-    (fun e -> has_internal_successor.(e.Region.src) <- true)
-    (region.Region.edges @ region.Region.back_edges);
   Array.mapi
     (fun slot block_id ->
       let b = Block_map.block block_map block_id in
@@ -240,5 +236,6 @@ let region_slot_cycles_pipelined block_map ~code region =
       let lowered = Ir.lower_block instrs in
       let optimized = dead_def_elim (const_fold lowered) in
       let finish, issue_span = schedule_internal optimized in
-      float_of_int (if has_internal_successor.(slot) then issue_span else finish))
+      float_of_int
+        (if layout.Region.has_succ.(slot) then issue_span else finish))
     region.Region.slots

@@ -33,11 +33,17 @@ val region_slot_cycles : Block_map.t -> code:Tpdbt_isa.Instr.t array -> Region.t
     through {!optimize_block}). *)
 
 val region_slot_cycles_pipelined :
-  Block_map.t -> code:Tpdbt_isa.Instr.t array -> Region.t -> float array
+  Block_map.t ->
+  code:Tpdbt_isa.Instr.t array ->
+  Region.t ->
+  Region.layout ->
+  float array
 (** Trace scheduling (region-based compilation, Hank/Hwu/Rau):
     instructions still issue within their own block (no speculation
     across branches), but result latencies overlap across region edges —
     a block's tail-latency "drain" cycles are hidden by its successor's
     independent instructions.  Each slot's cost is its share of the
     pipelined schedule of the region's hot path through that slot; costs
-    are never higher than {!region_slot_cycles}'s. *)
+    are never higher than {!region_slot_cycles}'s.  A slot with a
+    region-internal successor ([has_succ] in the region's
+    {!Region.layout}) pays only its issue span. *)

@@ -171,9 +171,9 @@ let adaptive ?(benchmarks = [ "gzip"; "mcf"; "wupwise" ]) () =
 
 let all ?benchmarks () =
   [
-    ("region-formation", region_formation ?benchmarks ());
-    ("min-branch-prob", min_branch_prob ?benchmarks ());
-    ("pool-trigger", pool_trigger ?benchmarks ());
-    ("scheduling", scheduling ?benchmarks ());
-    ("adaptive", adaptive ());
+    ("region-formation", fun () -> region_formation ?benchmarks ());
+    ("min-branch-prob", fun () -> min_branch_prob ?benchmarks ());
+    ("pool-trigger", fun () -> pool_trigger ?benchmarks ());
+    ("scheduling", fun () -> scheduling ?benchmarks ());
+    ("adaptive", fun () -> adaptive ());
   ]

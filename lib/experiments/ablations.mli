@@ -31,4 +31,7 @@ val adaptive : ?benchmarks:string list -> unit -> Table.t
     (side-exit monitoring, the paper's §5 proposal), on the
     phase-changing benchmarks where it should matter. *)
 
-val all : ?benchmarks:string list -> unit -> (string * Table.t) list
+val all : ?benchmarks:string list -> unit -> (string * (unit -> Table.t)) list
+(** Every study by name, in the order above; a study runs when its
+    function is called.  [benchmarks] applies to every study but
+    [adaptive], which keeps its phase-changing set. *)

@@ -76,7 +76,9 @@ type partial = {
   p_thresholds : (string * int) list;
   p_done : (stage * Engine.result) list;  (* finished stages, in order *)
   p_next : stage;  (* the stage the snapshot interrupts *)
-  p_snapshot : string;  (* Exec_snapshot.to_string of the engine *)
+  p_snapshot : string;
+      (* a TPDBT-GROUP record of the reference group, or a TPDBT-SNAP
+         record of one stage's engine; see runner.mli *)
 }
 
 module Exec_snapshot = Tpdbt_dbt.Exec_snapshot
@@ -285,8 +287,8 @@ let run_ref ?sink bench ~config =
 let run_avep bench =
   let result = run_ref bench ~config:Engine.profiling_only in
   match result.Engine.error with
-  | None -> result
-  | Some e -> raise (Error.Error e)
+  | Some e when Error.fatal e -> raise (Error.Error e)
+  | Some _ | None -> result
 
 (* The standard observability bundle: buffer the event stream, derive
    metrics from it, and fold the run's perf-model counters into the

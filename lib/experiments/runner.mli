@@ -292,8 +292,11 @@ val run_ref :
     a failed run. *)
 
 val run_avep : Tpdbt_workloads.Spec.t -> Tpdbt_dbt.Engine.result
-(** Profiling-only reference-input run (the AVEP profile).
-    @raise Tpdbt_dbt.Error.Error if the run ends with a typed error. *)
+(** Profiling-only reference-input run (the AVEP profile).  A run cut
+    short by a non-fatal error (the step cap: mcf reaches it) is kept
+    as a partial run, as {!run_benchmark} keeps it.
+    @raise Tpdbt_dbt.Error.Error if the run ends with a fatal error
+    ({!Tpdbt_dbt.Error.fatal}). *)
 
 val run_traced :
   ?limit:int ->

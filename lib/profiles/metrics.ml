@@ -65,9 +65,12 @@ let compare_snapshots ~inip ~avep =
       (fun r ->
         if r.Region.kind <> Region.Trace || Region.slot_count r < 2 then None
         else begin
-          let ct = Region_prob.completion_probability r ~prob:(frozen_prob r) in
+          let layout = Region.layout r in
+          let ct =
+            Region_prob.completion_probability layout ~prob:(frozen_prob r)
+          in
           let cm =
-            Region_prob.completion_probability r ~prob:(avep_prob avep r)
+            Region_prob.completion_probability layout ~prob:(avep_prob avep r)
           in
           let weight = Snapshot.block_freq avep (Region.entry_block r) in
           if weight <= 0.0 then None
@@ -80,9 +83,12 @@ let compare_snapshots ~inip ~avep =
       (fun r ->
         if r.Region.kind <> Region.Loop then None
         else begin
-          let lt = Region_prob.loopback_probability r ~prob:(frozen_prob r) in
+          let layout = Region.layout r in
+          let lt =
+            Region_prob.loopback_probability layout ~prob:(frozen_prob r)
+          in
           let lm =
-            Region_prob.loopback_probability r ~prob:(avep_prob avep r)
+            Region_prob.loopback_probability layout ~prob:(avep_prob avep r)
           in
           let weight = Snapshot.block_freq avep (Region.entry_block r) in
           if weight <= 0.0 then None

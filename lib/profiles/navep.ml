@@ -157,22 +157,22 @@ let build ~inip ~avep =
   let is_entry node =
     node < region_copies && node = first_node.(region_of.(node))
   in
-  (* 2. The region's own edge for each (copy, role): the first of the
-     slot's forward, then back, edges with that role, as a node. *)
+  (* 2. The region's own edge for each (copy, role): the layout's
+     successor of the slot for that role, as a node. *)
   let internal = Array.make (3 * region_copies) (-1) in
   Array.iteri
     (fun ri r ->
-      let n = Region.slot_count r and base = first_node.(ri) in
-      let record e =
-        if e.Region.src >= 0 && e.Region.src < n && e.Region.dst >= 0
-           && e.Region.dst < n
-        then begin
-          let k = (3 * (base + e.Region.src)) + role_index e.Region.role in
-          if internal.(k) < 0 then internal.(k) <- base + e.Region.dst
-        end
+      let l = Region.layout r and base = first_node.(ri) in
+      let record role dsts =
+        Array.iteri
+          (fun slot dst ->
+            if dst >= 0 then
+              internal.((3 * (base + slot)) + role_index role) <- base + dst)
+          dsts
       in
-      List.iter record r.Region.edges;
-      List.iter record r.Region.back_edges)
+      record Region.Taken l.Region.dst_taken;
+      record Region.Not_taken l.Region.dst_not_taken;
+      record Region.Always l.Region.dst_always)
     regions;
   (* 3. The NAVEP flow edges, copy by copy: along the region's edge of
      the same role if there is one, otherwise to the successor block's

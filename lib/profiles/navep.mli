@@ -17,7 +17,9 @@
 
     The graph is built on node-indexed arrays (one node per copy, a
     region's copies consecutive) and solved with
-    {!Tpdbt_numerics.Linear_solver.sparse_gauss}. *)
+    {!Tpdbt_numerics.Linear_solver.sparse_gauss}.  A copy's flow follows
+    its region's own edge of the branch's role where the region has
+    one: the slot's successor in {!Tpdbt_dbt.Region.layout}. *)
 
 type location = In_region of { region : int; slot : int } | Standalone
 
@@ -27,7 +29,10 @@ type t
 
 val build : inip:Tpdbt_dbt.Snapshot.t -> avep:Tpdbt_dbt.Snapshot.t -> t
 (** [inip] supplies the region structure, [avep] the probabilities and
-    frequencies. *)
+    frequencies.
+    @raise Invalid_argument if a region of [inip] is not valid
+    ({!Tpdbt_dbt.Region.validate}); engines and profile readers only
+    produce valid ones. *)
 
 val copies : t -> copy list
 (** Every NAVEP node, in node order. *)

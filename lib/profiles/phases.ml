@@ -1,5 +1,16 @@
 module Snapshot = Tpdbt_dbt.Snapshot
 module Block_map = Tpdbt_dbt.Block_map
+module Engine = Tpdbt_dbt.Engine
+
+let series engine =
+  let rec go acc =
+    let result = Engine.run engine in
+    match result.Engine.error with
+    | Some (Tpdbt_dbt.Error.Suspended { deadline = false; _ }) ->
+        go ((result.Engine.steps, result.Engine.snapshot) :: acc)
+    | Some _ | None -> (result, List.rev acc)
+  in
+  go []
 
 type window = {
   start_steps : int;

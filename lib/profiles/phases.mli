@@ -3,8 +3,8 @@
     The paper (§1, §5) attributes most initial-prediction failures to
     programs with {e phases}: intervals whose branch behaviour differs
     from the whole-run average.  This module detects such phases
-    offline from a series of cumulative profile checkpoints
-    ({!Tpdbt_dbt.Engine.run}'s [on_checkpoint]):
+    offline from a series of cumulative profile checkpoints ({!series}
+    of an engine that suspends every so many instructions):
 
     - consecutive checkpoints are differenced into {e window} profiles
       (per-block use/taken deltas);
@@ -13,6 +13,18 @@
       window execution counts);
     - a window boundary whose distance exceeds a threshold is a
       {e change point}. *)
+
+val series :
+  Tpdbt_dbt.Engine.t ->
+  Tpdbt_dbt.Engine.result * (int * Tpdbt_dbt.Snapshot.t) list
+(** Run an engine whose config sets [snapshot_every] to its end,
+    resuming it at each periodic suspension, and return the final
+    result with the [(steps, cumulative snapshot)] of every suspension,
+    chronologically.  The period is measured from each resume point, so
+    the checkpoints fall at the first dispatch point at least
+    [snapshot_every] instructions after the previous one; none falls on
+    the block that ends the run.  A deadline suspension ends the
+    series. *)
 
 type window = {
   start_steps : int;

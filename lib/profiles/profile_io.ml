@@ -195,7 +195,7 @@ let read_counts r bmap =
       { Region.id; kind; slots; edges; back_edges; frozen_use; frozen_taken }
     in
     match Region.validate region with
-    | Ok () -> region
+    | Ok _ -> region
     | Error msg -> R.fail_at line "region" ("invalid region: " ^ msg)
   in
   let regions = R.list r "regions" read_region in

@@ -9,73 +9,40 @@ let edge_probability role ~branch_prob =
 
 (* Propagate frequency 1 from slot 0 through the region's forward edges
    (plus, with [with_dummy], the back edges redirected to a dummy node
-   [slot_count]) and return the frequency of node [target].  A node's
-   inflow sums its distinct predecessors in the order their first edge
+   [slot_count]) and return every node's frequency.  A node's inflow
+   sums its distinct predecessors in the order their first edge
    appears, each weighted by its edges' probabilities summed in edge
-   order (two roles may join the same slots): the order
-   [Markov.propagate_acyclic] sums in over the graph of these edges.
-   Nodes are visited in a topological order (Kahn's), so every
-   predecessor is final when it is read. *)
-let propagate region ~prob ~with_dummy ~target =
-  let nslots = Region.slot_count region in
-  let size = if with_dummy then nslots + 1 else nslots in
-  let edges =
-    if with_dummy then
-      region.Region.edges
-      @ List.map
-          (fun e -> { e with Region.dst = nslots })
-          region.Region.back_edges
-    else region.Region.edges
+   order: the order [Markov.propagate_acyclic] sums in over the graph
+   of these edges.  Slots are visited in the layout's topological
+   order, so every predecessor is final when it is read. *)
+let propagate (layout : Region.layout) ~prob ~with_dummy =
+  let nslots = Array.length layout.order in
+  let freq = Array.make (nslots + 1) 0.0 in
+  let inflow preds =
+    List.fold_left
+      (fun acc { Region.from; roles } ->
+        let branch_prob = prob from in
+        let w =
+          List.fold_left
+            (fun w role -> w +. edge_probability role ~branch_prob)
+            0.0 roles
+        in
+        acc +. (freq.(from) *. w))
+      0.0 preds
   in
-  (* [preds.(n)]: (source, summed probability), latest first. *)
-  let preds = Array.make size [] and succs = Array.make size [] in
-  let indegree = Array.make size 0 in
-  List.iter
-    (fun { Region.src; dst; role } ->
-      if src < 0 || src >= nslots || dst < 0 || dst >= size then
-        invalid_arg "Region_prob.propagate: edge slot out of range";
-      let p = edge_probability role ~branch_prob:(prob src) in
-      match List.assoc_opt src preds.(dst) with
-      | Some w -> w := !w +. p
-      | None ->
-          preds.(dst) <- (src, ref (0.0 +. p)) :: preds.(dst);
-          succs.(src) <- dst :: succs.(src);
-          indegree.(dst) <- indegree.(dst) + 1)
-    edges;
-  let freq = Array.make size 0.0 in
-  let ready = Queue.create () in
-  for n = 0 to size - 1 do
-    if indegree.(n) = 0 then Queue.add n ready
-  done;
-  let visited = ref 0 in
-  while not (Queue.is_empty ready) do
-    let n = Queue.pop ready in
-    incr visited;
-    freq.(n) <-
-      (if n = 0 then 1.0
-       else
-         List.fold_left
-           (fun acc (p, w) -> acc +. (freq.(p) *. !w))
-           0.0 (List.rev preds.(n)));
-    List.iter
-      (fun s ->
-        indegree.(s) <- indegree.(s) - 1;
-        if indegree.(s) = 0 then Queue.add s ready)
-      succs.(n)
-  done;
-  (* Region forward edges are acyclic by construction. *)
-  if !visited < size then
-    invalid_arg "Region_prob.propagate: forward edges contain a cycle";
-  freq.(target)
+  Array.iter
+    (fun slot ->
+      freq.(slot) <- (if slot = 0 then 1.0 else inflow layout.preds.(slot)))
+    layout.order;
+  if with_dummy then freq.(nslots) <- inflow layout.back_preds;
+  freq
 
-let completion_probability region ~prob =
-  propagate region ~prob ~with_dummy:false ~target:(Region.tail_slot region)
+let completion_probability (layout : Region.layout) ~prob =
+  (propagate layout ~prob ~with_dummy:false).(layout.tail)
 
-let loopback_probability region ~prob =
-  if region.Region.back_edges = [] then 0.0
-  else
-    propagate region ~prob ~with_dummy:true
-      ~target:(Region.slot_count region)
+let loopback_probability (layout : Region.layout) ~prob =
+  if layout.back_preds = [] then 0.0
+  else (propagate layout ~prob ~with_dummy:true).(Array.length layout.order)
 
 let trip_count_of_loopback lp =
   if lp >= 1.0 -. 1e-9 then 1e9 else 1.0 /. (1.0 -. lp)

@@ -27,9 +27,10 @@ let region_summary ?avep (snapshot : Snapshot.t) region =
     |> String.concat " "
   in
   let frozen slot = Region.frozen_branch_prob region slot in
+  let layout = Region.layout region in
   (match region.Region.kind with
   | Region.Trace ->
-      let cp = Region_prob.completion_probability region ~prob:frozen in
+      let cp = Region_prob.completion_probability layout ~prob:frozen in
       Buffer.add_string buf
         (Printf.sprintf "trace region %d [%s]: completion probability %.4f"
            region.Region.id members cp);
@@ -40,13 +41,13 @@ let region_summary ?avep (snapshot : Snapshot.t) region =
             Snapshot.branch_prob avep region.Region.slots.(slot)
           in
           let cm =
-            Region_prob.completion_probability region ~prob:avep_prob
+            Region_prob.completion_probability layout ~prob:avep_prob
           in
           Buffer.add_string buf
             (Printf.sprintf " (average profile: %.4f, |diff| %.4f)" cm
                (abs_float (cp -. cm))))
   | Region.Loop ->
-      let lp = Region_prob.loopback_probability region ~prob:frozen in
+      let lp = Region_prob.loopback_probability layout ~prob:frozen in
       Buffer.add_string buf
         (Printf.sprintf
            "loop region %d [%s]: loop-back probability %.4f, trip ~%.1f, %s"
@@ -59,7 +60,7 @@ let region_summary ?avep (snapshot : Snapshot.t) region =
           let avep_prob slot =
             Snapshot.branch_prob avep region.Region.slots.(slot)
           in
-          let lm = Region_prob.loopback_probability region ~prob:avep_prob in
+          let lm = Region_prob.loopback_probability layout ~prob:avep_prob in
           let same =
             Region_prob.classify_loopback lp = Region_prob.classify_loopback lm
           in

@@ -1,10 +1,7 @@
-(* Tests for the CFG library: graph, traversals, dominators, loops, SCC. *)
+(* Tests for the CFG library: graph and topological sort. *)
 
 module Graph = Tpdbt_cfg.Graph
 module Traverse = Tpdbt_cfg.Traverse
-module Dominators = Tpdbt_cfg.Dominators
-module Loops = Tpdbt_cfg.Loops
-module Scc = Tpdbt_cfg.Scc
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
@@ -19,10 +16,9 @@ let diamond_loop () =
 
 let test_graph_basics () =
   let g = diamond_loop () in
-  checki "nodes" 6 (Graph.node_count g);
-  checki "edges" 7 (Graph.edge_count g);
-  checkb "mem_edge" true (Graph.mem_edge g 0 1);
-  checkb "no reverse edge" false (Graph.mem_edge g 1 0);
+  check_ints "nodes" [ 0; 1; 2; 3; 4; 5 ] (Graph.nodes g);
+  check_ints "succs 0" [ 1 ] (Graph.succs g 0);
+  check_ints "no reverse edge" [] (Graph.preds g 0);
   check_ints "succs 1" [ 2; 3 ] (Graph.succs g 1);
   check_ints "preds 4" [ 2; 3 ] (Graph.preds g 4);
   check_ints "preds 1" [ 0; 4 ] (Graph.preds g 1);
@@ -32,116 +28,24 @@ let test_graph_dedup_edges () =
   let g = Graph.create () in
   Graph.add_edge g 1 2;
   Graph.add_edge g 1 2;
-  checki "parallel edges collapse" 1 (Graph.edge_count g)
-
-let test_graph_remove_edge () =
-  let g = diamond_loop () in
-  Graph.remove_edge g 4 1;
-  checkb "removed" false (Graph.mem_edge g 4 1);
-  checki "edges" 6 (Graph.edge_count g);
-  Graph.remove_edge g 4 1;
-  checki "idempotent" 6 (Graph.edge_count g)
-
-let test_graph_copy_independent () =
-  let g = diamond_loop () in
-  let h = Graph.copy g in
-  Graph.remove_edge h 0 1;
-  checkb "original intact" true (Graph.mem_edge g 0 1);
-  checkb "copy modified" false (Graph.mem_edge h 0 1)
-
-let test_postorder () =
-  let g = diamond_loop () in
-  let po = Traverse.postorder g ~root:0 in
-  checki "visits all reachable" 6 (List.length po);
-  (* Root is last in postorder. *)
-  checki "root last" 0 (List.nth po (List.length po - 1));
-  let rpo = Traverse.reverse_postorder g ~root:0 in
-  checki "root first in rpo" 0 (List.hd rpo)
-
-let test_reachable () =
-  let g = Graph.of_edges [ (0, 1); (1, 2); (3, 4) ] in
-  let r = Traverse.reachable g ~root:0 in
-  checki "three reachable" 3 (Hashtbl.length r);
-  checkb "4 not reachable" false (Hashtbl.mem r 4)
+  check_ints "parallel edges collapse" [ 2 ] (Graph.succs g 1);
+  check_ints "one predecessor" [ 1 ] (Graph.preds g 2)
 
 let test_topological_sort () =
-  let g = Graph.of_edges [ (0, 1); (0, 2); (1, 3); (2, 3) ] in
-  (match Traverse.topological_sort g with
+  let edges = [ (0, 1); (0, 2); (1, 3); (2, 3) ] in
+  (match Traverse.topological_sort (Graph.of_edges edges) with
   | Error msg -> Alcotest.fail msg
   | Ok order ->
       let pos = Hashtbl.create 8 in
       List.iteri (fun i n -> Hashtbl.replace pos n i) order;
-      Graph.iter_edges g (fun a b ->
+      checki "every node" 4 (List.length order);
+      List.iter
+        (fun (a, b) ->
           checkb "edge respects order" true
-            (Hashtbl.find pos a < Hashtbl.find pos b)));
+            (Hashtbl.find pos a < Hashtbl.find pos b))
+        edges);
   checkb "cycle detected" true
-    (Result.is_error (Traverse.topological_sort (diamond_loop ())));
-  checkb "acyclic" true
-    (Traverse.is_acyclic (Graph.of_edges [ (0, 1); (1, 2) ]));
-  checkb "cyclic" false (Traverse.is_acyclic (diamond_loop ()))
-
-let test_dominators_diamond () =
-  let g = diamond_loop () in
-  let dom = Dominators.compute g ~root:0 in
-  checkb "idom root" true (Dominators.idom dom 0 = None);
-  checkb "idom 1" true (Dominators.idom dom 1 = Some 0);
-  checkb "idom 3" true (Dominators.idom dom 3 = Some 1);
-  checkb "idom 4" true (Dominators.idom dom 4 = Some 1);
-  checkb "0 dominates all" true (Dominators.dominates dom 0 5);
-  checkb "1 dominates 4" true (Dominators.dominates dom 1 4);
-  checkb "2 not dominate 4" false (Dominators.dominates dom 2 4);
-  checkb "reflexive" true (Dominators.dominates dom 3 3);
-  checkb "unreachable" false (Dominators.dominates dom 0 99)
-
-let test_dominators_chain () =
-  let g = Graph.of_edges [ (10, 20); (20, 30); (30, 40) ] in
-  let dom = Dominators.compute g ~root:10 in
-  checkb "chain idom" true (Dominators.idom dom 40 = Some 30);
-  checkb "transitive dominance" true (Dominators.dominates dom 10 40)
-
-let test_back_edges_and_loops () =
-  let g = diamond_loop () in
-  checkb "back edge 4->1" true (Loops.back_edges g ~root:0 = [ (4, 1) ]);
-  match Loops.detect g ~root:0 with
-  | [ l ] ->
-      checki "header" 1 l.Loops.header;
-      check_ints "body" [ 1; 2; 3; 4 ] l.Loops.body;
-      checkb "back edges" true (l.Loops.back_edges = [ (4, 1) ])
-  | other -> Alcotest.failf "expected 1 loop, got %d" (List.length other)
-
-let test_nested_loops () =
-  (* 0 -> 1 -> 2 -> 1 (inner), 2 -> 3 -> 0?? no: outer 1..3 -> 1.
-     Build: 0->1, 1->2, 2->2 (self inner), 2->3, 3->1 (outer back), 3->4. *)
-  let g = Graph.of_edges [ (0, 1); (1, 2); (2, 2); (2, 3); (3, 1); (3, 4) ] in
-  let loops = Loops.detect g ~root:0 in
-  checki "two loops" 2 (List.length loops);
-  let inner = List.find (fun l -> l.Loops.header = 2) loops in
-  let outer = List.find (fun l -> l.Loops.header = 1) loops in
-  check_ints "inner body" [ 2 ] inner.Loops.body;
-  check_ints "outer body" [ 1; 2; 3 ] outer.Loops.body
-
-let test_self_loop () =
-  let g = Graph.of_edges [ (0, 1); (1, 1); (1, 2) ] in
-  match Loops.detect g ~root:0 with
-  | [ l ] ->
-      checki "self loop header" 1 l.Loops.header;
-      check_ints "self loop body" [ 1 ] l.Loops.body
-  | other -> Alcotest.failf "expected 1 loop, got %d" (List.length other)
-
-let test_scc () =
-  let g = Graph.of_edges [ (0, 1); (1, 2); (2, 0); (2, 3); (3, 4); (4, 3) ] in
-  let comps = List.map (List.sort compare) (Scc.compute g) in
-  checkb "012 component" true (List.mem [ 0; 1; 2 ] comps);
-  checkb "34 component" true (List.mem [ 3; 4 ] comps);
-  checki "two components" 2 (List.length comps)
-
-let test_scc_trivial () =
-  let g = Graph.of_edges [ (0, 1); (1, 2) ] in
-  let comps = Scc.compute g in
-  checki "three singletons" 3 (List.length comps);
-  List.iter (fun c -> checkb "trivial" true (Scc.is_trivial g c)) comps;
-  let h = Graph.of_edges [ (5, 5) ] in
-  checkb "self loop not trivial" false (Scc.is_trivial h [ 5 ])
+    (Result.is_error (Traverse.topological_sort (diamond_loop ())))
 
 (* Property: random DAG -> topological_sort succeeds and respects edges. *)
 let prop_topo_on_dags =
@@ -167,42 +71,10 @@ let prop_topo_on_dags =
           List.iteri (fun i n -> Hashtbl.replace pos n i) order;
           List.for_all (fun (a, b) -> Hashtbl.find pos a < Hashtbl.find pos b) edges)
 
-(* Property: every loop detected has its header dominating all body
-   nodes. *)
-let prop_loop_headers_dominate =
-  let open QCheck in
-  let gen =
-    Gen.(list_size (int_range 1 40) (pair (int_bound 12) (int_bound 12)))
-  in
-  Test.make ~name:"loop headers dominate bodies" ~count:200 (make gen)
-    (fun edges ->
-      let g = Graph.of_edges ((99, 0) :: edges) in
-      let dom = Dominators.compute g ~root:99 in
-      let reach = Traverse.reachable g ~root:99 in
-      Loops.detect g ~root:99
-      |> List.for_all (fun l ->
-             List.for_all
-               (fun n ->
-                 (not (Hashtbl.mem reach n))
-                 || Dominators.dominates dom l.Loops.header n)
-               l.Loops.body))
-
 let suite =
   [
     ("graph basics", `Quick, test_graph_basics);
     ("graph dedup edges", `Quick, test_graph_dedup_edges);
-    ("graph remove edge", `Quick, test_graph_remove_edge);
-    ("graph copy independent", `Quick, test_graph_copy_independent);
-    ("postorder", `Quick, test_postorder);
-    ("reachable", `Quick, test_reachable);
     ("topological sort", `Quick, test_topological_sort);
-    ("dominators diamond", `Quick, test_dominators_diamond);
-    ("dominators chain", `Quick, test_dominators_chain);
-    ("back edges and loops", `Quick, test_back_edges_and_loops);
-    ("nested loops", `Quick, test_nested_loops);
-    ("self loop", `Quick, test_self_loop);
-    ("scc", `Quick, test_scc);
-    ("scc trivial", `Quick, test_scc_trivial);
     QCheck_alcotest.to_alcotest prop_topo_on_dags;
-    QCheck_alcotest.to_alcotest prop_loop_headers_dominate;
   ]

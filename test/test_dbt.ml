@@ -165,7 +165,7 @@ let test_region_accessors () =
   in
   checki "entry" 5 (Region.entry_block region);
   checki "slots" 3 (Region.slot_count region);
-  checki "tail" 2 (Region.tail_slot region);
+  checki "tail" 2 (Region.layout region).Region.tail;
   checkb "slots_of_block" true (Region.slots_of_block region 6 = [ 1 ]);
   checkb "validate" true (Result.is_ok (Region.validate region));
   match Region.frozen_branch_prob region 0 with
@@ -196,6 +196,247 @@ let test_region_duplicated_block () =
         ]
   in
   checkb "two copies of block 5" true (Region.slots_of_block region 5 = [ 0; 2 ])
+
+(* The layout against a reference written here: the old graph-based
+   checks (a [Tpdbt_cfg] graph of the forward edges, its topological
+   sort, a depth-first search from slot 0) for the verdict, and list
+   searches over the edges for the tables. *)
+
+module Graph = Tpdbt_cfg.Graph
+
+let reference_verdict (region : Region.t) =
+  let open Region in
+  let n = Array.length region.slots in
+  let bad e = e.src < 0 || e.src >= n || e.dst < 0 || e.dst >= n in
+  if n = 0 then Error "region has no slots"
+  else if
+    Array.length region.frozen_use <> n
+    || Array.length region.frozen_taken <> n
+  then Error "frozen counter arrays do not match slot count"
+  else if List.exists bad (region.edges @ region.back_edges) then
+    Error "edge slot out of range"
+  else if List.exists (fun e -> e.dst <> 0) region.back_edges then
+    Error "back edge not targeting slot 0"
+  else if (region.kind = Loop) <> (region.back_edges <> []) then
+    Error "kind/back-edge mismatch"
+  else
+    let g = Graph.create () in
+    Array.iteri (fun slot _ -> Graph.add_node g slot) region.slots;
+    List.iter (fun e -> Graph.add_edge g e.src e.dst) region.edges;
+    match Tpdbt_cfg.Traverse.topological_sort g with
+    | Error _ -> Error "forward edges contain a cycle"
+    | Ok _ ->
+        let seen = Array.make n false in
+        let rec visit slot =
+          if not seen.(slot) then begin
+            seen.(slot) <- true;
+            List.iter visit (Graph.succs g slot)
+          end
+        in
+        visit 0;
+        if Array.for_all Fun.id seen then Ok ()
+        else Error "not all slots reachable from entry"
+
+(* Distinct sources of [edges] in first-edge order, each with the roles
+   of its edges in edge order. *)
+let reference_preds edges =
+  let open Region in
+  let sources =
+    List.fold_left
+      (fun acc e -> if List.mem e.src acc then acc else acc @ [ e.src ])
+      [] edges
+  in
+  List.map
+    (fun from ->
+      let roles =
+        List.filter_map
+          (fun e -> if e.src = from then Some e.role else None)
+          edges
+      in
+      { from; roles })
+    sources
+
+let layout_matches (region : Region.t) (l : Region.layout) =
+  let open Region in
+  let n = Array.length region.slots in
+  let all = region.edges @ region.back_edges in
+  let from slot = List.filter (fun e -> e.src = slot) in
+  let first slot role =
+    match List.find_opt (fun e -> e.role = role) (from slot all) with
+    | Some e -> e.dst
+    | None -> -1
+  in
+  let rec tail slot =
+    if slot = 0 || from slot region.edges = [] then slot else tail (slot - 1)
+  in
+  let position = Array.make n (-1) in
+  Array.iteri (fun i slot -> position.(slot) <- i) l.order;
+  List.for_all
+    (fun slot ->
+      l.dst_taken.(slot) = first slot Taken
+      && l.dst_not_taken.(slot) = first slot Not_taken
+      && l.dst_always.(slot) = first slot Always
+      && l.has_succ.(slot) = (from slot all <> [])
+      && l.has_back.(slot) = (from slot region.back_edges <> [])
+      && l.preds.(slot)
+         = reference_preds (List.filter (fun e -> e.dst = slot) region.edges))
+    (List.init n Fun.id)
+  && l.tail = tail (n - 1)
+  && l.back_preds = reference_preds region.back_edges
+  && Array.length l.order = n
+  && l.order.(0) = 0
+  && Array.for_all (fun i -> i >= 0) position
+  && List.for_all (fun e -> position.(e.src) < position.(e.dst)) region.edges
+
+let layout_property region =
+  match (Region.validate region, reference_verdict region) with
+  | Ok l, Ok () -> layout_matches region l
+  | Error reason, Error expected -> reason = expected
+  | Ok _, Error _ | Error _, Ok () -> false
+
+let role_gen = QCheck.Gen.oneofl Region.[ Taken; Not_taken; Always ]
+let edge_gen src dst = QCheck.Gen.map (fun role -> { Region.src; dst; role }) role_gen
+
+(* A valid region of [n] slots: every slot hangs off a lower one, some
+   edges are copied under random roles (duplicate and parallel edges),
+   and a loop has back edges to slot 0. *)
+let valid_region_gen n =
+  let open QCheck.Gen in
+  let* spine =
+    flatten_l
+      (List.init (n - 1) (fun i -> int_bound i >>= fun src -> edge_gen src (i + 1)))
+  in
+  let* twins =
+    if spine = [] then return []
+    else
+      list_size (int_bound 3)
+        (oneofl spine >>= fun e -> edge_gen e.Region.src e.Region.dst)
+  in
+  let* edges = shuffle_l (spine @ twins) in
+  let* loop = bool in
+  let* back_edges =
+    if loop then
+      list_size (int_range 1 3) (int_bound (n - 1) >>= fun src -> edge_gen src 0)
+    else return []
+  in
+  let* frozen_use = array_repeat n (int_bound 100) in
+  let* frozen_taken = array_repeat n (int_bound 100) in
+  return
+    {
+      Region.id = 0;
+      kind = (if loop then Region.Loop else Region.Trace);
+      slots = Array.init n (fun slot -> 10 + slot);
+      edges;
+      back_edges;
+      frozen_use;
+      frozen_taken;
+    }
+
+(* One random damage, each aimed at one check. *)
+let damage_gen (region : Region.t) =
+  let open QCheck.Gen in
+  let open Region in
+  let n = Array.length region.slots in
+  let slot = int_bound (n - 1) in
+  let with_edge e = { region with edges = region.edges @ [ e ] } in
+  oneof
+    [
+      (* an edge slot out of range, at either end *)
+      (let* src = slot and* far = oneofl [ -1; n ] and* role = role_gen in
+       oneofl
+         [
+           with_edge { src; dst = far; role }; with_edge { src = far; dst = src; role };
+         ]);
+      (* a back edge that misses slot 0 *)
+      (let* src = slot and* dst = int_range 1 (max 1 (n - 1)) in
+       let* role = role_gen in
+       return
+         {
+           region with
+           kind = Loop;
+           back_edges = region.back_edges @ [ { src; dst; role } ];
+         });
+      (* the kind flipped *)
+      return
+        { region with kind = (match region.kind with Trace -> Loop | Loop -> Trace) };
+      (* an edge against the slot order: a cycle when its target reaches
+         its source *)
+      (let* a = slot and* b = slot and* role = role_gen in
+       return (with_edge { src = max a b; dst = min a b; role }));
+      (* a forward edge dropped: its target may be left unreachable *)
+      (let* i = int_bound (max 0 (List.length region.edges - 1)) in
+       return { region with edges = List.filteri (fun j _ -> j <> i) region.edges });
+      (* a frozen array one short *)
+      return { region with frozen_taken = Array.sub region.frozen_taken 0 (n - 1) };
+      (* the slots relabelled: the only source may not be slot 0 *)
+      (let perm = Array.init n Fun.id in
+       let* () = shuffle_a perm in
+       let m slot = if slot >= 0 && slot < n then perm.(slot) else slot in
+       let move e = { e with src = m e.src; dst = m e.dst } in
+       return
+         {
+           region with
+           edges = List.map move region.edges;
+           back_edges = List.map move region.back_edges;
+         });
+    ]
+
+(* Random regions of 1-8 slots, a third of them undamaged. *)
+let region_gen =
+  let open QCheck.Gen in
+  let rec damage k region =
+    if k = 0 then return region else damage_gen region >>= damage (k - 1)
+  in
+  let* n = int_range 1 8 in
+  let* k = frequency [ (1, return 0); (1, return 1); (1, int_range 2 3) ] in
+  valid_region_gen n >>= damage k
+
+let prop_region_layout =
+  QCheck.Test.make ~name:"region layout matches reference" ~count:3000
+    (QCheck.make ~print:(Format.asprintf "%a" Region.pp) region_gen)
+    layout_property
+
+let test_region_layout_cases () =
+  let region ?(kind = Region.Trace) ?(back_edges = []) n edges =
+    let edge (src, dst) = { Region.src; dst; role = Region.Always } in
+    mk_region ~kind ~edges:(List.map edge edges)
+      ~back_edges:(List.map edge back_edges) (Array.make n 1)
+  in
+  let verdict what expected region =
+    checkb (what ^ " (reference)") true (reference_verdict region = expected);
+    checkb what true (Result.map ignore (Region.validate region) = expected)
+  in
+  verdict "no slots" (Error "region has no slots") (region 0 []);
+  (* Every slot but 0 has a predecessor, yet slot 1 is the only source. *)
+  verdict "only source is slot 1" (Error "not all slots reachable from entry")
+    (region 2 [ (1, 0) ]);
+  (* Slot 3 is unreachable too; the cycle's reason comes first. *)
+  verdict "cycle and unreachable slot" (Error "forward edges contain a cycle")
+    (region 4 [ (0, 1); (1, 2); (2, 1) ]);
+  verdict "a loop" (Ok ())
+    (region ~kind:Region.Loop ~back_edges:[ (1, 0) ] 2 [ (0, 1) ]);
+  (* The generator draws every verdict. *)
+  let rand = Random.State.make [| 19 |] in
+  let verdicts = Hashtbl.create 8 in
+  for _ = 1 to 3000 do
+    let key =
+      match Region.validate (region_gen rand) with
+      | Ok _ -> "ok"
+      | Error reason -> reason
+    in
+    Hashtbl.replace verdicts key ()
+  done;
+  List.iter
+    (fun key -> checkb ("generator draws " ^ key) true (Hashtbl.mem verdicts key))
+    [
+      "ok";
+      "frozen counter arrays do not match slot count";
+      "edge slot out of range";
+      "back edge not targeting slot 0";
+      "kind/back-edge mismatch";
+      "forward edges contain a cycle";
+      "not all slots reachable from entry";
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Region former                                                        *)
@@ -263,7 +504,7 @@ let test_former_trace () =
             { Region.src = 0; dst = 1; role = Region.Taken };
             { Region.src = 1; dst = 2; role = Region.Taken };
           ]);
-      checki "tail" 2 (Region.tail_slot region)
+      checki "tail" 2 (Region.layout region).Region.tail
   | other -> Alcotest.failf "expected one region, got %d" (List.length other)
 
 let test_former_stops_at_cold () =
@@ -466,7 +707,7 @@ let test_former_diamond () =
   | [ region ] ->
       checkb "diamond slots" true (region.Region.slots = [| 0; 2; 1; 3 |]);
       checki "four slots" 4 (Region.slot_count region);
-      checki "tail is join" 3 (Region.tail_slot region);
+      checki "tail is join" 3 (Region.layout region).Region.tail;
       checkb "valid" true (Result.is_ok (Region.validate region))
   | other -> Alcotest.failf "expected one region, got %d" (List.length other)
 
@@ -625,7 +866,10 @@ let test_pipelined_region_cycles () =
   in
   let code = p.Tpdbt_isa.Program.code in
   let per_block = Optimizer.region_slot_cycles bmap ~code region in
-  let pipelined = Optimizer.region_slot_cycles_pipelined bmap ~code region in
+  let pipelined =
+    Optimizer.region_slot_cycles_pipelined bmap ~code region
+      (Region.layout region)
+  in
   Array.iteri
     (fun slot c ->
       checkb
@@ -1079,6 +1323,8 @@ let suite =
     ("region accessors", `Quick, test_region_accessors);
     ("region validate rejects", `Quick, test_region_validate_rejects);
     ("region duplicated block", `Quick, test_region_duplicated_block);
+    ("region layout cases", `Quick, test_region_layout_cases);
+    QCheck_alcotest.to_alcotest prop_region_layout;
     ("former loop region", `Quick, test_former_loop_region);
     ("former trace", `Quick, test_former_trace);
     ("former stops at cold", `Quick, test_former_stops_at_cold);

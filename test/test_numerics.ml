@@ -566,13 +566,13 @@ let test_region_propagation_matches_reference () =
               let what kind = Printf.sprintf "region %d %s %s" r.Region.id kind label in
               bits_equal (what "completion")
                 (Hashtbl.find (reference_propagation r ~prob ~with_dummy:false)
-                   (Region.tail_slot r))
-                (Region_prob.completion_probability r ~prob);
+                   (Region.layout r).Region.tail)
+                (Region_prob.completion_probability (Region.layout r) ~prob);
               if r.Region.back_edges <> [] then
                 bits_equal (what "loop-back")
                   (Hashtbl.find (reference_propagation r ~prob ~with_dummy:true)
                      (Region.slot_count r))
-                  (Region_prob.loopback_probability r ~prob))
+                  (Region_prob.loopback_probability (Region.layout r) ~prob))
             probs)
         inip.Snapshot.regions)
     (compared_pairs ());

@@ -45,7 +45,7 @@ let test_fig6_completion () =
     | _ -> None
   in
   checkf 1e-9 "Fig 6: CP = 0.86" 0.86
-    (Region_prob.completion_probability region ~prob)
+    (Region_prob.completion_probability (Region.layout region) ~prob)
 
 (* ---- Figure 7: loop-back probability via the dummy node ------------ *)
 
@@ -77,7 +77,7 @@ let test_fig7_loopback () =
     | _ -> None
   in
   checkf 1e-9 "Fig 7: LP = 0.882" 0.882
-    (Region_prob.loopback_probability region ~prob)
+    (Region_prob.loopback_probability (Region.layout region) ~prob)
 
 (* ---- Figure 5: the three standard deviations ------------------------ *)
 
@@ -131,9 +131,9 @@ let test_fig5_loopback_products_from_regions () =
   let inip = function 0 -> Some 0.977 | 1 -> Some 0.88 | _ -> None in
   let avep = function 0 -> Some 0.90 | 1 -> Some 0.70 | _ -> None in
   checkf 1e-9 "INIP loop-back" (0.977 *. 0.88)
-    (Region_prob.loopback_probability region ~prob:inip);
+    (Region_prob.loopback_probability (Region.layout region) ~prob:inip);
   checkf 1e-9 "AVEP loop-back" (0.90 *. 0.70)
-    (Region_prob.loopback_probability region ~prob:avep)
+    (Region_prob.loopback_probability (Region.layout region) ~prob:avep)
 
 (* ---- §2.1: the statistical interpretation of Sd.BP ------------------ *)
 

@@ -44,7 +44,7 @@ let mk_region ?(kind = Region.Trace) ?(edges = []) ?(back_edges = []) n =
 let test_completion_singleton () =
   let region = mk_region 1 in
   checkf "singleton completes" 1.0
-    (Region_prob.completion_probability region ~prob:(fun _ -> None))
+    (Region_prob.completion_probability (Region.layout region) ~prob:(fun _ -> None))
 
 let test_completion_chain () =
   (* Two-block trace taken with probability 0.9: CP = 0.9. *)
@@ -52,7 +52,7 @@ let test_completion_chain () =
     mk_region 2 ~edges:[ { Region.src = 0; dst = 1; role = Region.Taken } ]
   in
   let prob slot = if slot = 0 then Some 0.9 else None in
-  checkf "chain" 0.9 (Region_prob.completion_probability region ~prob)
+  checkf "chain" 0.9 (Region_prob.completion_probability (Region.layout region) ~prob)
 
 let test_loopback_singleton () =
   (* Self loop with back probability 0.95. *)
@@ -61,12 +61,12 @@ let test_loopback_singleton () =
       ~back_edges:[ { Region.src = 0; dst = 0; role = Region.Taken } ]
   in
   checkf "self loop" 0.95
-    (Region_prob.loopback_probability region ~prob:(fun _ -> Some 0.95))
+    (Region_prob.loopback_probability (Region.layout region) ~prob:(fun _ -> Some 0.95))
 
 let test_loopback_no_back_edges () =
   let region = mk_region 2 ~edges:[ { Region.src = 0; dst = 1; role = Region.Always } ] in
   checkf "no back edges" 0.0
-    (Region_prob.loopback_probability region ~prob:(fun _ -> Some 0.5))
+    (Region_prob.loopback_probability (Region.layout region) ~prob:(fun _ -> Some 0.5))
 
 let test_loopback_two_paths () =
   (* entry -T(0.6)-> a, entry -N(0.4)-> b; a loops back with 0.9, b with
@@ -86,7 +86,7 @@ let test_loopback_two_paths () =
   in
   let prob = function 0 -> Some 0.6 | 1 -> Some 0.9 | 2 -> Some 0.95 | _ -> None in
   checkf "two-path loop-back" 0.92
-    (Region_prob.loopback_probability region ~prob)
+    (Region_prob.loopback_probability (Region.layout region) ~prob)
 
 let test_trip_count_conversion () =
   checkf "lp .9 -> 10" 10.0 (Region_prob.trip_count_of_loopback 0.9);
@@ -417,14 +417,8 @@ module Phases = Tpdbt_profiles.Phases
 
 let checkpoint_series src ~every =
   let p = Assembler.assemble_exn src in
-  let engine = Engine.create ~config:Engine.profiling_only ~seed:11L p in
-  let acc = ref [] in
-  let result =
-    Engine.run ~checkpoint_every:every
-      ~on_checkpoint:(fun ~steps snapshot -> acc := (steps, snapshot) :: !acc)
-      engine
-  in
-  (result, List.rev !acc)
+  let config = { Engine.profiling_only with Engine.snapshot_every = every } in
+  Phases.series (Engine.create ~config ~seed:11L p)
 
 let test_checkpoints_emitted () =
   let result, series = checkpoint_series stable_branch_src ~every:20_000 in

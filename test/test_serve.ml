@@ -430,14 +430,16 @@ let test_server_warm_cache_byte_identical () =
 
 let tpdbt = Filename.concat (Filename.concat ".." "bin") "tpdbt.exe"
 
-let exit_of args =
+(* The exit code of tpdbt run on [args], its stdout written to [out]. *)
+let exit_to out args =
   match
     Unix.system
-      (Filename.quote_command tpdbt args ~stdout:Filename.null
-         ~stderr:Filename.null)
+      (Filename.quote_command tpdbt args ~stdout:out ~stderr:Filename.null)
   with
   | Unix.WEXITED n -> n
   | Unix.WSIGNALED _ | Unix.WSTOPPED _ -> Alcotest.fail "tpdbt killed"
+
+let exit_of args = exit_to Filename.null args
 
 let test_cli_exit_taxonomy () =
   if not (Sys.file_exists tpdbt) then
@@ -505,7 +507,24 @@ let test_cli_exit_taxonomy () =
         checki "analyze within one program succeeds" 0
           (exit_of [ "analyze"; gzip_t50; gzip_avep ]);
         checki "report --avep within one program succeeds" 0
-          (exit_of [ "report"; gzip_t50; "--avep"; gzip_avep ]))
+          (exit_of [ "report"; gzip_t50; "--avep"; gzip_avep ]);
+        (* Only the study asked for runs: mcf, in the adaptive study's
+           set, reaches the step cap, which must not fail a run. *)
+        let ablate = Filename.concat dir "ablate.out" in
+        checki "one ablation study succeeds" 0
+          (exit_to ablate [ "ablate"; "-b"; "gzip"; "-s"; "region-formation" ]);
+        let lines =
+          In_channel.with_open_text ablate In_channel.input_all
+          |> String.split_on_char '\n' |> List.map String.trim
+        in
+        let has prefix = List.exists (String.starts_with ~prefix) lines in
+        List.iter
+          (fun row -> checkb ("ablation output has " ^ row) true (has row))
+          [ "region-formation"; "full former"; "singleton regions" ];
+        checkb "no other study ran" false (has "min-branch-prob");
+        checki "unknown study is usage (1)" 1 (exit_of [ "ablate"; "-s"; "no-such" ]);
+        checki "unknown ablation benchmark is usage (1)" 1
+          (exit_of [ "ablate"; "-b"; "no-such"; "-s"; "scheduling" ]))
   end
 
 let suite =
