@@ -17,7 +17,7 @@ PAR_SMOKE_DIR := _build/par-smoke
 .PHONY: all build test fmt fmt-strict check clean faults-smoke cache-smoke \
 	par-smoke par-bench chaos-smoke chaos-serve-smoke serve-smoke \
 	profile-smoke fuzz-smoke snapshot-smoke examples-smoke figures-check \
-	perf-bench perfdiff alloc-gate
+	ablations-check perf-bench perfdiff alloc-gate
 
 all: build
 
@@ -266,9 +266,10 @@ examples-smoke: build
 
 # The paper's numbers at full length: the whole figure sweep, with no
 # step cap, must reproduce the committed results/fig8.csv ... fig18.csv
-# byte for byte.  (results/ablation-*.csv and cache-sweep.csv come from
-# bench/, not from sweep, and are not compared.)  A change that moves a
-# number updates results/ in the same commit and says why.
+# byte for byte.  (results/ablation-*.csv are compared by
+# ablations-check below; cache-sweep.csv comes from bench/ and is not
+# compared.)  A change that moves a number updates results/ in the same
+# commit and says why.
 FIGURES_CHECK_DIR := _build/figures-check
 FIGURES := fig8 fig9 fig10 fig11 fig12 fig13 fig14 fig15 fig16 fig17 fig18
 
@@ -282,6 +283,26 @@ figures-check: build
 			|| { echo "figures-check: $$f.csv differs from results/"; exit 1; }; \
 	done
 	@echo "figures-check: fig8-fig18 byte-identical to the committed results/"
+
+# The ablation studies at their defaults must reproduce the committed
+# results/ablation-*.csv byte for byte.  They are the only runs of
+# several configurations: pool triggers 1 and 4, adaptive dissolution,
+# trace scheduling, no duplication, no diamonds, inlined calls and
+# singleton regions.
+ABLATIONS_CHECK_DIR := _build/ablations-check
+ABLATIONS := region-formation min-branch-prob pool-trigger scheduling adaptive
+
+ablations-check: build
+	rm -rf $(ABLATIONS_CHECK_DIR)
+	mkdir -p $(ABLATIONS_CHECK_DIR)
+	$(DUNE) exec bin/tpdbt.exe -- ablate \
+		--csv $(ABLATIONS_CHECK_DIR)/csv > $(ABLATIONS_CHECK_DIR)/ablate.out
+	@for s in $(ABLATIONS); do \
+		cmp results/ablation-$$s.csv \
+			$(ABLATIONS_CHECK_DIR)/csv/ablation-$$s.csv \
+			|| { echo "ablations-check: ablation-$$s.csv differs from results/"; exit 1; }; \
+	done
+	@echo "ablations-check: every ablation table byte-identical to the committed results/"
 
 # Wall-clock/allocation perf measurement over the quick set, recorded
 # in BENCH_perf.json for perfdiff gating.

@@ -23,6 +23,18 @@ let write_file path contents =
     ~finally:(fun () -> close_out oc)
     (fun () -> output_string oc contents)
 
+(* A table as DIR/ID.csv, DIR made if missing; a directory that cannot
+   be made or written is a usage error. *)
+let write_table_csv ~dir id table =
+  try
+    if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+    write_file
+      (Filename.concat dir (id ^ ".csv"))
+      (Tpdbt_experiments.Table.to_csv table)
+  with Sys_error msg ->
+    Printf.eprintf "cannot write CSV: %s\n%!" msg;
+    exit exit_usage
+
 let or_die = function
   | Ok v -> v
   | Error msg ->
@@ -620,16 +632,7 @@ let sweep_cmd =
         print_endline id;
         Tpdbt_experiments.Table.print ~precision:3 table;
         print_newline ();
-        match csv_dir with
-        | None -> ()
-        | Some dir ->
-            if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-            let path = Filename.concat dir (id ^ ".csv") in
-            let oc = open_out path in
-            Fun.protect
-              ~finally:(fun () -> close_out oc)
-              (fun () ->
-                output_string oc (Tpdbt_experiments.Table.to_csv table)))
+        Option.iter (fun dir -> write_table_csv ~dir id table) csv_dir)
       tables;
     if fatal <> [] then exit exit_regression
   in
@@ -1041,7 +1044,14 @@ let ablate_cmd =
       & info [ "bench"; "b" ] ~docv:"NAME"
           ~doc:"Benchmark to include (repeatable).")
   in
-  let run studies benches =
+  let csv_dir =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "csv" ] ~docv:"DIR"
+          ~doc:"Also write each study's table as DIR/ablation-STUDY.csv.")
+  in
+  let run studies benches csv_dir =
     List.iter
       (fun n ->
         if Tpdbt_workloads.Suite.find n = None then begin
@@ -1071,13 +1081,16 @@ let ablate_cmd =
         let table = study () in
         print_endline id;
         Tpdbt_experiments.Table.print ~precision:3 table;
-        print_newline ())
+        print_newline ();
+        Option.iter
+          (fun dir -> write_table_csv ~dir ("ablation-" ^ id) table)
+          csv_dir)
       chosen
   in
   Cmd.v
     (Cmd.info "ablate"
        ~doc:"Run the ablation studies over the translator's design choices.")
-    Term.(const run $ studies $ benches)
+    Term.(const run $ studies $ benches $ csv_dir)
 
 (* ------------------------------------------------------------------ *)
 (* faults (seeded fault-injection campaign)                             *)
@@ -1298,12 +1311,7 @@ let cache_cmd =
             Filename.concat path "cache_sweep.csv"
           else path
         in
-        try
-          let oc = open_out path in
-          Fun.protect
-            ~finally:(fun () -> close_out oc)
-            (fun () ->
-              output_string oc (Tpdbt_experiments.Table.to_csv table))
+        try write_file path (Tpdbt_experiments.Table.to_csv table)
         with Sys_error msg ->
           Printf.eprintf "cannot write CSV: %s\n%!" msg;
           exit exit_usage));

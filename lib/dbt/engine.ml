@@ -143,14 +143,16 @@ type rentry = {
   r_region : Region.t;
   r_mon : monitor;
   r_slot_cycles : float array;
-  (* Per-slot successor slot for each edge role, -1 when the role has
-     no edge: the region's {!Region.layout} tables. *)
-  r_dst_taken : int array;
-  r_dst_not_taken : int array;
-  r_dst_always : int array;
-  r_always_ok : bool array;
-      (* terminator is Goto/Fallthrough/Call_to, i.e. a [Flowed]
-         outcome follows the [Always] edge *)
+  r_slots : int array;
+      (* slot -> block: the region's own [slots], one load away for the
+         next-slot check *)
+  r_succ : int array;
+      (* The successor table: at [slot * Driver.roles + outcome], the
+         slot that runs next when the block of [slot] ends with
+         [outcome], -1 when execution leaves the region there.  It is
+         the layout's first edge of the outcome's role, where a
+         [Driver.flowed] outcome follows the [Always] edge only from an
+         unconditional transfer (Goto, Fallthrough, Call_to). *)
   r_has_back : bool array;  (* slot is the source of a back edge *)
   r_tail : int;
   r_is_loop : bool;
@@ -179,10 +181,8 @@ let no_region =
         m_disabled = false;
       };
     r_slot_cycles = [||];
-    r_dst_taken = [||];
-    r_dst_not_taken = [||];
-    r_dst_always = [||];
-    r_always_ok = [||];
+    r_slots = [||];
+    r_succ = [||];
     r_has_back = [||];
     r_tail = -1;
     r_is_loop = false;
@@ -234,21 +234,35 @@ module Driver = struct
     locate d;
     d
 
-  (* What a block's terminator did; constant constructors, so a report
-     allocates nothing. *)
-  type outcome = Flowed | Took_not | Took | Finished | Trapped
+  (* What a block's terminator did, as an immediate int.  The first
+     [roles] name the edge a region follows ([flowed] an unconditional
+     transfer's, [took_not] and [took] a branch's); the last two end the
+     run.  A branch's outcome is the machine's own event code. *)
+  let flowed = 0
+  let took_not = Machine.ev_branch_not_taken
+  let took = Machine.ev_branch_taken
+  let finished = 3
+  let trapped = 4
+  let roles = 3
+
+  let () =
+    assert (
+      took_not = 1 && took = 2
+      && Machine.ev_stepped < took_not
+      && took < Machine.ev_jumped)
 
   (* Top-level recursion over the block's instructions, so a block runs
-     with no closure and no allocation. *)
+     with no closure and no allocation.  A branch's two codes are
+     adjacent, so one comparison passes either through without a
+     guess at the guest's direction. *)
   let rec exec machine remaining =
     let c = Machine.step_code machine in
     if c = Machine.ev_stepped then
-      if remaining = 1 then Flowed else exec machine (remaining - 1)
-    else if c = Machine.ev_branch_taken then Took
-    else if c = Machine.ev_branch_not_taken then Took_not
-    else if c <= Machine.ev_returned then Flowed (* jumped/called/returned *)
-    else if c = Machine.ev_halted then Finished
-    else Trapped
+      if remaining = 1 then flowed else exec machine (remaining - 1)
+    else if c <= took then c
+    else if c <= Machine.ev_returned then flowed (* jumped/called/returned *)
+    else if c = Machine.ev_halted then finished
+    else trapped
 
   (* Execute block [next], which must be a block id, and locate the one
      after it.  Control transfers end a block, so a block that keeps
@@ -257,11 +271,60 @@ module Driver = struct
   let[@inline] step d =
     let size = d.sizes.(d.next) in
     let outcome = exec d.machine size in
-    (match outcome with
-    | Flowed | Took_not | Took -> d.steps <- d.steps + size
-    | Finished | Trapped -> d.steps <- Machine.steps d.machine);
+    if outcome < finished then d.steps <- d.steps + size
+    else d.steps <- Machine.steps d.machine;
     locate d;
     outcome
+
+  (* A recorded stretch of the block stream, which every member of a
+     group replays in turn: per event, the block, its outcome, and the
+     step count and the machine's output count after it.  [c_bid] holds
+     one more entry, so that [c_bid.(i + 1)] is always the block located
+     after event [i]: the next event's, or, after the last, the block
+     the driver stands at (-1: none).  A group allocates one chunk and
+     reuses it for every stretch; a lone engine has none. *)
+  type chunk = {
+    c_bid : int array;
+    c_outcome : int array;
+    c_after : int array;
+    c_outputs : int array;
+    mutable c_len : int;
+  }
+
+  let capacity = 1024
+
+  let chunk () =
+    {
+      c_bid = Array.make (capacity + 1) 0;
+      c_outcome = Array.make capacity 0;
+      c_after = Array.make capacity 0;
+      c_outputs = Array.make capacity 0;
+      c_len = 0;
+    }
+
+  (* Run blocks into [c] from event [n] until it is full, the step count
+     reaches [until], the run ends or no block starts at the pc: no
+     recorded event starts at or past a suspension, and a halt, a trap
+     or a [next] of -1 ends the chunk.  Every store is in bounds: event
+     arrays are written below [capacity], [c_bid] up to [capacity]. *)
+  let rec record d c until n =
+    if n = capacity || d.steps >= until || d.next < 0 then begin
+      c.c_len <- n;
+      Array.unsafe_set c.c_bid n d.next
+    end
+    else begin
+      let bid = d.next in
+      let outcome = step d in
+      Array.unsafe_set c.c_bid n bid;
+      Array.unsafe_set c.c_outcome n outcome;
+      Array.unsafe_set c.c_after n d.steps;
+      Array.unsafe_set c.c_outputs n (Machine.output_count d.machine);
+      if outcome < finished then record d c until (n + 1)
+      else begin
+        c.c_len <- n + 1;
+        Array.unsafe_set c.c_bid (n + 1) d.next
+      end
+    end
 
   (* A final block that ends in a plain instruction falls through past
      the last one: the machine halts on its next step, which executes
@@ -290,6 +353,7 @@ type model = {
   cfg : config;
   program : Tpdbt_isa.Program.t;
   bmap : Block_map.t;
+  sizes : int array;  (* block id -> instruction count, the driver's *)
   use : int array;
   taken : int array;
   state : block_state array;
@@ -339,6 +403,14 @@ type model = {
   trace : bool;
       (* telemetry enabled?  Checked before constructing any event, so
          the default null sink costs nothing on the hot paths. *)
+  plain : bool;
+      (* no telemetry and an unbounded cache: a profiled block that is
+         already translated needs no event, charge mirror or cache
+         touch *)
+  mutable reg_use : int;
+      (* the use count from which a profiled execution may register its
+         block or find it registered twice: the threshold, or [max_int]
+         once the model never optimises (threshold 0, or degraded) *)
   clock : int ref;
       (* the guest step the model stands at: the step before the block
          it is accounting for, then the step after it.  Stamps events,
@@ -369,15 +441,20 @@ type model = {
   (* Per-run triggers, armed by [begin_run]. *)
   mutable deadline_step : int;
   mutable snapshot_step : int;
+  mutable stop_step : int;
+      (* the least of the deadline, snapshot and budget steps: a dispatch
+         point before it stops on none of them *)
 }
 
-let model_create cfg program bmap =
+let model_create cfg program bmap sizes =
   let n = Block_map.block_count bmap in
   let clock = ref 0 in
+  let trace = not (Sink.is_null cfg.sink) in
   {
     cfg;
     program;
     bmap;
+    sizes;
     use = Array.make n 0;
     taken = Array.make n 0;
     state = Array.make n Cold;
@@ -404,7 +481,9 @@ let model_create cfg program bmap =
     counters = Perf_model.fresh_counters ();
     cycles_acc = Array.make 1 0.0;
     error = None;
-    trace = not (Sink.is_null cfg.sink);
+    trace;
+    plain = (not trace) && cfg.cache_capacity = None;
+    reg_use = (if cfg.threshold > 0 then cfg.threshold else max_int);
     clock;
     spans = Span.create ~clock:(fun () -> !clock) cfg.sink;
     stage_cycles = Array.make (Array.length stage_labels) 0.0;
@@ -420,6 +499,7 @@ let model_create cfg program bmap =
     stop_outputs = 0;
     deadline_step = max_int;
     snapshot_step = max_int;
+    stop_step = max_int;
   }
 
 (* Call only under [if t.trace then ...] so disabled telemetry never
@@ -487,23 +567,23 @@ let slot_cycles_of t r layout =
 
 let build_rentry t (r : Region.t) mon =
   let layout = Region.layout r in
-  let always_ok =
-    Array.map
-      (fun bid ->
-        match (Block_map.block t.bmap bid).Block_map.terminator with
-        | Block_map.Goto _ | Block_map.Fallthrough _ | Block_map.Call_to _ ->
-            true
-        | Block_map.Cond _ | Block_map.Return | Block_map.Stop -> false)
-      r.Region.slots
-  in
+  let succ = Array.make (Array.length r.Region.slots * Driver.roles) (-1) in
+  Array.iteri
+    (fun slot bid ->
+      let at = slot * Driver.roles in
+      succ.(at + Driver.took) <- layout.Region.dst_taken.(slot);
+      succ.(at + Driver.took_not) <- layout.Region.dst_not_taken.(slot);
+      match (Block_map.block t.bmap bid).Block_map.terminator with
+      | Block_map.Goto _ | Block_map.Fallthrough _ | Block_map.Call_to _ ->
+          succ.(at + Driver.flowed) <- layout.Region.dst_always.(slot)
+      | Block_map.Cond _ | Block_map.Return | Block_map.Stop -> ())
+    r.Region.slots;
   {
     r_region = r;
     r_mon = mon;
     r_slot_cycles = slot_cycles_of t r layout;
-    r_dst_taken = layout.Region.dst_taken;
-    r_dst_not_taken = layout.Region.dst_not_taken;
-    r_dst_always = layout.Region.dst_always;
-    r_always_ok = always_ok;
+    r_slots = r.Region.slots;
+    r_succ = succ;
     r_has_back = layout.Region.has_back;
     r_tail = layout.Region.tail;
     r_is_loop = r.Region.kind = Region.Loop;
@@ -814,108 +894,133 @@ let dissolve t (region : Region.t) =
    [after], ending with [outcome]: charge its translation (first
    execution) and its execution, profiled unless it is optimised, then
    register it and fire the optimisation phase as the thresholds
-   dictate. *)
+   dictate.
+
+   The common case comes first: a translated block, profiled, in a
+   model with no telemetry and an unbounded cache, whose use count
+   stays below [reg_use] while the pool stays below its trigger, so
+   that the execution can neither register the block nor fire the
+   pool.  It updates the counters and the cycles, exactly as the
+   general case below would, and returns. *)
 let single t bid outcome ~before ~after =
-  let b = Block_map.block t.bmap bid in
-  let perf = t.cfg.perf in
-  t.clock := before;
-  if not t.touched.(bid) then begin
-    t.touched.(bid) <- true;
-    if t.trace then
-      emit t (Event.Block_translated { block = bid; size = b.Block_map.size });
-    t.counters.Perf_model.blocks_translated <-
-      t.counters.Perf_model.blocks_translated + 1;
+  let use = t.use.(bid) + 1 in
+  if
+    t.plain && t.touched.(bid) && use < t.reg_use
+    && t.pool_size < t.pool_trigger_now
+    && match t.state.(bid) with Cold | Registered -> true | Optimized -> false
+  then begin
+    let perf = t.cfg.perf in
+    (* a guest branch's direction is not worth a guess here: count it
+       with no jump *)
+    let took = Bool.to_int (outcome = Driver.took) in
+    t.use.(bid) <- use;
+    t.taken.(bid) <- t.taken.(bid) + took;
     t.cycles_acc.(0) <-
       t.cycles_acc.(0)
-      +. (float_of_int b.Block_map.size
-         *. perf.Perf_model.cold_translate_per_instr);
-    if t.trace then
-      charge t s_translate
-        (float_of_int b.Block_map.size
-        *. perf.Perf_model.cold_translate_per_instr);
-    apply_victims t
-      (Code_cache.insert t.cache ~now:before ~ekind:Code_cache.Block ~id:bid
-         ~size:b.Block_map.size)
+      +. (float_of_int t.sizes.(bid) *. perf.Perf_model.profiled_exec_per_instr)
+      +. (float_of_int (1 + took) *. perf.Perf_model.profiling_op_cost)
   end
-  else if Code_cache.bounded t.cache then
-    Code_cache.touch t.cache ~now:before Code_cache.Block bid;
-  t.clock := after;
-  match t.state.(bid) with
-  | Optimized ->
-      (* Side entry to an optimised block: instrumentation removed. *)
+  else begin
+    let b = Block_map.block t.bmap bid in
+    let perf = t.cfg.perf in
+    t.clock := before;
+    if not t.touched.(bid) then begin
+      t.touched.(bid) <- true;
+      if t.trace then
+        emit t (Event.Block_translated { block = bid; size = b.Block_map.size });
+      t.counters.Perf_model.blocks_translated <-
+        t.counters.Perf_model.blocks_translated + 1;
       t.cycles_acc.(0) <-
         t.cycles_acc.(0)
         +. (float_of_int b.Block_map.size
-           *. perf.Perf_model.translated_exec_per_instr);
+           *. perf.Perf_model.cold_translate_per_instr);
       if t.trace then
-        charge t s_side_entry ~steps:(after - before)
+        charge t s_translate
           (float_of_int b.Block_map.size
-          *. perf.Perf_model.translated_exec_per_instr)
-  | Cold | Registered ->
-      t.use.(bid) <- t.use.(bid) + 1;
-      let ops =
-        match outcome with
-        | Driver.Took ->
+          *. perf.Perf_model.cold_translate_per_instr);
+      apply_victims t
+        (Code_cache.insert t.cache ~now:before ~ekind:Code_cache.Block ~id:bid
+           ~size:b.Block_map.size)
+    end
+    else if Code_cache.bounded t.cache then
+      Code_cache.touch t.cache ~now:before Code_cache.Block bid;
+    t.clock := after;
+    match t.state.(bid) with
+    | Optimized ->
+        (* Side entry to an optimised block: instrumentation removed. *)
+        t.cycles_acc.(0) <-
+          t.cycles_acc.(0)
+          +. (float_of_int b.Block_map.size
+             *. perf.Perf_model.translated_exec_per_instr);
+        if t.trace then
+          charge t s_side_entry ~steps:(after - before)
+            (float_of_int b.Block_map.size
+            *. perf.Perf_model.translated_exec_per_instr)
+    | Cold | Registered ->
+        t.use.(bid) <- t.use.(bid) + 1;
+        let ops =
+          if outcome = Driver.took then begin
             t.taken.(bid) <- t.taken.(bid) + 1;
             2
-        | Driver.Flowed | Driver.Took_not | Driver.Finished | Driver.Trapped ->
-            1
-      in
-      t.cycles_acc.(0) <-
-        t.cycles_acc.(0)
-        +. (float_of_int b.Block_map.size
-           *. perf.Perf_model.profiled_exec_per_instr)
-        +. (float_of_int ops *. perf.Perf_model.profiling_op_cost);
-      if t.trace then begin
-        charge t s_interpret ~steps:(after - before)
-          (float_of_int b.Block_map.size
-          *. perf.Perf_model.profiled_exec_per_instr);
-        charge t s_profile ~count:ops
-          (float_of_int ops *. perf.Perf_model.profiling_op_cost)
-      end;
-      if t.cfg.threshold > 0 && not t.degraded then begin
-        (match t.state.(bid) with
-        | Cold ->
-            if t.use.(bid) >= t.cfg.threshold && not t.quarantined.(bid)
-            then begin
-              t.state.(bid) <- Registered;
-              t.pool <- bid :: t.pool;
-              t.pool_size <- t.pool_size + 1;
-              if t.trace then
-                emit t
-                  (Event.Block_registered
-                     {
-                       block = bid;
-                       use = t.use.(bid);
-                       threshold = t.cfg.threshold;
-                     })
-            end
-        | Registered | Optimized -> ());
-        let registered_twice =
-          match t.state.(bid) with
-          | Registered -> t.use.(bid) >= 2 * t.cfg.threshold
-          | Cold | Optimized -> false
+          end
+          else 1
         in
-        let backoff_ok =
-          (not (Code_cache.bounded t.cache))
-          || after - t.last_round_step >= t.cfg.cache_backoff
-        in
-        if
-          t.pool_size > 0 && backoff_ok
-          && (registered_twice || t.pool_size >= t.pool_trigger_now)
-        then begin
-          if t.trace then
-            emit t
-              (Event.Pool_trigger
-                 {
-                   pool_size = t.pool_size;
-                   reason =
-                     (if registered_twice then Event.Registered_twice
-                      else Event.Pool_full);
-                 });
-          optimize t
+        t.cycles_acc.(0) <-
+          t.cycles_acc.(0)
+          +. (float_of_int b.Block_map.size
+             *. perf.Perf_model.profiled_exec_per_instr)
+          +. (float_of_int ops *. perf.Perf_model.profiling_op_cost);
+        if t.trace then begin
+          charge t s_interpret ~steps:(after - before)
+            (float_of_int b.Block_map.size
+            *. perf.Perf_model.profiled_exec_per_instr);
+          charge t s_profile ~count:ops
+            (float_of_int ops *. perf.Perf_model.profiling_op_cost)
+        end;
+        if t.cfg.threshold > 0 && not t.degraded then begin
+          (match t.state.(bid) with
+          | Cold ->
+              if t.use.(bid) >= t.cfg.threshold && not t.quarantined.(bid)
+              then begin
+                t.state.(bid) <- Registered;
+                t.pool <- bid :: t.pool;
+                t.pool_size <- t.pool_size + 1;
+                if t.trace then
+                  emit t
+                    (Event.Block_registered
+                       {
+                         block = bid;
+                         use = t.use.(bid);
+                         threshold = t.cfg.threshold;
+                       })
+              end
+          | Registered | Optimized -> ());
+          let registered_twice =
+            match t.state.(bid) with
+            | Registered -> t.use.(bid) >= 2 * t.cfg.threshold
+            | Cold | Optimized -> false
+          in
+          let backoff_ok =
+            (not (Code_cache.bounded t.cache))
+            || after - t.last_round_step >= t.cfg.cache_backoff
+          in
+          if
+            t.pool_size > 0 && backoff_ok
+            && (registered_twice || t.pool_size >= t.pool_trigger_now)
+          then begin
+            if t.trace then
+              emit t
+                (Event.Pool_trigger
+                   {
+                     pool_size = t.pool_size;
+                     reason =
+                       (if registered_twice then Event.Registered_twice
+                        else Event.Pool_full);
+                   });
+            optimize t
+          end
         end
-      end
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Quarantine and the bounded-quarantine watchdog                       *)
@@ -926,6 +1031,7 @@ let single t bid outcome ~before ~after =
    profiling-only for the rest of the run — degraded but correct. *)
 let degrade t =
   t.degraded <- true;
+  t.reg_use <- max_int;
   t.counters.Perf_model.watchdog_degraded <- 1;
   let rs =
     Hashtbl.fold (fun _ re acc -> re.r_region :: acc) t.regions []
@@ -1105,13 +1211,11 @@ let region_exit t re slot =
     end
   end
 
-(* The block of slot [t.slot] of region [re] ran from [before] to
-   [after] with [outcome]: charge the slot and follow the predecoded
-   out edge for the outcome's role.  Returns [true] when execution left
-   the region — completed it, took a side exit, or ended the run — and
-   [false] when [t.slot] now names the next slot. *)
-let[@inline] region_slot t re outcome ~before ~after =
-  let slot = t.slot in
+(* The block of slot [slot] of region [re] ran from [before] to [after]
+   with [outcome]: charge the slot and follow the successor table.
+   Returns the slot that runs next, or -1 when execution left the
+   region — completed it, took a side exit, or ended the run. *)
+let[@inline] region_slot t re slot outcome ~before ~after =
   t.cycles_acc.(0) <- t.cycles_acc.(0) +. re.r_slot_cycles.(slot);
   if t.trace then begin
     (* the events below, and the exit's, stamp the step after the block *)
@@ -1120,38 +1224,21 @@ let[@inline] region_slot t re outcome ~before ~after =
     charge t s_region_exec ~steps:slot_steps re.r_slot_cycles.(slot);
     region_charge t re.r_region.Region.id re.r_slot_cycles.(slot) slot_steps
   end;
-  match outcome with
-  | Driver.Finished | Driver.Trapped -> true
-  | Driver.Flowed | Driver.Took_not | Driver.Took ->
-      (* First matching out edge for the outcome's role; [Flowed] only
-         follows [Always] when the terminator is an unconditional
-         transfer (a Call_to edge can be region-internal when formed
-         with regions_across_calls — partial inlining). *)
-      let dst =
-        match outcome with
-        | Driver.Took -> re.r_dst_taken.(slot)
-        | Driver.Took_not -> re.r_dst_not_taken.(slot)
-        | Driver.Flowed | Driver.Finished | Driver.Trapped ->
-            if re.r_always_ok.(slot) then re.r_dst_always.(slot) else -1
-      in
-      if dst = 0 && re.r_is_loop then begin
-        t.counters.Perf_model.loop_backs <-
-          t.counters.Perf_model.loop_backs + 1;
-        (* Continuous loop profiling: the latch executed and looped. *)
-        let mon = re.r_mon in
-        mon.m_lb_seen <- mon.m_lb_seen + 1;
-        mon.m_lb_taken <- mon.m_lb_taken + 1;
-        t.slot <- 0;
-        false
-      end
-      else if dst >= 0 then begin
-        t.slot <- dst;
-        false
-      end
-      else begin
-        region_exit t re slot;
-        true
-      end
+  if outcome >= Driver.finished then -1
+  else
+    let dst = re.r_succ.((slot * Driver.roles) + outcome) in
+    if dst = 0 && re.r_is_loop then begin
+      t.counters.Perf_model.loop_backs <- t.counters.Perf_model.loop_backs + 1;
+      (* Continuous loop profiling: the latch executed and looped. *)
+      let mon = re.r_mon in
+      mon.m_lb_seen <- mon.m_lb_seen + 1;
+      mon.m_lb_taken <- mon.m_lb_taken + 1;
+      0
+    end
+    else begin
+      if dst < 0 then region_exit t re slot;
+      dst
+    end
 
 (* ------------------------------------------------------------------ *)
 (* Fault injection                                                      *)
@@ -1305,12 +1392,13 @@ let sync_counters t =
   t.counters.Perf_model.cache_evicted_instrs <- cs.Code_cache.evicted_instrs;
   t.counters.Perf_model.cache_peak_instrs <- cs.Code_cache.peak
 
-(* The model stops where the machine now stands: the end of a run. *)
-let stop t machine =
+(* The model stops at guest step [steps], with [outputs] values
+   emitted: the end of its run. *)
+let stop t ~steps ~outputs =
   t.live <- false;
-  t.stop_steps <- Machine.steps machine;
-  t.stop_outputs <- Machine.output_count machine;
-  t.clock := t.stop_steps;
+  t.stop_steps <- steps;
+  t.stop_outputs <- outputs;
+  t.clock := steps;
   if t.trace then begin
     (* Attribution first, inside the still-open run span, so the
        profiler hangs the stage costs beneath "engine.run". *)
@@ -1321,123 +1409,102 @@ let stop t machine =
   if t.trace then emit t (Event.Phase_end { phase = "run" });
   sync_counters t
 
-(* A dispatch point at guest step [steps]: the model is outside every
-   region, the machine is running and the next block has not run.  Stop
-   on a recorded error, the deadline, the snapshot trigger or the step
-   budget, in that order; otherwise fire any fault due here. *)
-let settle t machine steps =
-  match t.error with
-  | Some _ -> stop t machine
-  | None ->
-        if steps >= t.deadline_step then begin
-          t.error <-
-            (if t.cfg.suspend_on_deadline then
-               Some (Error.Suspended { steps; deadline = true })
-             else
-               Some
-                 (Error.Deadline_exceeded
-                    { steps; deadline = Option.get t.cfg.deadline }));
-          stop t machine
-        end
-        else if steps >= t.snapshot_step then begin
-          t.error <- Some (Error.Suspended { steps; deadline = false });
-          stop t machine
-        end
-        else if steps >= t.cfg.max_steps then begin
-          t.error <-
-            Some (Error.Limit_exceeded { steps; max_steps = t.cfg.max_steps });
-          stop t machine
-        end
-        else
-          match t.inj with
-          | Some inj when Injector.due inj ~step:steps ->
-              t.clock := steps;
-              inject_dispatch_faults t machine inj
-          | Some _ | None -> ()
+(* The model stops where the machine now stands. *)
+let stop_here t machine =
+  stop t ~steps:(Machine.steps machine) ~outputs:(Machine.output_count machine)
 
-(* Execution is back at a dispatch point, at guest step [steps], after
-   a block (or a region) that ended with [outcome]. *)
-let after_dispatch t machine outcome steps =
-  match outcome with
-  | Driver.Trapped ->
-      (match Machine.last_trap machine with
-      | Some trap -> t.error <- Some (Error.Trap trap)
-      | None ->
-          t.error <- Some (Error.Dispatch_lost { pc = Machine.pc machine }));
-      stop t machine
-  | Driver.Finished -> stop t machine
-  | Driver.Flowed | Driver.Took_not | Driver.Took -> settle t machine steps
+(* A dispatch point at guest step [steps], [outputs] values emitted: the
+   model is outside every region, the machine is running and the next
+   block has not run.  Stop on a recorded error, then on the deadline,
+   the snapshot trigger or the step budget, in that order — a step
+   below [stop_step] reaches none of the three; otherwise fire any
+   fault due here. *)
+let settle t machine ~steps ~outputs =
+  match t.error with
+  | Some _ -> stop t ~steps ~outputs
+  | None -> (
+      if steps >= t.stop_step then begin
+        t.error <-
+          Some
+            (if steps >= t.deadline_step then
+               if t.cfg.suspend_on_deadline then
+                 Error.Suspended { steps; deadline = true }
+               else
+                 Error.Deadline_exceeded
+                   { steps; deadline = Option.get t.cfg.deadline }
+             else if steps >= t.snapshot_step then
+               Error.Suspended { steps; deadline = false }
+             else Error.Limit_exceeded { steps; max_steps = t.cfg.max_steps });
+        stop t ~steps ~outputs
+      end
+      else
+        match t.inj with
+        | Some inj when Injector.due inj ~step:steps ->
+            t.clock := steps;
+            inject_dispatch_faults t machine inj
+        | Some _ | None -> ())
+
+(* Execution is back at a dispatch point, at guest step [steps] with
+   [outputs] values emitted, after a block (or a region) that ended with
+   [outcome].  A halt or a trap ends a group's chunk, so the machine's
+   trap and pc are this block's. *)
+let[@inline] after_dispatch t machine outcome ~steps ~outputs =
+  if outcome < Driver.finished then settle t machine ~steps ~outputs
+  else begin
+    if outcome = Driver.trapped then
+      t.error <-
+        Some
+          (match Machine.last_trap machine with
+          | Some trap -> Error.Trap trap
+          | None -> Error.Dispatch_lost { pc = Machine.pc machine });
+    stop t ~steps ~outputs
+  end
 
 (* The region's layout no longer matches execution: a typed error
-   instead of an assertion, before the block runs. *)
-let lose t machine =
-  t.error <- Some (Error.Dispatch_lost { pc = Machine.pc machine });
+   instead of an assertion, before block [next] runs.  The pc is where
+   [next] starts; -1, no block starts there, ends a group's chunk, so
+   the pc is the machine's. *)
+let lose t machine ~next ~steps ~outputs =
+  let pc =
+    if next >= 0 then (Block_map.block t.bmap next).Block_map.start_pc
+    else Machine.pc machine
+  in
+  t.error <- Some (Error.Dispatch_lost { pc });
   t.cur <- -1;
-  after_dispatch t machine Driver.Finished (Machine.steps machine)
+  stop t ~steps ~outputs
 
 (* No block starts at the pc. *)
 let no_block t d =
   let machine = d.Driver.machine in
-  if t.cur >= 0 then lose t machine
-  else if Driver.off_end d then begin
+  if t.cur < 0 && Driver.off_end d then
     (* legal: fuzz-generated images end this way once shrinking nops out
        the halt *)
-    Driver.halt_off_end d;
-    stop t machine
-  end
+    Driver.halt_off_end d
   else begin
-    (* Control landed mid-block: the dispatcher and the block map
-       disagree. *)
+    (* Control left a region's layout, or landed mid-block: the
+       dispatcher and the block map disagree. *)
     t.error <- Some (Error.Dispatch_lost { pc = Machine.pc machine });
-    stop t machine
-  end
+    t.cur <- -1
+  end;
+  stop_here t machine
 
-let leave_region t machine re outcome after =
+let leave_region t machine re outcome ~steps ~outputs =
   t.cur <- -1;
-  if
-    t.sampled && t.error = None
-    && match outcome with Driver.Trapped -> false | _ -> true
-  then
+  if t.sampled && t.error = None && outcome <> Driver.trapped then
     shadow_check t machine re.r_region.Region.id;
-  after_dispatch t machine outcome after
+  after_dispatch t machine outcome ~steps ~outputs
 
-(* Still inside region [re]: the block the driver has located next must
-   be the next slot's, checked before that block runs. *)
-let[@inline] continue_region t machine re ~next =
-  if re.r_region.Region.slots.(t.slot) <> next then lose t machine
-
-(* Block [bid] ran from [before] to [after] with [outcome], and the
-   driver located block [next] after it. *)
-let[@inline] consume t machine bid outcome ~before ~after ~next =
-  if t.cur < 0 then begin
-    let re = t.entry.(bid) in
-    if
-      re != no_region
-      && match t.state.(bid) with Optimized -> true | Cold | Registered -> false
-    then begin
-      enter_region t re ~before;
-      if region_slot t re outcome ~before ~after then
-        leave_region t machine re outcome after
-      else continue_region t machine re ~next
-    end
-    else begin
-      single t bid outcome ~before ~after;
-      after_dispatch t machine outcome after
-    end
-  end
-  else
-    let re = t.entry.(t.cur) in
-    if region_slot t re outcome ~before ~after then
-      leave_region t machine re outcome after
-    else continue_region t machine re ~next
+let[@inline] optimized t bid =
+  match t.state.(bid) with Optimized -> true | Cold | Registered -> false
 
 (* ------------------------------------------------------------------ *)
-(* One driver, N models                                                 *)
+(* Feeding the models                                                   *)
 (* ------------------------------------------------------------------ *)
 
 type t = {
   driver : Driver.t;
   models : model array;
+  chunk : Driver.chunk option;  (* a group's; [None] for one engine *)
   every : int;  (* group snapshot trigger period, 0 = off *)
   hard_stop : int;  (* group deadline suspension step, [max_int] = off *)
   mutable started : bool;
@@ -1461,9 +1528,9 @@ let begin_run t machine ~solo =
   | Some _ | None -> ());
   t.live <- true;
   (* The supervisor's cooperative watchdog and the snapshot trigger are
-     polled at every dispatch point as plain int comparisons against
-     [max_int] when disabled.  The snapshot step is fixed here, so the
-     trigger period is measured from the resume point. *)
+     polled at every dispatch point, folded with the step budget into
+     one comparison against [stop_step].  The snapshot step is fixed
+     here, so the trigger period is measured from the resume point. *)
   t.deadline_step <-
     (match t.cfg.deadline with
     | Some d when solo || not t.cfg.suspend_on_deadline -> d
@@ -1471,47 +1538,18 @@ let begin_run t machine ~solo =
   t.snapshot_step <-
     (if solo && t.cfg.snapshot_every > 0 then steps + t.cfg.snapshot_every
      else max_int);
+  t.stop_step <- min t.deadline_step (min t.snapshot_step t.cfg.max_steps);
   (* A group member restored inside a region is not at a dispatch
      point: it polls nothing until it leaves the region. *)
   if t.cur < 0 then
-    if Machine.halted machine then stop t machine else settle t machine steps
+    if Machine.halted machine then stop_here t machine
+    else settle t machine ~steps ~outputs:(Machine.output_count machine)
 
-(* Feed every live model the guest's blocks until all have stopped, or
-   until the group's suspension step; [true] when it suspended.  A
-   model inside a region checks the block the driver located next
-   against its next slot before that block runs, so a lost model stops
-   exactly where it lost sync. *)
-let rec drive_group g d machine models n =
-  let before = d.Driver.steps in
-  if before >= g.suspend_step then true
-  else
-    let bid = d.Driver.next in
-    if bid < 0 then begin
-      for i = 0 to n - 1 do
-        let t = models.(i) in
-        if t.live then no_block t d
-      done;
-      false
-    end
-    else begin
-      let outcome = Driver.step d in
-      let after = d.Driver.steps in
-      let next = d.Driver.next in
-      let live = ref false in
-      for i = 0 to n - 1 do
-        let t = models.(i) in
-        if t.live then begin
-          consume t machine bid outcome ~before ~after ~next;
-          if t.live then live := true
-        end
-      done;
-      !live && drive_group g d machine models n
-    end
-
-(* The same loop for a single model — every engine — without the loop
-   over models, and with a region's blocks run in an inner loop as the
-   old single-model engine ran them: on a region-heavy run the loop
-   over models costs a tenth of its time. *)
+(* One engine: the driver runs a block, then the model accounts for it,
+   a region's blocks in an inner loop that keeps the region and the slot
+   in locals.  [true] when the run suspended at [g.suspend_step].
+   Inside a region the block the driver located next must be the next
+   slot's, checked before that block runs. *)
 let rec drive_one g d machine t =
   let before = d.Driver.steps in
   if before >= g.suspend_step then true
@@ -1521,46 +1559,134 @@ let rec drive_one g d machine t =
       no_block t d;
       false
     end
-    else if t.cur >= 0 then in_region_one g d machine t t.entry.(t.cur)
-    else begin
-      let outcome = Driver.step d in
-      consume t machine bid outcome ~before ~after:d.Driver.steps
-        ~next:d.Driver.next;
-      t.live && drive_one g d machine t
-    end
+    else if t.cur >= 0 then in_region_one g d machine t t.entry.(t.cur) t.slot
+    else
+      let re = t.entry.(bid) in
+      if re != no_region && optimized t bid then begin
+        enter_region t re ~before;
+        in_region_one g d machine t re 0
+      end
+      else begin
+        let outcome = Driver.step d in
+        let after = d.Driver.steps in
+        single t bid outcome ~before ~after;
+        after_dispatch t machine outcome ~steps:after
+          ~outputs:(Machine.output_count machine);
+        t.live && drive_one g d machine t
+      end
 
-and in_region_one g d machine t re =
+and in_region_one g d machine t re slot =
   let before = d.Driver.steps in
-  if before >= g.suspend_step then true
-  else begin
+  if before >= g.suspend_step then begin
+    t.slot <- slot;
+    true
+  end
+  else
     let outcome = Driver.step d in
     let after = d.Driver.steps in
-    if region_slot t re outcome ~before ~after then begin
-      leave_region t machine re outcome after;
+    let slot = region_slot t re slot outcome ~before ~after in
+    if slot < 0 then begin
+      leave_region t machine re outcome ~steps:after
+        ~outputs:(Machine.output_count machine);
       t.live && drive_one g d machine t
     end
+    else
+      let next = d.Driver.next in
+      if re.r_slots.(slot) = next then in_region_one g d machine t re slot
+      else begin
+        lose t machine ~next ~steps:after
+          ~outputs:(Machine.output_count machine);
+        false
+      end
+
+(* A group member replays the recorded events [i, c_len) of chunk [c]
+   from a dispatch point; [before] is the step before event [i].  The
+   machine already stands at the end of the chunk, so a member that
+   stops takes its step and output counts from its own event.  Every
+   index read is below [c_len], or is [c_len] itself in [c_bid]. *)
+let rec replay t machine (c : Driver.chunk) i before =
+  if i < c.c_len then begin
+    let bid = Array.unsafe_get c.c_bid i in
+    let outcome = Array.unsafe_get c.c_outcome i in
+    let after = Array.unsafe_get c.c_after i in
+    let re = t.entry.(bid) in
+    if re != no_region && optimized t bid then begin
+      enter_region t re ~before;
+      replay_region t machine c re 0 i before
+    end
     else begin
-      continue_region t machine re ~next:d.Driver.next;
-      t.live && in_region_one g d machine t re
+      single t bid outcome ~before ~after;
+      after_dispatch t machine outcome ~steps:after
+        ~outputs:(Array.unsafe_get c.c_outputs i);
+      if t.live then replay t machine c (i + 1) after
     end
   end
 
-(* Feed every live model the guest's blocks until all have stopped, or
-   until the group's suspension step; [true] when it suspended.  A
-   model inside a region checks the block the driver located next
-   against its next slot before that block runs, so a lost model stops
-   exactly where it lost sync. *)
+(* The same inside region [re], whose slot [slot] ran event [i]: the
+   region and the slot stay in locals until execution leaves the region
+   or the chunk ends. *)
+and replay_region t machine (c : Driver.chunk) re slot i before =
+  let outcome = Array.unsafe_get c.c_outcome i in
+  let after = Array.unsafe_get c.c_after i in
+  let slot = region_slot t re slot outcome ~before ~after in
+  if slot < 0 then begin
+    leave_region t machine re outcome ~steps:after
+      ~outputs:(Array.unsafe_get c.c_outputs i);
+    if t.live then replay t machine c (i + 1) after
+  end
+  else
+    let next = Array.unsafe_get c.c_bid (i + 1) in
+    if re.r_slots.(slot) <> next then
+      lose t machine ~next ~steps:after
+        ~outputs:(Array.unsafe_get c.c_outputs i)
+    else if i + 1 < c.c_len then replay_region t machine c re slot (i + 1) after
+    else t.slot <- slot
+
+(* A group: the driver records a chunk of the block stream, up to the
+   suspension step, and each live member replays all of it before the
+   next is recorded.  [true] when the group suspended with a member
+   still live. *)
+let rec drive_chunks g d machine c models =
+  let before = d.Driver.steps in
+  Driver.record d c g.suspend_step 0;
+  for i = 0 to Array.length models - 1 do
+    let t = models.(i) in
+    if t.live && c.Driver.c_len > 0 then
+      if t.cur >= 0 then
+        replay_region t machine c t.entry.(t.cur) t.slot 0 before
+      else replay t machine c 0 before
+  done;
+  if not (Array.exists (fun t -> t.live) models) then false
+  else if d.Driver.steps >= g.suspend_step then true
+  else if d.Driver.next < 0 then begin
+    Array.iter (fun t -> if t.live then no_block t d) models;
+    false
+  end
+  else drive_chunks g d machine c models
+
+(* Feed the models the guest's blocks until all have stopped, or until
+   the suspension step; [true] when the run suspended. *)
 let drive g =
   let d = g.driver in
-  match g.models with
-  | [| t |] -> t.live && drive_one g d d.Driver.machine t
-  | models ->
-      Array.exists (fun t -> t.live) models
-      && drive_group g d d.Driver.machine models (Array.length models)
+  let machine = d.Driver.machine in
+  match g.chunk with
+  | None ->
+      let t = g.models.(0) in
+      t.live && drive_one g d machine t
+  | Some c ->
+      Array.exists (fun t -> t.live) g.models
+      && drive_chunks g d machine c g.models
 
-let of_parts driver models =
-  { driver; models; every = 0; hard_stop = max_int; started = false;
-    suspend_step = max_int }
+let of_parts ?chunk driver models =
+  {
+    driver;
+    models;
+    chunk;
+    every = 0;
+    hard_stop = max_int;
+    started = false;
+    suspend_step = max_int;
+  }
 
 let result_of t machine =
   let snapshot = current_snapshot t in
@@ -1596,8 +1722,8 @@ let result_of t machine =
 
 let create ?config:(cfg = config ~threshold:1000 ()) ?mem_words ~seed program =
   let machine = Machine.create ?mem_words ~seed program in
-  let bmap = Block_map.build program in
-  of_parts (Driver.of_machine machine bmap) [| model_create cfg program bmap |]
+  let d = Driver.of_machine machine (Block_map.build program) in
+  of_parts d [| model_create cfg program d.Driver.bmap d.Driver.sizes |]
 
 let solo g = g.models.(0)
 let block_map g = g.driver.Driver.bmap
@@ -1718,9 +1844,10 @@ let capture_model t ex_machine =
    with [Suspended]. *)
 let capture g = capture_model (solo g) (Machine.capture (machine g))
 
-(* A model rebuilt from [image] over an already-restored program:
-   validated against the block map, its regions reinstalled. *)
-let restore_model cfg program bmap image =
+(* A model rebuilt from [image] over driver [d] of an already-restored
+   program: validated against the block map, its regions reinstalled. *)
+let restore_model cfg program (d : Driver.t) image =
+  let bmap = d.bmap in
   let n = Block_map.block_count bmap in
   let check_len label a =
     if Array.length a <> n then
@@ -1741,7 +1868,7 @@ let restore_model cfg program bmap image =
       if b < 0 || b >= n then
         invalid_arg (Printf.sprintf "Engine.restore: pooled block %d" b))
     image.ex_pool;
-  let t = model_create cfg program bmap in
+  let t = model_create cfg program bmap d.sizes in
   Array.blit image.ex_use 0 t.use 0 n;
   Array.blit image.ex_taken 0 t.taken 0 n;
   Array.iteri (fun b c -> t.state.(b) <- block_state_of_code c) image.ex_state;
@@ -1765,6 +1892,7 @@ let restore_model cfg program bmap image =
       pool_trigger_now = image.ex_pool_trigger_now;
       quarantine_count = image.ex_quarantine_count;
       degraded = image.ex_degraded;
+      reg_use = (if image.ex_degraded then max_int else t.reg_use);
       last_round_step = image.ex_last_round_step;
       inj =
         (if image.ex_pending = [] && image.ex_fired = [] then t.inj
@@ -1839,9 +1967,8 @@ let restore_model cfg program bmap image =
 
 let restore ?config:(cfg = config ~threshold:1000 ()) program image =
   let machine = Machine.restore program image.ex_machine in
-  let bmap = Block_map.build program in
-  of_parts (Driver.of_machine machine bmap)
-    [| restore_model cfg program bmap image |]
+  let d = Driver.of_machine machine (Block_map.build program) in
+  of_parts d [| restore_model cfg program d image |]
 
 (* ------------------------------------------------------------------ *)
 (* Groups: one driver feeding many models                              *)
@@ -1884,17 +2011,22 @@ module Group = struct
         in
         (c0.snapshot_every, hard_stop)
 
+  (* The chunk is a group's alone: a lone engine feeds its model block
+     by block and allocates none. *)
   let of_models driver configs models =
     let every, hard_stop = check_configs configs in
-    { (of_parts driver models) with every; hard_stop }
+    { (of_parts ~chunk:(Driver.chunk ()) driver models) with every; hard_stop }
+
+  let chunk_events = Driver.capacity
 
   let create ?mem_words ~seed program configs =
     let machine = Machine.create ?mem_words ~seed program in
-    let bmap = Block_map.build program in
-    of_models
-      (Driver.of_machine machine bmap)
-      configs
-      (Array.of_list (List.map (fun c -> model_create c program bmap) configs))
+    let d = Driver.of_machine machine (Block_map.build program) in
+    of_models d configs
+      (Array.of_list
+         (List.map
+            (fun c -> model_create c program d.Driver.bmap d.Driver.sizes)
+            configs))
 
   let run g =
     let machine = g.driver.Driver.machine in
@@ -1904,9 +2036,12 @@ module Group = struct
         (fun t ->
           if t.live then begin
             begin_run t machine ~solo:false;
-            if t.cur >= 0 then
-              continue_region t machine t.entry.(t.cur)
-                ~next:g.driver.Driver.next
+            (* A member restored inside a region checks the next block
+               against its slot before that block runs. *)
+            let next = g.driver.Driver.next in
+            if t.cur >= 0 && t.entry.(t.cur).r_slots.(t.slot) <> next then
+              lose t machine ~next ~steps:(Machine.steps machine)
+                ~outputs:(Machine.output_count machine)
           end)
         g.models
     end;
@@ -1982,14 +2117,14 @@ module Group = struct
     if List.length configs <> List.length image.gi_members then
       invalid_arg "Engine.Group.restore: member count";
     let machine = Machine.restore program image.gi_machine in
-    let bmap = Block_map.build program in
+    let d = Driver.of_machine machine (Block_map.build program) in
     let models =
       List.map2
         (fun cfg (at, im) ->
-          let t = restore_model cfg program bmap im in
+          let t = restore_model cfg program d im in
           place machine t at;
           t)
         configs image.gi_members
     in
-    of_models (Driver.of_machine machine bmap) configs (Array.of_list models)
+    of_models d configs (Array.of_list models)
 end

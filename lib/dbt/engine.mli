@@ -22,8 +22,9 @@
     (everything above, plus the code cache, the monitors and the cycle
     charges).  A translator never changes what the guest does, so one
     driver can feed many models at once: a {!Group} runs N
-    configurations over one interpretation of the guest, each model
-    ending exactly as its own engine would. *)
+    configurations over one interpretation of the guest, its models
+    replaying the block stream in recorded chunks, each model ending
+    exactly as its own engine would. *)
 
 type config = {
   threshold : int;  (** retranslation threshold T; [<= 0] = never optimise *)
@@ -287,11 +288,17 @@ val restore : ?config:config -> Tpdbt_isa.Program.t -> image -> t
 (** {2 Groups: one driver, many models}
 
     A group runs several configurations over {e one} interpretation of
-    the guest.  Each member stops where its own engine would — at its
+    the guest.  The driver records the block stream in chunks of
+    {!Group.chunk_events} events — block, outcome, step count, next
+    block and output count after each — and every live member replays
+    a chunk, in member order, before the next is recorded.  A chunk
+    ends early at the group's suspension step, at a halt or a trap, or
+    where no block starts.  Each member stops at its own event — at its
     own dispatch point, under its own [max_steps] and fatal [deadline],
-    with its own step count and outputs — and its {!result} is
+    with that event's step count and outputs — and its {!result} is
     identical to that engine's.  The driver runs until the last member
-    stops.
+    stops.  Members that share one telemetry sink see their events
+    grouped by chunk, not interleaved block by block.
 
     The members' suspension triggers act on the group as a whole:
     [snapshot_every] suspends it every that many guest instructions and
@@ -316,6 +323,10 @@ type group_image = {
 
 module Group : sig
   type t
+
+  val chunk_events : int
+  (** The most block events the driver records before the members
+      replay them. *)
 
   val create :
     ?mem_words:int -> seed:int64 -> Tpdbt_isa.Program.t -> config list -> t

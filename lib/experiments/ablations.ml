@@ -28,21 +28,26 @@ let study ~title ~variants ~benchmarks =
     | [] -> None
     | l -> Some (List.fold_left ( +. ) 0.0 l /. float_of_int (List.length l))
   in
-  (* One AVEP run per benchmark, shared across variants. *)
-  let aveps = List.map (fun b -> (b, Runner.run_avep b)) benches in
-  let measured =
+  (* One pass per benchmark: its AVEP and every variant are models of
+     one group over the reference input. *)
+  let passes =
     List.map
-      (fun (name, config) ->
+      (fun b -> Runner.run_ref_pass b ~configs:(List.map snd variants))
+      benches
+  in
+  let measured =
+    List.mapi
+      (fun v (name, _) ->
         let per_bench =
           List.map
-            (fun (bench, avep) ->
-              let result = Runner.run_ref bench ~config in
+            (fun (avep, results) ->
+              let result = List.nth results v in
               let comparison =
                 Metrics.compare_snapshots ~inip:result.Engine.snapshot
                   ~avep:avep.Engine.snapshot
               in
               (result, avep, comparison))
-            aveps
+            passes
         in
         (name, per_bench))
       variants

@@ -284,11 +284,26 @@ let run_ref ?sink bench ~config =
   let engine = Engine.create ~config ~seed:ref_input.Spec.seed program in
   Engine.run engine
 
-let run_avep bench =
-  let result = run_ref bench ~config:Engine.profiling_only in
+let fatal_avep (result : Engine.result) =
   match result.Engine.error with
   | Some e when Error.fatal e -> raise (Error.Error e)
   | Some _ | None -> result
+
+let run_avep bench = fatal_avep (run_ref bench ~config:Engine.profiling_only)
+
+(* The AVEP and every config ride one interpretation of the reference
+   input, as the sweep's reference stages do. *)
+let run_ref_pass bench ~configs =
+  let program, ref_input, _train_input = Spec.build bench in
+  let g =
+    Engine.Group.create ~seed:ref_input.Spec.seed
+      (Spec.apply_input program ref_input)
+      (Engine.profiling_only :: configs)
+  in
+  ignore (Engine.Group.run g);
+  match Engine.Group.results g with
+  | avep :: results -> (fatal_avep avep, results)
+  | [] -> assert false
 
 (* The standard observability bundle: buffer the event stream, derive
    metrics from it, and fold the run's perf-model counters into the

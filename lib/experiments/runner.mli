@@ -298,6 +298,19 @@ val run_avep : Tpdbt_workloads.Spec.t -> Tpdbt_dbt.Engine.result
     @raise Tpdbt_dbt.Error.Error if the run ends with a fatal error
     ({!Tpdbt_dbt.Error.fatal}). *)
 
+val run_ref_pass :
+  Tpdbt_workloads.Spec.t ->
+  configs:Tpdbt_dbt.Engine.config list ->
+  Tpdbt_dbt.Engine.result * Tpdbt_dbt.Engine.result list
+(** {!run_avep} and one {!run_ref} per config, in order, from one
+    interpretation of the reference input: an {!Tpdbt_dbt.Engine.Group}
+    of the profiling-only model and one model per config.  Each result
+    is the one its own run gives.
+    @raise Tpdbt_dbt.Error.Error as {!run_avep} does.
+    @raise Invalid_argument for a config that
+    {!Tpdbt_dbt.Engine.Group.create} refuses beside the profiling-only
+    model: a fault plan, the shadow oracle or a suspension trigger. *)
+
 val run_traced :
   ?limit:int ->
   ?extra_sinks:Tpdbt_telemetry.Sink.t list ->

@@ -60,12 +60,14 @@ let avep_prob avep region slot =
 let compare_snapshots ~inip ~avep =
   let navep = Navep.build ~inip ~avep in
   let bp = bp_samples_of navep ~inip ~avep in
+  (* NAVEP derived each region's layout; the propagations read the same
+     one. *)
+  let regions = Navep.region_layouts navep in
   let cp =
     List.filter_map
-      (fun r ->
+      (fun (r, layout) ->
         if r.Region.kind <> Region.Trace || Region.slot_count r < 2 then None
         else begin
-          let layout = Region.layout r in
           let ct =
             Region_prob.completion_probability layout ~prob:(frozen_prob r)
           in
@@ -76,14 +78,13 @@ let compare_snapshots ~inip ~avep =
           if weight <= 0.0 then None
           else Some { Stats.predicted = ct; actual = cm; weight }
         end)
-      inip.Snapshot.regions
+      regions
   in
   let lp =
     List.filter_map
-      (fun r ->
+      (fun (r, layout) ->
         if r.Region.kind <> Region.Loop then None
         else begin
-          let layout = Region.layout r in
           let lt =
             Region_prob.loopback_probability layout ~prob:(frozen_prob r)
           in
@@ -94,7 +95,7 @@ let compare_snapshots ~inip ~avep =
           if weight <= 0.0 then None
           else Some { Stats.predicted = lt; actual = lm; weight }
         end)
-      inip.Snapshot.regions
+      regions
   in
   {
     sd_bp = Stats.weighted_sd bp;

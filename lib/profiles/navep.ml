@@ -13,6 +13,7 @@ type t = {
   copies : copy array;
   freqs : float array;
   regions : Region.t array;  (* INIP's regions, in formation order *)
+  layouts : Region.layout array;  (* region position -> its layout *)
   first_node : int array;  (* region position -> node of its slot 0 *)
   region_of : int array;  (* node -> region position, -1 if standalone *)
   standalone : int array;  (* block -> standalone node, -1 if none *)
@@ -111,6 +112,7 @@ let in_edges nodes edges =
 let build ~inip ~avep =
   let nblocks = Block_map.block_count inip.Snapshot.block_map in
   let regions = Array.of_list inip.Snapshot.regions in
+  let layouts = Array.map Region.layout regions in
   (* 1. Enumerate copies: each region's slots in formation order, then
      every block outside all regions. *)
   let in_region = Array.make nblocks false in
@@ -161,8 +163,8 @@ let build ~inip ~avep =
      successor of the slot for that role, as a node. *)
   let internal = Array.make (3 * region_copies) (-1) in
   Array.iteri
-    (fun ri r ->
-      let l = Region.layout r and base = first_node.(ri) in
+    (fun ri l ->
+      let base = first_node.(ri) in
       let record role dsts =
         Array.iteri
           (fun slot dst ->
@@ -173,7 +175,7 @@ let build ~inip ~avep =
       record Region.Taken l.Region.dst_taken;
       record Region.Not_taken l.Region.dst_not_taken;
       record Region.Always l.Region.dst_always)
-    regions;
+    layouts;
   (* 3. The NAVEP flow edges, copy by copy: along the region's edge of
      the same role if there is one, otherwise to the successor block's
      entry copies (slot-0 region copies, or its standalone copy), or,
@@ -249,6 +251,7 @@ let build ~inip ~avep =
     copies;
     freqs;
     regions;
+    layouts;
     first_node;
     region_of;
     standalone;
@@ -285,6 +288,9 @@ let node_of_standalone t block =
   if block < 0 || block >= Array.length t.standalone || t.standalone.(block) < 0
   then None
   else Some t.standalone.(block)
+
+let region_layouts t =
+  Array.to_list (Array.map2 (fun r l -> (r, l)) t.regions t.layouts)
 
 let used_fallback t = t.fallback
 let system t = Markov.system t.flow ~known:t.known

@@ -46,6 +46,11 @@ val region_of_node : t -> int -> Tpdbt_dbt.Region.t option
 (** The INIP region a node's copy sits in; [None] for a standalone
     copy or an unknown node. *)
 
+val region_layouts : t -> (Tpdbt_dbt.Region.t * Tpdbt_dbt.Region.layout) list
+(** INIP's regions in formation order, each with the layout [build]
+    derived for it, so that a caller analysing the same regions derives
+    none again. *)
+
 val node_of_slot : t -> region:int -> slot:int -> int option
 val node_of_standalone : t -> int -> int option
 val used_fallback : t -> bool

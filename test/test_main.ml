@@ -6,6 +6,7 @@ let () =
       ("cfg", Test_cfg.suite);
       ("numerics", Test_numerics.suite);
       ("dbt", Test_dbt.suite);
+      ("groups", Test_groups.suite);
       ("profiles", Test_profiles.suite);
       ("paper-examples", Test_paper_examples.suite);
       ("workloads", Test_workloads.suite);

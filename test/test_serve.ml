@@ -522,6 +522,21 @@ let test_cli_exit_taxonomy () =
           (fun row -> checkb ("ablation output has " ^ row) true (has row))
           [ "region-formation"; "full former"; "singleton regions" ];
         checkb "no other study ran" false (has "min-branch-prob");
+        let csv = Filename.concat dir "csv" in
+        checki "ablate --csv succeeds" 0
+          (exit_of
+             [ "ablate"; "-b"; "gzip"; "-s"; "scheduling"; "--csv"; csv ]);
+        checkb "ablate --csv writes the study's table" true
+          (String.starts_with ~prefix:"Ablation: per-block vs trace scheduling"
+             (In_channel.with_open_text
+                (Filename.concat csv "ablation-scheduling.csv")
+                In_channel.input_all));
+        checki "an unwritable --csv directory is usage (1)" 1
+          (exit_of
+             [
+               "ablate"; "-b"; "gzip"; "-s"; "scheduling"; "--csv";
+               Filename.concat (Filename.concat dir "missing") "csv";
+             ]);
         checki "unknown study is usage (1)" 1 (exit_of [ "ablate"; "-s"; "no-such" ]);
         checki "unknown ablation benchmark is usage (1)" 1
           (exit_of [ "ablate"; "-b"; "no-such"; "-s"; "scheduling" ]))
