@@ -15,9 +15,9 @@ PAR_JOBS ?= 4
 PAR_SMOKE_DIR := _build/par-smoke
 
 .PHONY: all build test fmt fmt-strict check clean faults-smoke cache-smoke \
-	par-smoke par-bench chaos-smoke chaos-serve-smoke serve-smoke \
-	profile-smoke fuzz-smoke snapshot-smoke examples-smoke figures-check \
-	ablations-check perf-bench perfdiff alloc-gate
+	par-smoke chaos-smoke chaos-serve-smoke serve-smoke profile-smoke \
+	fuzz-smoke snapshot-smoke examples-smoke figures-check ablations-check \
+	cache-check perf-bench alloc-gate
 
 all: build
 
@@ -264,12 +264,33 @@ examples-smoke: build
 	done
 	@echo "examples-smoke: every example printed its expected output"
 
+# Each committed table has one producer, a tpdbt command, and one
+# byte-for-byte check below.  The figure and ablation checks also
+# compare every table the command prints with the fenced block of
+# EXPERIMENTS.md that starts with the same title line, so prose beside
+# a moved number cannot go stale unnoticed.  $(1) is the command's
+# stdout (an ID line, the table, a blank line per table), $(2) the
+# table ids, $(3) the check's name.
+define doc-blocks
+	@for id in $(2); do \
+		awk -v id="$$id" 'on && $$0 == "" { exit } on { print } $$0 == id { on = 1 }' \
+			$(1) > $(1).$$id; \
+		test -s $(1).$$id \
+			|| { echo "$(3): $$id missing from $(1)"; exit 1; }; \
+		awk -v title="$$(head -n 1 $(1).$$id)" \
+			'/^```/ { if (on) exit; block = !block; first = block; next } \
+			first { first = 0; on = ($$0 == title) } on { print }' \
+			EXPERIMENTS.md > $(1).$$id.md; \
+		cmp -s $(1).$$id $(1).$$id.md \
+			|| { echo "$(3): the EXPERIMENTS.md block for $$id differs from $(1)"; exit 1; }; \
+	done
+endef
+
 # The paper's numbers at full length: the whole figure sweep, with no
 # step cap, must reproduce the committed results/fig8.csv ... fig18.csv
-# byte for byte.  (results/ablation-*.csv are compared by
-# ablations-check below; cache-sweep.csv comes from bench/ and is not
-# compared.)  A change that moves a number updates results/ in the same
-# commit and says why.
+# byte for byte, and its stdout the eleven figure blocks of
+# EXPERIMENTS.md.  A change that moves a number updates results/ and
+# EXPERIMENTS.md in the same commit and says why.
 FIGURES_CHECK_DIR := _build/figures-check
 FIGURES := fig8 fig9 fig10 fig11 fig12 fig13 fig14 fig15 fig16 fig17 fig18
 
@@ -282,13 +303,15 @@ figures-check: build
 		cmp results/$$f.csv $(FIGURES_CHECK_DIR)/csv/$$f.csv \
 			|| { echo "figures-check: $$f.csv differs from results/"; exit 1; }; \
 	done
-	@echo "figures-check: fig8-fig18 byte-identical to the committed results/"
+	$(call doc-blocks,$(FIGURES_CHECK_DIR)/sweep.out,$(FIGURES),figures-check)
+	@echo "figures-check: fig8-fig18 and their EXPERIMENTS.md blocks match the sweep"
 
 # The ablation studies at their defaults must reproduce the committed
-# results/ablation-*.csv byte for byte.  They are the only runs of
-# several configurations: pool triggers 1 and 4, adaptive dissolution,
-# trace scheduling, no duplication, no diamonds, inlined calls and
-# singleton regions.
+# results/ablation-*.csv byte for byte, and their stdout the five
+# ablation blocks of EXPERIMENTS.md.  They are the only runs of several
+# configurations: pool triggers 1 and 4, adaptive dissolution, trace
+# scheduling, no duplication, no diamonds, inlined calls and singleton
+# regions.
 ABLATIONS_CHECK_DIR := _build/ablations-check
 ABLATIONS := region-formation min-branch-prob pool-trigger scheduling adaptive
 
@@ -302,33 +325,36 @@ ablations-check: build
 			$(ABLATIONS_CHECK_DIR)/csv/ablation-$$s.csv \
 			|| { echo "ablations-check: ablation-$$s.csv differs from results/"; exit 1; }; \
 	done
-	@echo "ablations-check: every ablation table byte-identical to the committed results/"
+	$(call doc-blocks,$(ABLATIONS_CHECK_DIR)/ablate.out,$(ABLATIONS),ablations-check)
+	@echo "ablations-check: every ablation table and its EXPERIMENTS.md block match"
 
-# Wall-clock/allocation perf measurement over the quick set, recorded
-# in BENCH_perf.json for perfdiff gating.
+# The bounded code cache at a quarter, half and full translated
+# footprint under the three eviction policies, on gzip and perlbmk,
+# must reproduce the committed results/cache-sweep.csv byte for byte.
+CACHE_CHECK_DIR := _build/cache-check
+
+cache-check: build
+	rm -rf $(CACHE_CHECK_DIR)
+	mkdir -p $(CACHE_CHECK_DIR)
+	$(DUNE) exec bin/tpdbt.exe -- cache gzip perlbmk --frac 0.25 --frac 0.5 \
+		--frac 1.0 --jobs $(PAR_JOBS) --csv $(CACHE_CHECK_DIR)/cache-sweep.csv \
+		> $(CACHE_CHECK_DIR)/cache.out
+	cmp results/cache-sweep.csv $(CACHE_CHECK_DIR)/cache-sweep.csv \
+		|| { echo "cache-check: cache-sweep.csv differs from results/"; exit 1; }
+	@echo "cache-check: the cache sweep is byte-identical to the committed results/"
+
+# The allocation reading over gzip, mcf and swim at threshold 50,
+# recorded in BENCH_perf.json with host metadata.
 perf-bench: build
-	$(DUNE) exec bench/main.exe -- --perf-bench
-
-# Judge the current machine against the committed baseline.  Perf on
-# shared CI runners is noisy, so this is advisory (warn-only) there;
-# drop --warn-only locally for a hard gate.
-perfdiff: perf-bench
-	$(DUNE) exec bin/tpdbt.exe -- perfdiff bench/BASELINE_perf.json \
-		BENCH_perf.json --tolerance 25 --warn-only
+	$(DUNE) exec bench/main.exe
 
 # Hard allocation gate (see docs/performance.md).  alloc-words/instr is
 # a deterministic property of the code — same compiler, same count on
-# any machine — so unlike wall clock it can fail CI at a 1% tolerance.
+# any machine — so it can fail CI at a 1% tolerance.  It is the one
+# caller of tpdbt perfdiff, which judges nothing else.
 alloc-gate: perf-bench
 	$(DUNE) exec bin/tpdbt.exe -- perfdiff bench/BASELINE_perf.json \
-		BENCH_perf.json --alloc-only --tolerance 1
-
-# Parallel-scaling measurement: the quick sweep at -j 1/2/4,
-# checksum-guarded, recorded in BENCH_parallel.json (CI uploads it as
-# an artifact; use `dune exec bench/main.exe -- --par-bench` without
-# --quick for the full suite).
-par-bench: build
-	$(DUNE) exec bench/main.exe -- --par-bench --quick
+		BENCH_perf.json --tolerance 1
 
 fmt:
 	@if command -v ocamlformat >/dev/null 2>&1; then \

@@ -23,11 +23,27 @@ let write_file path contents =
     ~finally:(fun () -> close_out oc)
     (fun () -> output_string oc contents)
 
-(* A table as DIR/ID.csv, DIR made if missing; a directory that cannot
-   be made or written is a usage error. *)
+(* Every output directory goes through here before any work starts:
+   DIR is made if missing, and one that cannot be made (its parent is
+   missing, say) or is not a directory is a usage error. *)
+let ensure_dir dir =
+  match Sys.is_directory dir with
+  | true -> ()
+  | false ->
+      Printf.eprintf "error: %s is not a directory\n%!" dir;
+      exit exit_usage
+  | exception Sys_error _ -> (
+      try Sys.mkdir dir 0o755
+      with Sys_error msg ->
+        Printf.eprintf "error: cannot make directory: %s\n%!" msg;
+        exit exit_usage)
+
+let ensure_parent file = ensure_dir (Filename.dirname file)
+
+(* A table as DIR/ID.csv, DIR already made by [ensure_dir]; a file that
+   cannot be written is a usage error. *)
 let write_table_csv ~dir id table =
   try
-    if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
     write_file
       (Filename.concat dir (id ^ ".csv"))
       (Tpdbt_experiments.Table.to_csv table)
@@ -75,6 +91,7 @@ let asm_cmd =
       | Some o -> o
       | None -> Filename.remove_extension file ^ ".g32"
     in
+    ensure_parent out;
     Tpdbt_isa.Encode.write_file out program;
     Printf.printf "assembled %d instructions -> %s\n"
       (Tpdbt_isa.Program.length program)
@@ -305,6 +322,7 @@ let dbt_cmd =
         "--snapshot FILE is required with --snapshot-every/--suspend-after";
       exit exit_usage
     end;
+    Option.iter ensure_parent snapshot_file;
     let engine =
       match resume_run with
       | None -> Engine.create ~config ~seed program
@@ -566,6 +584,8 @@ let sweep_cmd =
       prerr_endline "--retries requires --supervise";
       exit exit_usage
     end;
+    Option.iter ensure_dir csv_dir;
+    Option.iter ensure_dir checkpoint_dir;
     (* With snapshots armed, a blown deadline parks the benchmark
        resumably instead of failing it. *)
     let suspend_on_deadline = snapshot_every > 0 && deadline <> None in
@@ -694,7 +714,8 @@ let profile_cmd =
           ~doc:"Directory for the emitted files (created if missing).")
   in
   let run workload threshold seed max_steps output out_dir =
-    if not (Sys.file_exists out_dir) then Sys.mkdir out_dir 0o755;
+    ensure_dir out_dir;
+    Option.iter ensure_parent output;
     let name = Filename.remove_extension (Filename.basename workload) in
     let config = { (Tpdbt_dbt.Engine.config ~threshold ()) with max_steps } in
     (* The profiler and the attribution tables consume only the span
@@ -788,7 +809,7 @@ let profile_cmd =
       $ out_dir)
 
 (* ------------------------------------------------------------------ *)
-(* perfdiff (perf-regression gate)                                      *)
+(* perfdiff (allocation gate)                                           *)
 (* ------------------------------------------------------------------ *)
 
 let perfdiff_cmd =
@@ -802,29 +823,12 @@ let perfdiff_cmd =
     Arg.(
       value & opt float 5.0
       & info [ "tolerance" ] ~docv:"PCT"
-          ~doc:"Allowed change per metric, in percent.")
+          ~doc:"Allowed change per benchmark, in percent.")
   in
-  let warn_only =
-    Arg.(
-      value & flag
-      & info [ "warn-only" ]
-          ~doc:"Report regressions but exit 0 (CI advisory mode).")
-  in
-  let alloc_only =
-    Arg.(
-      value & flag
-      & info [ "alloc-only" ]
-          ~doc:
-            "Judge only alloc_per_instr. Allocation per guest instruction is \
-             deterministic where wall clock is not, so this is the metric a \
-             hard CI gate can hold to a tight tolerance.")
-  in
-  let run old_file new_file tolerance warn_only alloc_only =
+  let run old_file new_file tolerance =
     let module Perfdiff = Tpdbt_experiments.Perfdiff in
-    let tolerance = tolerance /. 100.0 in
-    let only = if alloc_only then Some "alloc_per_instr" else None in
     match
-      Perfdiff.of_strings ?only ~tolerance (read_file old_file)
+      Perfdiff.of_strings ~tolerance:(tolerance /. 100.0) (read_file old_file)
         (read_file new_file)
     with
     | Error msg ->
@@ -832,15 +836,18 @@ let perfdiff_cmd =
         exit exit_invalid
     | Ok report ->
         print_string (Perfdiff.render report);
-        if Perfdiff.regressions report <> [] && not warn_only then
-          exit exit_regression
+        if Perfdiff.regressions report <> [] then exit exit_regression
   in
   Cmd.v
     (Cmd.info "perfdiff"
        ~doc:
-         "Compare two BENCH_perf.json files metric by metric and exit \
-          nonzero on any regression beyond the tolerance.")
-    Term.(const run $ old_file $ new_file $ tolerance $ warn_only $ alloc_only)
+         "Compare the alloc_per_instr (allocated words per guest \
+          instruction) of two BENCH_perf.json files bench by bench and exit \
+          3 on any rise beyond the tolerance.  Allocation per instruction \
+          is a property of the compiled code, so it reads the same on every \
+          run; $(b,make alloc-gate) holds it to the committed baseline at \
+          1%.")
+    Term.(const run $ old_file $ new_file $ tolerance)
 
 (* Two profiles compared block by block must come from one program. *)
 let require_same_program (file_a, a) (file_b, b) =
@@ -950,7 +957,7 @@ let trace_cmd =
              trace; the JSONL log always streams the full run.")
   in
   let run workload threshold adaptive seed max_steps out_dir max_events =
-    if not (Sys.file_exists out_dir) then Sys.mkdir out_dir 0o755;
+    ensure_dir out_dir;
     let name =
       Filename.remove_extension (Filename.basename workload)
     in
@@ -1076,6 +1083,7 @@ let ablate_cmd =
       | [] -> all
       | wanted -> List.filter (fun (id, _) -> List.mem id wanted) all
     in
+    Option.iter ensure_dir csv_dir;
     List.iter
       (fun (id, study) ->
         let table = study () in
@@ -1237,7 +1245,10 @@ let cache_cmd =
     Arg.(
       value
       & opt (some string) None
-      & info [ "csv" ] ~docv:"FILE" ~doc:"Also write the table as CSV.")
+      & info [ "csv" ] ~docv:"FILE"
+          ~doc:
+            "Also write the table as CSV to FILE, or to \
+             FILE/cache-sweep.csv when FILE is a directory.")
   in
   let run benches threshold fracs policies shadow_sample expect_evictions csv
       jobs max_steps =
@@ -1251,6 +1262,20 @@ let cache_cmd =
               prerr_endline ("unknown benchmark: " ^ n);
               exit exit_usage)
         benches
+    in
+    (* Accept a directory (the sweep command's --csv convention, and
+       the name results/ holds) as well as a file path; either way its
+       directory exists before the sweep runs. *)
+    let csv =
+      Option.map
+        (fun path ->
+          if Sys.file_exists path && Sys.is_directory path then
+            Filename.concat path "cache-sweep.csv"
+          else begin
+            ensure_parent path;
+            path
+          end)
+        csv
     in
     let fracs = match fracs with [] -> None | l -> Some l in
     let policies = match policies with [] -> None | l -> Some l in
@@ -1301,20 +1326,13 @@ let cache_cmd =
       sweeps;
     let table = Tpdbt_experiments.Figures.cache_sweep sweeps in
     Tpdbt_experiments.Table.print ~precision:3 table;
-    (match csv with
-    | None -> ()
-    | Some path -> (
-        let path =
-          (* Accept a directory (the sweep command's --csv convention)
-             as well as a file path. *)
-          if Sys.file_exists path && Sys.is_directory path then
-            Filename.concat path "cache_sweep.csv"
-          else path
-        in
+    Option.iter
+      (fun path ->
         try write_file path (Tpdbt_experiments.Table.to_csv table)
         with Sys_error msg ->
           Printf.eprintf "cannot write CSV: %s\n%!" msg;
-          exit exit_usage));
+          exit exit_usage)
+      csv;
     Printf.printf "total evictions across sweep: %d\n" !evictions;
     if !violations > 0 then begin
       Printf.eprintf "%d sweep point(s) changed guest behaviour\n%!"
@@ -1425,6 +1443,8 @@ let chaos_cmd =
                      exit exit_usage)
                names)
     in
+    ensure_dir dir;
+    Option.iter ensure_parent summary;
     if serve_mode then begin
       let module Chaos_serve = Tpdbt_serve.Chaos_serve in
       let c =
@@ -1509,6 +1529,7 @@ let fuzz_cmd =
       prerr_endline "error: --budget and --size must be positive";
       exit exit_usage
     end;
+    Option.iter ensure_parent summary_file;
     let config =
       {
         Driver.budget;
@@ -1654,6 +1675,8 @@ let serve_cmd =
       prerr_endline "error: --snapshot-every requires --checkpoint DIR";
       exit exit_usage
     end;
+    Option.iter ensure_dir checkpoint;
+    Option.iter ensure_parent journal;
     let options =
       {
         Serve.Daemon.socket;

@@ -4,11 +4,12 @@
    region and re-optimize the region when its completion probability
    changes significantly."  (paper §4.2)
 
-   This example runs the phase-changing "mcf" benchmark twice at the
-   paper's sweet-spot threshold — once as a classic two-phase
-   translator, once with adaptive region dissolution — and compares
+   This example translates the phase-changing "mcf" benchmark at the
+   paper's sweet-spot threshold twice — as a classic two-phase
+   translator and with adaptive region dissolution — and compares
    side-exit behaviour, accuracy against the average profile, and
-   model cycles.  It also demonstrates the continuous loop-back
+   model cycles.  Both translators and the average profile ride one
+   interpretation of the reference input ([Runner.run_ref_pass]).  It also demonstrates the continuous loop-back
    instrumentation (paper ref [21]): the live loop-back probability of
    surviving loop regions, measured after their counters froze.
 
@@ -24,9 +25,15 @@ let () =
     | Some b -> b
     | None -> failwith "mcf benchmark missing"
   in
-  let avep = Tpdbt_experiments.Runner.run_avep bench in
-  let describe name config =
-    let result = Tpdbt_experiments.Runner.run_ref bench ~config in
+  let avep, runs =
+    Tpdbt_experiments.Runner.run_ref_pass bench
+      ~configs:
+        [
+          Engine.config ~threshold:20 ();
+          Engine.config ~adaptive:true ~threshold:20 ();
+        ]
+  in
+  let describe name result =
     let c = result.Engine.counters in
     let comparison =
       Tpdbt_profiles.Metrics.compare_snapshots ~inip:result.Engine.snapshot
@@ -36,14 +43,14 @@ let () =
                    dissolved %3d   Sd.BP %.3f\n"
       name c.Perf_model.cycles c.Perf_model.side_exits
       c.Perf_model.region_entries c.Perf_model.regions_dissolved
-      comparison.Tpdbt_profiles.Metrics.sd_bp;
-    result
+      comparison.Tpdbt_profiles.Metrics.sd_bp
+  in
+  let fixed, adaptive =
+    match runs with [ f; a ] -> (f, a) | _ -> assert false
   in
   print_endline "mcf at threshold 2k (paper label), fixed vs adaptive:\n";
-  let _fixed = describe "fixed" (Engine.config ~threshold:20 ()) in
-  let adaptive =
-    describe "adaptive" (Engine.config ~adaptive:true ~threshold:20 ())
-  in
+  describe "fixed" fixed;
+  describe "adaptive" adaptive;
   print_endline "\ncontinuous loop-back instrumentation (surviving loop \
                  regions of the adaptive run):";
   Printf.printf "%8s  %10s  %12s  %12s\n" "region" "frozen LP" "live LP"

@@ -285,27 +285,6 @@ let cache_sweep (sweeps : Runner.cache_data list) =
         table policies)
     table sweeps
 
-(* Parallel-scaling table: one row per job count, seconds + speedup
-   against the first (sequential) measurement.  Feeds the
-   BENCH_parallel.json artifact and `bench --par-bench`. *)
-let parallel_scaling measurements =
-  let table =
-    Table.make ~title:"Full-suite sweep scaling (wall seconds, speedup vs -j 1)"
-      ~columns:[ "seconds"; "speedup" ]
-  in
-  let base =
-    match measurements with (_, s) :: _ when s > 0.0 -> s | _ -> 0.0
-  in
-  List.fold_left
-    (fun table (jobs, seconds) ->
-      let speedup =
-        if seconds > 0.0 && base > 0.0 then Some (base /. seconds) else None
-      in
-      Table.add_row table
-        (Printf.sprintf "-j %d" jobs)
-        [ Some seconds; speedup ])
-    table measurements
-
 let all data =
   [
     ("fig8", fig8 data);

@@ -1,9 +1,12 @@
 (** One table generator per figure of the paper's evaluation (§4).
 
-    Every function takes the sweep results of {!Runner.run_many} over
+    Every function takes the sweep results of {!Runner.run_sweep} over
     the full suite (subsets work too: averages are over the benchmarks
     present) and returns the table whose rows/series correspond to the
-    figure. *)
+    figure.  [tpdbt sweep] prints {!all} and writes it with [--csv];
+    [tpdbt cache] does the same for {!cache_sweep}.  Their full-length
+    outputs are the committed [results/*.csv], which [make
+    figures-check] and [make cache-check] compare byte for byte. *)
 
 val fig8 : Runner.data list -> Table.t
 (** Average Sd.BP(T) for INT and FP, with Sd.BP(train) reference. *)
@@ -45,13 +48,6 @@ val cache_sweep : Runner.cache_data list -> Table.t
     (benchmark, eviction policy), one column per capacity fraction —
     the Fig-17-style bounded-cache companion.  Not included in {!all}:
     it runs configurations the paper's figures never use. *)
-
-val parallel_scaling : (int * float) list -> Table.t
-(** [(jobs, wall seconds)] measurements, in increasing job order with
-    the sequential run first, rendered as one row per job count with a
-    speedup column relative to the first measurement.  Powers the
-    [BENCH_parallel.json] artifact and [bench --par-bench]; not part of
-    {!all} (it measures the harness, not the paper). *)
 
 val all : Runner.data list -> (string * Table.t) list
 (** [(figure id, table)] for figures 8–18 in order. *)

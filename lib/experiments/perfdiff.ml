@@ -1,21 +1,13 @@
 module Json = Tpdbt_telemetry.Json
 
-type direction = Higher_better | Lower_better
 type verdict = Regression | Improvement | Within
 
-(* The perf metrics each BENCH_perf.json row carries, with the sign
-   convention the verdict uses.  [guest_ips] is throughput; the other
-   two are costs. *)
-let metrics =
-  [
-    ("guest_ips", Higher_better);
-    ("alloc_per_instr", Lower_better);
-    ("cycles", Lower_better);
-  ]
+(* The judged metric: allocated words per guest instruction, a property
+   of the compiled code, so it reads the same on every run. *)
+let metric = "alloc_per_instr"
 
 type delta = {
   bench : string;
-  metric : string;
   older : float;
   newer : float;
   change : float;  (** fractional: [(newer - older) /. older] *)
@@ -31,7 +23,7 @@ type report = {
       (** set when the two files carry different host metadata *)
 }
 
-let judge ~tolerance direction ~older ~newer =
+let judge ~tolerance ~older ~newer =
   let change =
     if Float.abs older > 1e-12 then (newer -. older) /. older
     else if Float.abs newer > 1e-12 then 1.0
@@ -39,21 +31,14 @@ let judge ~tolerance direction ~older ~newer =
   in
   let verdict =
     if Float.abs change <= tolerance then Within
-    else
-      match direction with
-      | Higher_better -> if change < 0.0 then Regression else Improvement
-      | Lower_better -> if change > 0.0 then Regression else Improvement
+    else if change > 0.0 then Regression
+    else Improvement
   in
   (change, verdict)
 
 (* ---- reading BENCH_perf.json ------------------------------------------ *)
 
 let ( let* ) = Result.bind
-
-let field name row =
-  match Option.bind (Json.member name row) Json.as_number with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "bench row lacks numeric %S" name)
 
 let bench_rows doc =
   match Option.bind (Json.member "benches" doc) Json.as_list with
@@ -62,24 +47,21 @@ let bench_rows doc =
       let rec walk acc = function
         | [] -> Ok (List.rev acc)
         | row :: tl -> (
-            match Option.bind (Json.member "name" row) Json.as_string with
-            | None -> Error "bench row lacks string \"name\""
-            | Some name ->
-                let rec vals acc = function
-                  | [] -> Ok (List.rev acc)
-                  | (m, _) :: tl ->
-                      let* v = field m row in
-                      vals ((m, v) :: acc) tl
-                in
-                let* vs = vals [] metrics in
-                walk ((name, vs) :: acc) tl)
+            match
+              ( Option.bind (Json.member "name" row) Json.as_string,
+                Option.bind (Json.member metric row) Json.as_number )
+            with
+            | None, _ -> Error "bench row lacks string \"name\""
+            | Some _, None ->
+                Error (Printf.sprintf "bench row lacks numeric %S" metric)
+            | Some name, Some v -> walk ((name, v) :: acc) tl)
       in
       walk [] rows
 
-(* The host stanza is load-bearing: alloc-words/instr is portable but
-   guest_ips is not, so a BENCH file that does not say what machine it
-   came from cannot be judged.  Missing or non-object [host] is a
-   validation error (CLI exit 2), not a silent "hosts match". *)
+(* The host stanza is load-bearing: a BENCH file that does not say what
+   machine and compiler it came from cannot be judged.  Missing or
+   non-object [host] is a validation error (CLI exit 2), not a silent
+   "hosts match". *)
 let host_string doc =
   match Json.member "host" doc with
   | Some (Json.Obj members) ->
@@ -96,63 +78,45 @@ let host_string doc =
   | Some _ -> Error "\"host\" is not an object"
   | None -> Error "no \"host\" object"
 
-let select_metrics only =
-  match only with
-  | None -> Ok metrics
-  | Some m -> (
-      match List.assoc_opt m metrics with
-      | Some dir -> Ok [ (m, dir) ]
-      | None ->
-          Error
-            (Printf.sprintf "unknown metric %S (tracked: %s)" m
-               (String.concat ", " (List.map fst metrics))))
-
-let of_docs ?only ~tolerance old_doc new_doc =
-  let* judged = select_metrics only in
-  let* oh = Result.map_error (fun e -> "old file: " ^ e) (host_string old_doc) in
-  let* nh = Result.map_error (fun e -> "new file: " ^ e) (host_string new_doc) in
-  let* old_rows = bench_rows old_doc in
-  let* new_rows = bench_rows new_doc in
+let of_strings ~tolerance old_s new_s =
+  let read label s =
+    Result.map_error
+      (fun e -> label ^ " file: " ^ e)
+      (let* doc = Json.parse s in
+       let* host = host_string doc in
+       let* rows = bench_rows doc in
+       Ok (host, rows))
+  in
+  let* oh, old_rows = read "old" old_s in
+  let* nh, new_rows = read "new" new_s in
   let deltas =
-    List.concat_map
-      (fun (bench, old_vs) ->
-        match List.assoc_opt bench new_rows with
-        | None -> []
-        | Some new_vs ->
-            List.map
-              (fun (metric, direction) ->
-                let older = List.assoc metric old_vs in
-                let newer = List.assoc metric new_vs in
-                let change, verdict = judge ~tolerance direction ~older ~newer in
-                { bench; metric; older; newer; change; verdict })
-              judged)
+    List.filter_map
+      (fun (bench, older) ->
+        Option.map
+          (fun newer ->
+            let change, verdict = judge ~tolerance ~older ~newer in
+            { bench; older; newer; change; verdict })
+          (List.assoc_opt bench new_rows))
       old_rows
   in
-  let missing =
+  let only_in rows others =
     List.filter_map
-      (fun (b, _) -> if List.mem_assoc b new_rows then None else Some b)
-      old_rows
-  in
-  let added =
-    List.filter_map
-      (fun (b, _) -> if List.mem_assoc b old_rows then None else Some b)
-      new_rows
+      (fun (b, _) -> if List.mem_assoc b others then None else Some b)
+      rows
   in
   let host_note =
     if oh <> nh then
       Some (Printf.sprintf "hosts differ: old [%s] vs new [%s]" oh nh)
     else None
   in
-  Ok { tolerance; deltas; missing; added; host_note }
-
-let of_strings ?only ~tolerance old_s new_s =
-  let* old_doc =
-    Result.map_error (fun e -> "old file: " ^ e) (Json.parse old_s)
-  in
-  let* new_doc =
-    Result.map_error (fun e -> "new file: " ^ e) (Json.parse new_s)
-  in
-  of_docs ?only ~tolerance old_doc new_doc
+  Ok
+    {
+      tolerance;
+      deltas;
+      missing = only_in old_rows new_rows;
+      added = only_in new_rows old_rows;
+      host_note;
+    }
 
 let regressions r =
   List.filter (fun d -> d.verdict = Regression) r.deltas
@@ -165,14 +129,15 @@ let verdict_name = function
 let render r =
   let buf = Buffer.create 512 in
   Buffer.add_string buf
-    (Printf.sprintf "perfdiff (tolerance %.1f%%):\n" (100.0 *. r.tolerance));
+    (Printf.sprintf "perfdiff %s (tolerance %.1f%%):\n" metric
+       (100.0 *. r.tolerance));
   Buffer.add_string buf
-    "  bench        metric            old           new       change  verdict\n";
+    "  bench                 old           new      change  verdict\n";
   List.iter
     (fun d ->
       Buffer.add_string buf
-        (Printf.sprintf "  %-12s %-15s %12.4g  %12.4g  %+9.2f%%  %s\n" d.bench
-           d.metric d.older d.newer (100.0 *. d.change) (verdict_name d.verdict)))
+        (Printf.sprintf "  %-12s %12.4g  %12.4g  %+9.2f%%  %s\n" d.bench
+           d.older d.newer (100.0 *. d.change) (verdict_name d.verdict)))
     r.deltas;
   List.iter
     (fun b ->

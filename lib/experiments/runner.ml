@@ -284,13 +284,6 @@ let run_ref ?sink bench ~config =
   let engine = Engine.create ~config ~seed:ref_input.Spec.seed program in
   Engine.run engine
 
-let fatal_avep (result : Engine.result) =
-  match result.Engine.error with
-  | Some e when Error.fatal e -> raise (Error.Error e)
-  | Some _ | None -> result
-
-let run_avep bench = fatal_avep (run_ref bench ~config:Engine.profiling_only)
-
 (* The AVEP and every config ride one interpretation of the reference
    input, as the sweep's reference stages do. *)
 let run_ref_pass bench ~configs =
@@ -302,7 +295,10 @@ let run_ref_pass bench ~configs =
   in
   ignore (Engine.Group.run g);
   match Engine.Group.results g with
-  | avep :: results -> (fatal_avep avep, results)
+  | avep :: results -> (
+      match avep.Engine.error with
+      | Some e when Error.fatal e -> raise (Error.Error e)
+      | Some _ | None -> (avep, results))
   | [] -> assert false
 
 (* The standard observability bundle: buffer the event stream, derive

@@ -291,22 +291,19 @@ val run_ref :
     inspect [result.error] — fault campaigns need the partial result of
     a failed run. *)
 
-val run_avep : Tpdbt_workloads.Spec.t -> Tpdbt_dbt.Engine.result
-(** Profiling-only reference-input run (the AVEP profile).  A run cut
-    short by a non-fatal error (the step cap: mcf reaches it) is kept
-    as a partial run, as {!run_benchmark} keeps it.
-    @raise Tpdbt_dbt.Error.Error if the run ends with a fatal error
-    ({!Tpdbt_dbt.Error.fatal}). *)
-
 val run_ref_pass :
   Tpdbt_workloads.Spec.t ->
   configs:Tpdbt_dbt.Engine.config list ->
   Tpdbt_dbt.Engine.result * Tpdbt_dbt.Engine.result list
-(** {!run_avep} and one {!run_ref} per config, in order, from one
-    interpretation of the reference input: an {!Tpdbt_dbt.Engine.Group}
-    of the profiling-only model and one model per config.  Each result
-    is the one its own run gives.
-    @raise Tpdbt_dbt.Error.Error as {!run_avep} does.
+(** [(avep, results)] from one interpretation of the reference input:
+    an {!Tpdbt_dbt.Engine.Group} of the profiling-only model (the AVEP
+    profile) and one model per config, in order.  Each result is the
+    one {!run_ref} gives that config on its own.  An AVEP cut short by
+    a non-fatal error (the step cap: mcf reaches it) is kept as a
+    partial run, as {!run_benchmark} keeps it; the config results are
+    returned as they end, errors included.
+    @raise Tpdbt_dbt.Error.Error if the AVEP ends with a fatal error
+    ({!Tpdbt_dbt.Error.fatal}).
     @raise Invalid_argument for a config that
     {!Tpdbt_dbt.Engine.Group.create} refuses beside the profiling-only
     model: a fault plan, the shadow oracle or a suspension trigger. *)

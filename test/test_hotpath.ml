@@ -11,7 +11,7 @@
      the CI alloc-gate keeps honest end to end), and neither may a
      group of translator models fed by one driver;
    - [tpdbt perfdiff] must refuse BENCH files without host metadata
-     (exit 2) and must judge only alloc_per_instr under --alloc-only. *)
+     (exit 2) and must judge alloc_per_instr alone. *)
 
 module Instr = Tpdbt_isa.Instr
 module Program = Tpdbt_isa.Program
@@ -248,7 +248,7 @@ let test_group_allocation () =
       per_msteps alloc_budget_words_per_msteps
 
 (* ------------------------------------------------------------------ *)
-(* perfdiff CLI: host validation and --alloc-only                       *)
+(* perfdiff CLI: host validation and alloc-only judging                 *)
 (* ------------------------------------------------------------------ *)
 
 let tpdbt = Filename.concat (Filename.concat ".." "bin") "tpdbt.exe"
@@ -300,16 +300,15 @@ let test_perfdiff_cli_host_and_alloc_only () =
           (exit_of [ "perfdiff"; hostless; new_json ]);
         checki "missing host in new file is validation (2)" 2
           (exit_of [ "perfdiff"; old_json; hostless ]);
-        checki "full diff sees the ips regression (3)" 3
+        checki "a guest_ips-only regression passes (0)" 0
           (exit_of [ "perfdiff"; old_json; new_json ]);
-        checki "--alloc-only ignores the ips regression (0)" 0
-          (exit_of [ "perfdiff"; "--alloc-only"; old_json; new_json ]);
         (* and the converse: an alloc regression is what it fails on *)
         let fat = Filename.concat dir "fat.json" in
         write_bench fat ~ips:1000.0 ~alloc:2.0;
-        checki "--alloc-only fails on an alloc regression (3)" 3
-          (exit_of [ "perfdiff"; "--alloc-only"; "--tolerance"; "1"; old_json;
-                     fat ]))
+        checki "an alloc regression fails (3)" 3
+          (exit_of [ "perfdiff"; "--tolerance"; "1"; old_json; fat ]);
+        checki "--alloc-only is not a flag: usage (1)" 1
+          (exit_of [ "perfdiff"; "--alloc-only"; old_json; fat ]))
 
 let suite =
   [

@@ -1,7 +1,7 @@
 (* Tests for the profiling/attribution layer: spans, the call-tree
    profiler and its collapsed-stack/JSON exports, the OpenMetrics
    exposition and its strict parser, stage attribution against the
-   perf-model counters, and the perfdiff verdict logic. *)
+   perf-model counters, and the perfdiff allocation verdicts. *)
 
 module Assembler = Tpdbt_isa.Assembler
 module Engine = Tpdbt_dbt.Engine
@@ -346,27 +346,21 @@ let test_attribution_reconciles () =
 (* ------------------------------------------------------------------ *)
 
 let test_perfdiff_judge () =
-  let j dir ~older ~newer =
-    Perfdiff.judge ~tolerance:0.05 dir ~older ~newer
-  in
+  let j ~older ~newer = Perfdiff.judge ~tolerance:0.05 ~older ~newer in
   let check_verdict label expected (_, got) =
     checkb label true (got = expected)
   in
-  check_verdict "throughput drop is a regression" Perfdiff.Regression
-    (j Perfdiff.Higher_better ~older:100.0 ~newer:90.0);
-  check_verdict "throughput gain is an improvement" Perfdiff.Improvement
-    (j Perfdiff.Higher_better ~older:100.0 ~newer:120.0);
-  check_verdict "small drift is within tolerance" Perfdiff.Within
-    (j Perfdiff.Higher_better ~older:100.0 ~newer:96.0);
   check_verdict "cost increase is a regression" Perfdiff.Regression
-    (j Perfdiff.Lower_better ~older:10.0 ~newer:11.0);
+    (j ~older:10.0 ~newer:11.0);
   check_verdict "cost decrease is an improvement" Perfdiff.Improvement
-    (j Perfdiff.Lower_better ~older:10.0 ~newer:9.0);
+    (j ~older:10.0 ~newer:9.0);
+  check_verdict "small drift is within tolerance" Perfdiff.Within
+    (j ~older:100.0 ~newer:104.0);
   check_verdict "zero to zero is within" Perfdiff.Within
-    (j Perfdiff.Lower_better ~older:0.0 ~newer:0.0);
+    (j ~older:0.0 ~newer:0.0);
   check_verdict "zero to nonzero counts full change" Perfdiff.Regression
-    (j Perfdiff.Lower_better ~older:0.0 ~newer:5.0);
-  let change, _ = j Perfdiff.Higher_better ~older:100.0 ~newer:90.0 in
+    (j ~older:0.0 ~newer:5.0);
+  let change, _ = j ~older:100.0 ~newer:90.0 in
   checkf "change is fractional" (-0.1) change
 
 let bench_doc rows =
@@ -380,47 +374,61 @@ let bench_doc rows =
               name ips alloc cycles)
           rows))
 
+(* Only alloc_per_instr is judged: gzip's throughput halves and its
+   cycles double without a verdict, while mcf's allocation rises 20%. *)
 let test_perfdiff_report () =
   let old_doc =
-    bench_doc [ ("gzip", 1e6, 10.0, 5e6); ("mcf", 2e6, 8.0, 9e6) ]
+    bench_doc
+      [ ("gzip", 1e6, 10.0, 5e6); ("mcf", 2e6, 8.0, 9e6); ("art", 1e6, 1.0, 1e6) ]
   in
   let new_doc =
-    bench_doc [ ("gzip", 8e5, 10.0, 5e6); ("swim", 3e6, 7.0, 1e6) ]
+    bench_doc
+      [ ("gzip", 5e5, 10.0, 1e7); ("mcf", 2e6, 9.6, 9e6); ("swim", 3e6, 7.0, 1e6) ]
   in
   let report =
     match Perfdiff.of_strings ~tolerance:0.05 old_doc new_doc with
     | Ok r -> r
     | Error e -> Alcotest.fail e
   in
-  checki "three deltas for the common bench" 3
-    (List.length report.Perfdiff.deltas);
-  checkb "gzip ips regressed" true
+  checki "one delta per common bench" 2 (List.length report.Perfdiff.deltas);
+  checkb "gzip within tolerance" true
+    (List.exists
+       (fun d -> d.Perfdiff.bench = "gzip" && d.Perfdiff.verdict = Perfdiff.Within)
+       report.Perfdiff.deltas);
+  checkb "mcf allocation regressed" true
     (List.exists
        (fun d ->
-         d.Perfdiff.bench = "gzip"
-         && d.Perfdiff.metric = "guest_ips"
-         && d.Perfdiff.verdict = Perfdiff.Regression)
+         d.Perfdiff.bench = "mcf" && d.Perfdiff.verdict = Perfdiff.Regression)
        report.Perfdiff.deltas);
-  checkb "mcf missing" true (report.Perfdiff.missing = [ "mcf" ]);
+  checkb "art missing" true (report.Perfdiff.missing = [ "art" ]);
   checkb "swim added" true (report.Perfdiff.added = [ "swim" ]);
   checki "one regression" 1 (List.length (Perfdiff.regressions report));
   let rendered = Perfdiff.render report in
-  checkb "render names the regression" true
-    (String.length rendered > 0
-    &&
-    let n = String.length rendered in
-    let rec scan i =
-      i + 10 <= n && (String.sub rendered i 10 = "REGRESSION" || scan (i + 1))
-    in
-    scan 0)
+  let contains sub =
+    let n = String.length rendered and m = String.length sub in
+    let rec scan i = i + m <= n && (String.sub rendered i m = sub || scan (i + 1)) in
+    scan 0
+  in
+  checkb "render names the regression" true (contains "REGRESSION");
+  checkb "render names the metric" true (contains "alloc_per_instr");
+  checkb "render has no throughput row" false (contains "guest_ips")
 
 let test_perfdiff_rejects_garbage () =
   (match Perfdiff.of_strings ~tolerance:0.05 "{not json" "{}" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "accepted bad old file");
-  match Perfdiff.of_strings ~tolerance:0.05 {|{"benches":[{}]}|} "{}" with
+  (match
+     Perfdiff.of_strings ~tolerance:0.05 {|{"host":{},"benches":[{}]}|} "{}"
+   with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "accepted row without name"
+  | Ok _ -> Alcotest.fail "accepted row without name");
+  match
+    Perfdiff.of_strings ~tolerance:0.05
+      {|{"host":{},"benches":[{"name":"g","guest_ips":1}]}|}
+      {|{"host":{},"benches":[]}|}
+  with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "accepted row without alloc_per_instr"
 
 (* ------------------------------------------------------------------ *)
 (* Host info                                                            *)

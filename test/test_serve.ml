@@ -464,20 +464,29 @@ let test_cli_exit_taxonomy () =
         output_string oc "this is not assembly\n";
         close_out oc;
         checki "malformed input is validation (2)" 2 (exit_of [ "asm"; bad ]);
+        let good = Filename.concat dir "good.s" in
+        Out_channel.with_open_text good (fun oc ->
+            output_string oc ".entry main\nmain:\n    halt\n");
+        checki "asm -o under a missing parent is usage (1)" 1
+          (exit_of
+             [ "asm"; good; "-o";
+               Filename.concat
+                 (Filename.concat (Filename.concat dir "nowhere") "sub")
+                 "g.g32" ]);
         let old_json = Filename.concat dir "old.json" in
         let new_json = Filename.concat dir "new.json" in
-        let write path ips =
+        let write path alloc =
           let oc = open_out path in
           output_string oc
             (Printf.sprintf
                "{\"host\":{\"cores\":1},\"benches\":[{\"name\":\"g\",\
-                \"guest_ips\":%s,\"alloc_per_instr\":1.0,\"cycles\":100}]}"
-               ips);
+                \"guest_ips\":1000.0,\"alloc_per_instr\":%s,\"cycles\":100}]}"
+               alloc);
           close_out oc
         in
-        write old_json "1000.0";
-        write new_json "10.0";
-        checki "perf regression is 3" 3
+        write old_json "1.0";
+        write new_json "2.0";
+        checki "alloc regression is 3" 3
           (exit_of [ "perfdiff"; old_json; new_json ]);
         checki "garbage perfdiff input is validation (2)" 2
           (exit_of [ "perfdiff"; bad; new_json ]);
@@ -537,6 +546,50 @@ let test_cli_exit_taxonomy () =
                "ablate"; "-b"; "gzip"; "-s"; "scheduling"; "--csv";
                Filename.concat (Filename.concat dir "missing") "csv";
              ]);
+        (* An output directory under a missing parent is refused before
+           any work starts, by every command that takes one. *)
+        let missing = Filename.concat (Filename.concat dir "missing") "out" in
+        List.iter
+          (fun (what, args) ->
+            checki (what ^ " under a missing parent is usage (1)") 1
+              (exit_of args))
+          [
+            ("sweep --checkpoint", [ "sweep"; "-b"; "gzip"; "--max-steps"; "1000";
+                                     "--checkpoint"; missing ]);
+            ("chaos --dir", [ "chaos"; "--max-steps"; "1000"; "--dir"; missing ]);
+            ( "chaos --serve --dir",
+              [ "chaos"; "--serve"; "--max-steps"; "1000"; "--dir"; missing ] );
+            ( "chaos --summary",
+              [ "chaos"; "--max-steps"; "1000"; "--dir"; Filename.concat dir "chaos";
+                "--summary"; Filename.concat missing "s.json" ] );
+            ("profile --out-dir", [ "profile"; "gzip"; "--max-steps"; "1000";
+                                    "--out-dir"; missing ]);
+            ( "profile -o",
+              [ "profile"; "gzip"; "--max-steps"; "1000"; "--out-dir"; dir; "-o";
+                Filename.concat missing "g.prof" ] );
+            ("trace --out-dir", [ "trace"; "gzip"; "--max-steps"; "1000";
+                                  "--out-dir"; missing ]);
+            ( "serve --journal",
+              [ "serve"; "--socket"; Filename.concat dir "s.sock"; "--journal";
+                Filename.concat missing "journal"; "--quiet" ] );
+            ( "dbt --snapshot",
+              [ "dbt"; good; "--snapshot-every"; "1"; "--snapshot";
+                Filename.concat missing "s.snap" ] );
+            ( "cache --csv",
+              [ "cache"; "gzip"; "--max-steps"; "1000"; "--frac"; "1.0"; "--csv";
+                Filename.concat missing "c.csv" ] );
+            ( "fuzz --summary",
+              [ "fuzz"; "--budget"; "1"; "--corpus"; Filename.concat dir "corpus";
+                "--summary"; Filename.concat missing "s.json" ] );
+          ];
+        checkb "no command made the missing parent" false
+          (Sys.file_exists (Filename.dirname missing));
+        checki "cache --csv DIR succeeds" 0
+          (exit_of
+             [ "cache"; "gzip"; "--max-steps"; "1000"; "--frac"; "1.0"; "--csv";
+               dir ]);
+        checkb "cache --csv DIR writes the name results/ holds" true
+          (Sys.file_exists (Filename.concat dir "cache-sweep.csv"));
         checki "unknown study is usage (1)" 1 (exit_of [ "ablate"; "-s"; "no-such" ]);
         checki "unknown ablation benchmark is usage (1)" 1
           (exit_of [ "ablate"; "-b"; "no-such"; "-s"; "scheduling" ]))
