@@ -1222,7 +1222,8 @@ let cache_cmd =
       & info [ "frac" ] ~docv:"F"
           ~doc:
             "Cache capacity as a fraction of the benchmark's translated \
-             footprint (repeatable; default: 0.125 0.25 0.5 1.0).")
+             footprint: finite and positive (repeatable; default: 0.125 \
+             0.25 0.5 1.0).")
   in
   let policies =
     Arg.(
@@ -1277,6 +1278,14 @@ let cache_cmd =
           end)
         csv
     in
+    List.iter
+      (fun f ->
+        if not (Float.is_finite f && f > 0.0) then begin
+          Printf.eprintf "invalid --frac %g: not a finite positive fraction\n%!"
+            f;
+          exit exit_usage
+        end)
+      fracs;
     let fracs = match fracs with [] -> None | l -> Some l in
     let policies = match policies with [] -> None | l -> Some l in
     let sweeps =

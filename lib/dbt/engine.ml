@@ -890,36 +890,40 @@ let dissolve t (region : Region.t) =
 (* Block accounting                                                     *)
 (* ------------------------------------------------------------------ *)
 
+(* The short path of a profiled block: [bid] is translated and not
+   optimised, and its use count after this execution, [use], stays below
+   [reg_use] while the pool stays below its trigger, so that the
+   execution can neither register the block nor fire the pool. *)
+let[@inline] short_path t bid use =
+  t.touched.(bid) && use < t.reg_use
+  && t.pool_size < t.pool_trigger_now
+  && match t.state.(bid) with Cold | Registered -> true | Optimized -> false
+
+(* Take the short path: update the counters, and return the cycle sum
+   [cycles] plus the execution's charge, added in the general case's
+   order. *)
+let[@inline] profile_short t bid outcome use cycles =
+  let perf = t.cfg.perf in
+  (* a guest branch's direction is not worth a guess here: count it
+     with no jump *)
+  let took = Bool.to_int (outcome = Driver.took) in
+  t.use.(bid) <- use;
+  t.taken.(bid) <- t.taken.(bid) + took;
+  cycles
+  +. (float_of_int t.sizes.(bid) *. perf.Perf_model.profiled_exec_per_instr)
+  +. (float_of_int (1 + took) *. perf.Perf_model.profiling_op_cost)
+
 (* Block [bid] ran outside any region, from guest step [before] to
    [after], ending with [outcome]: charge its translation (first
    execution) and its execution, profiled unless it is optimised, then
    register it and fire the optimisation phase as the thresholds
-   dictate.
-
-   The common case comes first: a translated block, profiled, in a
-   model with no telemetry and an unbounded cache, whose use count
-   stays below [reg_use] while the pool stays below its trigger, so
-   that the execution can neither register the block nor fire the
-   pool.  It updates the counters and the cycles, exactly as the
-   general case below would, and returns. *)
+   dictate.  A model with no telemetry and an unbounded cache takes the
+   short path when it can: it needs no event, charge mirror or cache
+   touch. *)
 let single t bid outcome ~before ~after =
   let use = t.use.(bid) + 1 in
-  if
-    t.plain && t.touched.(bid) && use < t.reg_use
-    && t.pool_size < t.pool_trigger_now
-    && match t.state.(bid) with Cold | Registered -> true | Optimized -> false
-  then begin
-    let perf = t.cfg.perf in
-    (* a guest branch's direction is not worth a guess here: count it
-       with no jump *)
-    let took = Bool.to_int (outcome = Driver.took) in
-    t.use.(bid) <- use;
-    t.taken.(bid) <- t.taken.(bid) + took;
-    t.cycles_acc.(0) <-
-      t.cycles_acc.(0)
-      +. (float_of_int t.sizes.(bid) *. perf.Perf_model.profiled_exec_per_instr)
-      +. (float_of_int (1 + took) *. perf.Perf_model.profiling_op_cost)
-  end
+  if t.plain && short_path t bid use then
+    t.cycles_acc.(0) <- profile_short t bid outcome use t.cycles_acc.(0)
   else begin
     let b = Block_map.block t.bmap bid in
     let perf = t.cfg.perf in
@@ -1129,6 +1133,14 @@ let shadow_check t machine rid =
 (* Region dispatch                                                      *)
 (* ------------------------------------------------------------------ *)
 
+(* Count an entry into region [re], and return the cycle sum [cycles]
+   plus the optimised dispatch. *)
+let[@inline] count_entry t re cycles =
+  t.counters.Perf_model.region_entries <-
+    t.counters.Perf_model.region_entries + 1;
+  re.r_mon.m_entries <- re.r_mon.m_entries + 1;
+  cycles +. t.cfg.perf.Perf_model.optimized_dispatch
+
 (* Enter region [re] at its entry block, at guest step [before]: touch
    its cache entry, decide {e before} execution whether this entry is
    shadow-sampled (the decision depends only on the monitor's entry
@@ -1145,16 +1157,11 @@ let enter_region t re ~before =
   then
     t.counters.Perf_model.corrupted_entries <-
       t.counters.Perf_model.corrupted_entries + 1;
-  let mon = re.r_mon in
   t.sampled <-
-    t.cfg.shadow_sample > 0 && mon.m_entries mod t.cfg.shadow_sample = 0;
+    t.cfg.shadow_sample > 0 && re.r_mon.m_entries mod t.cfg.shadow_sample = 0;
   t.entered_at <- before;
-  t.counters.Perf_model.region_entries <-
-    t.counters.Perf_model.region_entries + 1;
   if t.trace then emit t (Event.Region_entry { region = rid });
-  mon.m_entries <- mon.m_entries + 1;
-  t.cycles_acc.(0) <-
-    t.cycles_acc.(0) +. t.cfg.perf.Perf_model.optimized_dispatch;
+  t.cycles_acc.(0) <- count_entry t re t.cycles_acc.(0);
   if t.trace then begin
     charge t s_dispatch t.cfg.perf.Perf_model.optimized_dispatch;
     region_charge t rid t.cfg.perf.Perf_model.optimized_dispatch 0
@@ -1162,26 +1169,41 @@ let enter_region t re ~before =
   t.cur <- Region.entry_block re.r_region;
   t.slot <- 0
 
-(* Execution leaves region [re] after the block of [slot], outside its
-   edges: a completion when that block closes the region (a back edge's
-   source or the tail), otherwise a side exit, which the adaptive mode
-   may answer by dissolving the region. *)
-let region_exit t re slot =
-  let rid = re.r_region.Region.id in
+(* The block of [slot] closes region [re]: it is a back edge's source or
+   the tail. *)
+let[@inline] closes re slot = re.r_has_back.(slot) || slot = re.r_tail
+
+(* Count the exit from region [re] after the block of [slot], outside
+   its edges — a completion when that block closes the region,
+   otherwise a side exit — and return the cycle sum [cycles] plus a side
+   exit's penalty. *)
+let[@inline] count_exit t re slot cycles =
   let mon = re.r_mon in
   if re.r_has_back.(slot) then mon.m_lb_seen <- mon.m_lb_seen + 1;
-  if re.r_has_back.(slot) || slot = re.r_tail then begin
+  if closes re slot then begin
     t.counters.Perf_model.region_completions <-
       t.counters.Perf_model.region_completions + 1;
-    if t.trace then emit t (Event.Region_completion { region = rid })
+    cycles
   end
   else begin
     t.counters.Perf_model.side_exits <- t.counters.Perf_model.side_exits + 1;
     mon.m_side_exits <- mon.m_side_exits + 1;
-    if t.trace then emit t (Event.Region_side_exit { region = rid; slot });
-    t.cycles_acc.(0) <-
-      t.cycles_acc.(0) +. t.cfg.perf.Perf_model.side_exit_penalty;
+    cycles +. t.cfg.perf.Perf_model.side_exit_penalty
+  end
+
+(* Execution leaves region [re] after the block of [slot], outside its
+   edges: count the exit, and answer a side exit in the adaptive mode,
+   which may dissolve the region. *)
+let region_exit t re slot =
+  let rid = re.r_region.Region.id in
+  let mon = re.r_mon in
+  t.cycles_acc.(0) <- count_exit t re slot t.cycles_acc.(0);
+  if closes re slot then begin
+    if t.trace then emit t (Event.Region_completion { region = rid })
+  end
+  else begin
     if t.trace then begin
+      emit t (Event.Region_side_exit { region = rid; slot });
       charge t s_side_exit t.cfg.perf.Perf_model.side_exit_penalty;
       region_charge t rid t.cfg.perf.Perf_model.side_exit_penalty 0
     end;
@@ -1211,6 +1233,23 @@ let region_exit t re slot =
     end
   end
 
+(* The slot of region [re] that runs after the block of [slot] ends
+   with [outcome], which must not end the run: -1 when execution leaves
+   the region there. *)
+let[@inline] successor re slot outcome =
+  re.r_succ.((slot * Driver.roles) + outcome)
+
+(* Execution steps to slot [dst] of region [re]: count a step back to
+   slot 0 of a loop. *)
+let[@inline] count_step t re dst =
+  if dst = 0 && re.r_is_loop then begin
+    t.counters.Perf_model.loop_backs <- t.counters.Perf_model.loop_backs + 1;
+    (* Continuous loop profiling: the latch executed and looped. *)
+    let mon = re.r_mon in
+    mon.m_lb_seen <- mon.m_lb_seen + 1;
+    mon.m_lb_taken <- mon.m_lb_taken + 1
+  end
+
 (* The block of slot [slot] of region [re] ran from [before] to [after]
    with [outcome]: charge the slot and follow the successor table.
    Returns the slot that runs next, or -1 when execution left the
@@ -1226,19 +1265,9 @@ let[@inline] region_slot t re slot outcome ~before ~after =
   end;
   if outcome >= Driver.finished then -1
   else
-    let dst = re.r_succ.((slot * Driver.roles) + outcome) in
-    if dst = 0 && re.r_is_loop then begin
-      t.counters.Perf_model.loop_backs <- t.counters.Perf_model.loop_backs + 1;
-      (* Continuous loop profiling: the latch executed and looped. *)
-      let mon = re.r_mon in
-      mon.m_lb_seen <- mon.m_lb_seen + 1;
-      mon.m_lb_taken <- mon.m_lb_taken + 1;
-      0
-    end
-    else begin
-      if dst < 0 then region_exit t re slot;
-      dst
-    end
+    let dst = successor re slot outcome in
+    if dst < 0 then region_exit t re slot else count_step t re dst;
+    dst
 
 (* ------------------------------------------------------------------ *)
 (* Fault injection                                                      *)
@@ -1599,48 +1628,141 @@ and in_region_one g d machine t re slot =
         false
       end
 
-(* A group member replays the recorded events [i, c_len) of chunk [c]
-   from a dispatch point; [before] is the step before event [i].  The
-   machine already stands at the end of the chunk, so a member that
-   stops takes its step and output counts from its own event.  Every
-   index read is below [c_len], or is [c_len] itself in [c_bid]. *)
-let rec replay t machine (c : Driver.chunk) i before =
-  if i < c.c_len then begin
-    let bid = Array.unsafe_get c.c_bid i in
-    let outcome = Array.unsafe_get c.c_outcome i in
-    let after = Array.unsafe_get c.c_after i in
+(* Replay the common events of chunk [c] from event [i], for a member
+   with no telemetry, an unbounded cache, no fault injector and no
+   corrupted code (a restored image can carry the last two): a profiled
+   block's short path, a region entry, a region step to a slot whose
+   block is the next one recorded, and an exit to a dispatch point below
+   [stop_step] with no adaptive side exit to answer.  The cycle sum, the
+   event, and the region ([no_region] at a dispatch point) and its slot
+   stay in locals; the function calls nothing, so they stay in
+   registers.  Returns the first event it did not take, or [c_len], with
+   the locals stored back into the model. *)
+let replay_inline t (c : Driver.chunk) i =
+  let len = c.c_len in
+  let acc = ref t.cycles_acc.(0) in
+  let i = ref i in
+  let go = ref true in
+  let re = ref (if t.cur >= 0 then t.entry.(t.cur) else no_region) in
+  let slot = ref t.slot in
+  while !go && !i < len do
+    let ev = !i in
+    let outcome = Array.unsafe_get c.c_outcome ev in
+    let r = !re in
+    if r == no_region then begin
+      let bid = Array.unsafe_get c.c_bid ev in
+      let entered = t.entry.(bid) in
+      if entered != no_region && optimized t bid then begin
+        (* the region's first slot runs this same event *)
+        acc := count_entry t entered !acc;
+        t.cur <- bid;
+        re := entered;
+        slot := 0
+      end
+      else
+        let use = t.use.(bid) + 1 in
+        if
+          outcome < Driver.finished
+          && Array.unsafe_get c.c_after ev < t.stop_step
+          && short_path t bid use
+        then begin
+          acc := profile_short t bid outcome use !acc;
+          i := ev + 1
+        end
+        else go := false
+    end
+    else if outcome >= Driver.finished then go := false
+    else
+      let s = !slot in
+      let dst = successor r s outcome in
+      if dst >= 0 then
+        if r.r_slots.(dst) = Array.unsafe_get c.c_bid (ev + 1) then begin
+          acc := !acc +. r.r_slot_cycles.(s);
+          count_step t r dst;
+          slot := dst;
+          i := ev + 1
+        end
+        else go := false
+      else if
+        Array.unsafe_get c.c_after ev < t.stop_step
+        && ((not t.cfg.adaptive) || closes r s)
+      then begin
+        acc := count_exit t r s (!acc +. r.r_slot_cycles.(s));
+        t.cur <- -1;
+        re := no_region;
+        i := ev + 1
+      end
+      else go := false
+  done;
+  t.cycles_acc.(0) <- !acc;
+  t.slot <- !slot;
+  !i
+
+(* Replay event [ev] of chunk [c], a chunk recorded from step [before0],
+   through the per-event functions the lone engine calls, from where
+   the member stands.  Returns the event to replay next — [ev] itself
+   after a region entry, since the region's first slot runs it — or
+   [c_len] when the member stopped. *)
+let replay_event t machine (c : Driver.chunk) before0 ev =
+  let outcome = Array.unsafe_get c.c_outcome ev in
+  let after = Array.unsafe_get c.c_after ev in
+  let outputs = Array.unsafe_get c.c_outputs ev in
+  let before =
+    if ev = 0 then before0 else Array.unsafe_get c.c_after (ev - 1)
+  in
+  if t.cur < 0 then begin
+    let bid = Array.unsafe_get c.c_bid ev in
     let re = t.entry.(bid) in
     if re != no_region && optimized t bid then begin
+      (* the region's first slot runs this same event *)
       enter_region t re ~before;
-      replay_region t machine c re 0 i before
+      ev
     end
     else begin
       single t bid outcome ~before ~after;
-      after_dispatch t machine outcome ~steps:after
-        ~outputs:(Array.unsafe_get c.c_outputs i);
-      if t.live then replay t machine c (i + 1) after
+      after_dispatch t machine outcome ~steps:after ~outputs;
+      if t.live then ev + 1 else c.c_len
     end
   end
-
-(* The same inside region [re], whose slot [slot] ran event [i]: the
-   region and the slot stay in locals until execution leaves the region
-   or the chunk ends. *)
-and replay_region t machine (c : Driver.chunk) re slot i before =
-  let outcome = Array.unsafe_get c.c_outcome i in
-  let after = Array.unsafe_get c.c_after i in
-  let slot = region_slot t re slot outcome ~before ~after in
-  if slot < 0 then begin
-    leave_region t machine re outcome ~steps:after
-      ~outputs:(Array.unsafe_get c.c_outputs i);
-    if t.live then replay t machine c (i + 1) after
-  end
   else
-    let next = Array.unsafe_get c.c_bid (i + 1) in
-    if re.r_slots.(slot) <> next then
-      lose t machine ~next ~steps:after
-        ~outputs:(Array.unsafe_get c.c_outputs i)
-    else if i + 1 < c.c_len then replay_region t machine c re slot (i + 1) after
-    else t.slot <- slot
+    let re = t.entry.(t.cur) in
+    let slot = region_slot t re t.slot outcome ~before ~after in
+    if slot < 0 then begin
+      leave_region t machine re outcome ~steps:after ~outputs;
+      if t.live then ev + 1 else c.c_len
+    end
+    else
+      let next = Array.unsafe_get c.c_bid (ev + 1) in
+      if re.r_slots.(slot) = next then begin
+        t.slot <- slot;
+        ev + 1
+      end
+      else begin
+        lose t machine ~next ~steps:after ~outputs;
+        c.c_len
+      end
+
+(* A group member replays the recorded events of chunk [c], a chunk
+   recorded from step [before0], from where it stands: at a dispatch
+   point, or in region [t.cur] before the block of slot [t.slot].  The
+   common events go through [replay_inline] where it applies — there a
+   dispatch point below [stop_step] stops on nothing and fires nothing
+   (a live member with no injector has no pending error), and a region
+   entry only counts and charges (a group has no shadow oracle) — and
+   every other one through [replay_event].  The machine already stands
+   at the end of the chunk, so a member that stops takes its step and
+   output counts from its own event.  Every index read is below
+   [c_len], or is [c_len] itself in [c_bid]. *)
+let replay_chunk t machine (c : Driver.chunk) before0 =
+  let inline =
+    t.plain && t.inj = None && not (Code_cache.has_corruption t.cache)
+  in
+  let i = ref 0 in
+  while !i < c.c_len do
+    let ev = if inline then replay_inline t c !i else !i in
+    if ev < c.c_len then i := replay_event t machine c before0 ev
+    else i := ev
+  done
 
 (* A group: the driver records a chunk of the block stream, up to the
    suspension step, and each live member replays all of it before the
@@ -1651,10 +1773,7 @@ let rec drive_chunks g d machine c models =
   Driver.record d c g.suspend_step 0;
   for i = 0 to Array.length models - 1 do
     let t = models.(i) in
-    if t.live && c.Driver.c_len > 0 then
-      if t.cur >= 0 then
-        replay_region t machine c t.entry.(t.cur) t.slot 0 before
-      else replay t machine c 0 before
+    if t.live && c.Driver.c_len > 0 then replay_chunk t machine c before
   done;
   if not (Array.exists (fun t -> t.live) models) then false
   else if d.Driver.steps >= g.suspend_step then true

@@ -300,6 +300,18 @@ val restore : ?config:config -> Tpdbt_isa.Program.t -> image -> t
     stops.  Members that share one telemetry sink see their events
     grouped by chunk, not interleaved block by block.
 
+    A member with no telemetry sink and an unbounded cache replays a
+    chunk's common events — a profiled block that can neither register
+    nor fire the pool, a region entry, a region step, and an exit to a
+    dispatch point with no stop due and no adaptive side exit to answer
+    — in one loop that keeps its cycle sum, event, region and slot in
+    locals.  Every other event (a first translation, a registration or
+    an optimisation round, a side entry into an optimised block, a
+    stop, a halt or a trap, an adaptive side exit, and every event of a
+    member with a sink or a bounded cache) goes through the same
+    per-event code a lone engine runs, so each accounting rule has one
+    home and the cycle sum is added in the same order.
+
     The members' suspension triggers act on the group as a whole:
     [snapshot_every] suspends it every that many guest instructions and
     a [deadline] with [suspend_on_deadline] suspends it at the

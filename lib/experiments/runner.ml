@@ -350,7 +350,11 @@ let run_cache_sweep ?(jobs = 1) ?(threshold = 20)
     List.concat_map (fun p -> List.map (fun f -> (p, f)) fracs) policies
   in
   let point (policy, frac) =
-    let capacity = max 1 (int_of_float (frac *. float_of_int footprint)) in
+    let scaled = frac *. float_of_int footprint in
+    let capacity =
+      if scaled >= float_of_int max_int then max_int
+      else max 1 (int_of_float scaled)
+    in
     let config =
       budget
         (Engine.config ~threshold ~cache_capacity:capacity

@@ -153,8 +153,9 @@ val run_cache_sweep :
   cache_data
 (** Fig.-17-style cache-size sweep: one unbounded baseline run, then
     one bounded run per (policy, capacity fraction) with the capacity
-    set to [frac x footprint] (at least 1).  Defaults: threshold 20,
-    all three policies, fractions 1/8, 1/4, 1/2, 1, shadow oracle off.
+    set to [frac x footprint], at least 1 and at most [max_int].
+    Defaults: threshold 20, all three policies, fractions 1/8, 1/4, 1/2,
+    1, shadow oracle off.
     Guest behaviour (outputs, steps) is invariant across all points;
     only the cycle cost moves.  Never raises: inspect each
     [result.error].

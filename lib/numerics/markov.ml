@@ -1,6 +1,3 @@
-module Graph = Tpdbt_cfg.Graph
-module Traverse = Tpdbt_cfg.Traverse
-
 type flow = { first : int array; src : int array; prob : float array }
 type system = {
   unknowns : int array;
@@ -60,23 +57,3 @@ let solve flow ~known =
     | Ok x ->
         Array.iteri (fun i node -> freqs.(node) <- x.(i)) sys.unknowns;
         Ok freqs
-
-let propagate_acyclic ~graph ~prob ~entry ~entry_freq =
-  match Traverse.topological_sort graph with
-  | Error _ -> Error "propagate_acyclic: graph has a cycle"
-  | Ok order ->
-      let freq = Hashtbl.create 16 in
-      List.iter (fun node -> Hashtbl.replace freq node 0.0) (Graph.nodes graph);
-      Hashtbl.replace freq entry entry_freq;
-      List.iter
-        (fun node ->
-          if node <> entry then begin
-            let inflow =
-              List.fold_left
-                (fun acc p -> acc +. (Hashtbl.find freq p *. prob p node))
-                0.0 (Graph.preds graph node)
-            in
-            Hashtbl.replace freq node inflow
-          end)
-        order;
-      Ok freq

@@ -44,18 +44,3 @@ val solve : flow -> known:float option array -> (float array, string) result
 (** Frequencies for every node: a known node keeps its given frequency,
     the others are solved for by {!Linear_solver.sparse_gauss} over
     {!system}.  [Error] if the system is singular. *)
-
-val propagate_acyclic :
-  graph:Tpdbt_cfg.Graph.t ->
-  prob:(int -> int -> float) ->
-  entry:int ->
-  entry_freq:float ->
-  ((int, float) Hashtbl.t, string) result
-(** Forward propagation over an acyclic graph: the entry gets
-    [entry_freq], every other node the probability-weighted sum of its
-    predecessors, in {!Tpdbt_cfg.Graph.preds} order.  Nodes not
-    reachable from [entry] get frequency [0].  [Error] if the graph has
-    a cycle.  This is the completion- and loop-back-probability
-    computation of paper §3.2–3.3 over a general graph: the reference
-    that the profiles library's [Region_prob] propagation is tested
-    against. *)

@@ -12,9 +12,10 @@ let edge_probability role ~branch_prob =
    [slot_count]) and return every node's frequency.  A node's inflow
    sums its distinct predecessors in the order their first edge
    appears, each weighted by its edges' probabilities summed in edge
-   order: the order [Markov.propagate_acyclic] sums in over the graph
-   of these edges.  Slots are visited in the layout's topological
-   order, so every predecessor is final when it is read. *)
+   order: the order a forward propagation over the graph of these
+   edges sums in (the tests' reference, [Graph_ref.propagate_acyclic]).
+   Slots are visited in the layout's topological order, so every
+   predecessor is final when it is read. *)
 let propagate (layout : Region.layout) ~prob ~with_dummy =
   let nslots = Array.length layout.order in
   let freq = Array.make (nslots + 1) 0.0 in

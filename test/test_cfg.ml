@@ -1,7 +1,7 @@
-(* Tests for the CFG library: graph and topological sort. *)
+(* Tests for the reference graph and its topological sort
+   ([Graph_ref]), which the layout and propagation tests lean on. *)
 
-module Graph = Tpdbt_cfg.Graph
-module Traverse = Tpdbt_cfg.Traverse
+module Graph = Graph_ref.Graph
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
@@ -33,7 +33,7 @@ let test_graph_dedup_edges () =
 
 let test_topological_sort () =
   let edges = [ (0, 1); (0, 2); (1, 3); (2, 3) ] in
-  (match Traverse.topological_sort (Graph.of_edges edges) with
+  (match Graph_ref.topological_sort (Graph.of_edges edges) with
   | Error msg -> Alcotest.fail msg
   | Ok order ->
       let pos = Hashtbl.create 8 in
@@ -45,7 +45,7 @@ let test_topological_sort () =
             (Hashtbl.find pos a < Hashtbl.find pos b))
         edges);
   checkb "cycle detected" true
-    (Result.is_error (Traverse.topological_sort (diamond_loop ())))
+    (Result.is_error (Graph_ref.topological_sort (diamond_loop ())))
 
 (* Property: random DAG -> topological_sort succeeds and respects edges. *)
 let prop_topo_on_dags =
@@ -64,7 +64,7 @@ let prop_topo_on_dags =
   Test.make ~name:"topological sort on random DAGs" ~count:200 (make gen)
     (fun edges ->
       let g = Graph.of_edges edges in
-      match Traverse.topological_sort g with
+      match Graph_ref.topological_sort g with
       | Error _ -> false
       | Ok order ->
           let pos = Hashtbl.create 16 in

@@ -198,11 +198,11 @@ let test_region_duplicated_block () =
   checkb "two copies of block 5" true (Region.slots_of_block region 5 = [ 0; 2 ])
 
 (* The layout against a reference written here: the old graph-based
-   checks (a [Tpdbt_cfg] graph of the forward edges, its topological
+   checks (a [Graph_ref] graph of the forward edges, its topological
    sort, a depth-first search from slot 0) for the verdict, and list
    searches over the edges for the tables. *)
 
-module Graph = Tpdbt_cfg.Graph
+module Graph = Graph_ref.Graph
 
 let reference_verdict (region : Region.t) =
   let open Region in
@@ -223,7 +223,7 @@ let reference_verdict (region : Region.t) =
     let g = Graph.create () in
     Array.iteri (fun slot _ -> Graph.add_node g slot) region.slots;
     List.iter (fun e -> Graph.add_edge g e.src e.dst) region.edges;
-    match Tpdbt_cfg.Traverse.topological_sort g with
+    match Graph_ref.topological_sort g with
     | Error _ -> Error "forward edges contain a cycle"
     | Ok _ ->
         let seen = Array.make n false in

@@ -9,6 +9,7 @@
 module Assembler = Tpdbt_isa.Assembler
 module Machine = Tpdbt_vm.Machine
 module Block_map = Tpdbt_dbt.Block_map
+module Code_cache = Tpdbt_dbt.Code_cache
 module Engine = Tpdbt_dbt.Engine
 module Error = Tpdbt_dbt.Error
 module Perf_model = Tpdbt_dbt.Perf_model
@@ -83,6 +84,14 @@ let configs_at budgets =
           Engine.config ~threshold:1 ();
           Engine.config ~threshold:5 ~pool_trigger:1 ();
           Engine.config ~threshold:50 ();
+          (* members whose side exits, cache and slot costs take the
+             replay loop's hand-offs: dissolution, eviction, and the
+             pipelined schedule *)
+          { (Engine.config ~threshold:5 ~adaptive:true ()) with
+            Engine.reopt_min_entries = 8 };
+          Engine.config ~threshold:5 ~cache_capacity:32
+            ~cache_policy:Code_cache.Lru ();
+          { (Engine.config ~threshold:50 ()) with Engine.trace_scheduling = true };
         ])
     budgets
 

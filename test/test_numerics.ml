@@ -5,7 +5,7 @@ module Matrix = Tpdbt_numerics.Matrix
 module Solver = Tpdbt_numerics.Linear_solver
 module Markov = Tpdbt_numerics.Markov
 module Stats = Tpdbt_numerics.Stats
-module Graph = Tpdbt_cfg.Graph
+module Graph = Graph_ref.Graph
 module Region = Tpdbt_dbt.Region
 module Snapshot = Tpdbt_dbt.Snapshot
 module Engine = Tpdbt_dbt.Engine
@@ -269,7 +269,7 @@ let test_propagate_acyclic_fig6 () =
     | 7, 8 -> 0.9
     | _ -> 0.0
   in
-  match Markov.propagate_acyclic ~graph:g ~prob ~entry:5 ~entry_freq:1.0 with
+  match Graph_ref.propagate_acyclic ~graph:g ~prob ~entry:5 ~entry_freq:1.0 with
   | Error msg -> Alcotest.fail msg
   | Ok freq ->
       checkf6 "b6" 0.4 (Hashtbl.find freq 6);
@@ -280,13 +280,13 @@ let test_propagate_acyclic_rejects_cycle () =
   let g = Graph.of_edges [ (0, 1); (1, 0) ] in
   checkb "cycle rejected" true
     (Result.is_error
-       (Markov.propagate_acyclic ~graph:g ~prob:(fun _ _ -> 1.0) ~entry:0
+       (Graph_ref.propagate_acyclic ~graph:g ~prob:(fun _ _ -> 1.0) ~entry:0
           ~entry_freq:1.0))
 
 let test_propagate_unreachable_zero () =
   let g = Graph.of_edges [ (0, 1) ] in
   Graph.add_node g 7;
-  match Markov.propagate_acyclic ~graph:g ~prob:(fun _ _ -> 1.0) ~entry:0 ~entry_freq:2.0 with
+  match Graph_ref.propagate_acyclic ~graph:g ~prob:(fun _ _ -> 1.0) ~entry:0 ~entry_freq:2.0 with
   | Error msg -> Alcotest.fail msg
   | Ok freq ->
       checkf "unreachable" 0.0 (Hashtbl.find freq 7);
@@ -511,7 +511,7 @@ let test_navep_systems_both_ways () =
   checkb "the sweep duplicates blocks" true (!solved > 100)
 
 (* The propagation Region_prob used to run: the region's edges as a
-   graph, their probabilities in a table, [Markov.propagate_acyclic]
+   graph, their probabilities in a table, [Graph_ref.propagate_acyclic]
    over both. *)
 let reference_propagation region ~prob ~with_dummy =
   let nslots = Region.slot_count region in
@@ -540,7 +540,7 @@ let reference_propagation region ~prob ~with_dummy =
   let prob_of src dst =
     Option.value ~default:0.0 (Hashtbl.find_opt edge_prob (src, dst))
   in
-  match Markov.propagate_acyclic ~graph:g ~prob:prob_of ~entry:0 ~entry_freq:1.0 with
+  match Graph_ref.propagate_acyclic ~graph:g ~prob:prob_of ~entry:0 ~entry_freq:1.0 with
   | Ok freq -> freq
   | Error msg -> Alcotest.fail msg
 

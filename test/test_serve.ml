@@ -590,6 +590,34 @@ let test_cli_exit_taxonomy () =
                dir ]);
         checkb "cache --csv DIR writes the name results/ holds" true
           (Sys.file_exists (Filename.concat dir "cache-sweep.csv"));
+        (* A capacity fraction must be finite and positive; a huge one
+           saturates the capacity, so the cache never binds. *)
+        List.iter
+          (fun frac ->
+            checki ("cache --frac " ^ frac ^ " is usage (1)") 1
+              (exit_of
+                 [ "cache"; "gzip"; "--max-steps"; "1000"; "-j"; "1";
+                   "--frac=" ^ frac ]))
+          [ "nan"; "inf"; "-inf"; "0"; "-1" ];
+        let huge = Filename.concat dir "huge.out" in
+        checki "cache --frac 1e300 succeeds" 0
+          (exit_to huge
+             [ "cache"; "gzip"; "--max-steps"; "10000"; "-j"; "1"; "--frac";
+               "1e300" ]);
+        let rows =
+          In_channel.with_open_text huge In_channel.input_all
+          |> String.split_on_char '\n' |> List.map String.trim
+          |> List.filter (String.starts_with ~prefix:"gzip/")
+        in
+        checki "cache --frac 1e300 prints a row per policy" 3
+          (List.length rows);
+        List.iter
+          (fun row ->
+            checkb (row ^ " costs the unbounded cycles") true
+              (List.mem "1.000"
+                 (String.split_on_char ' ' row
+                 |> List.filter (fun w -> w <> ""))))
+          rows;
         checki "unknown study is usage (1)" 1 (exit_of [ "ablate"; "-s"; "no-such" ]);
         checki "unknown ablation benchmark is usage (1)" 1
           (exit_of [ "ablate"; "-b"; "no-such"; "-s"; "scheduling" ]))
