@@ -184,26 +184,32 @@ profile-smoke: build
 		|| { echo "profile-smoke: damaged profile did not exit 2"; exit 1; }
 	@echo "profile-smoke: all profiling artefacts present and validated"
 
-# Differential-fuzzing smoke: a fixed-seed campaign of generated guest
-# programs, each run through the pure interpreter and the two-phase
+# Differential-fuzzing smoke: the fixed-seed campaign every
+# performance claim cites (--budget 200 --seed 42), generated guest
+# programs each run through the pure interpreter and the two-phase
 # engine across the threshold/cache/policy config matrix.  tpdbt fuzz
 # exits 3 on any state or invariant divergence (the shrunk reproducer
-# lands in the corpus dir), and the deterministic summary must be
-# byte-identical across a repeat run and a parallel run (CI uploads
-# fuzz-summary.json and any reproducers as artifacts).
+# lands in the corpus dir).  The -j 1 summary must equal the committed
+# test/golden/fuzz-summary.json (12,302 checks, 0 skipped, 0 divergent),
+# so a check that silently stops running fails here; a change that adds
+# a check updates that file in the same commit.  A parallel run must
+# write the same bytes (CI uploads fuzz-summary.json and any
+# reproducers as artifacts).
 FUZZ_SMOKE_DIR := _build/fuzz-smoke
 
 fuzz-smoke: build
 	rm -rf $(FUZZ_SMOKE_DIR)
 	mkdir -p $(FUZZ_SMOKE_DIR)
-	$(DUNE) exec bin/tpdbt.exe -- fuzz --budget 40 --seed 42 --jobs 1 \
+	$(DUNE) exec bin/tpdbt.exe -- fuzz --budget 200 --seed 42 --jobs 1 \
 		--corpus $(FUZZ_SMOKE_DIR)/corpus \
 		--summary $(FUZZ_SMOKE_DIR)/fuzz-summary.json
-	$(DUNE) exec bin/tpdbt.exe -- fuzz --budget 40 --seed 42 --jobs $(PAR_JOBS) \
+	$(DUNE) exec bin/tpdbt.exe -- fuzz --budget 200 --seed 42 --jobs $(PAR_JOBS) \
 		--corpus $(FUZZ_SMOKE_DIR)/corpus-par \
 		--summary $(FUZZ_SMOKE_DIR)/par-summary.json
+	cmp test/golden/fuzz-summary.json $(FUZZ_SMOKE_DIR)/fuzz-summary.json \
+		|| { echo "fuzz-smoke: the summary differs from test/golden/fuzz-summary.json"; exit 1; }
 	cmp $(FUZZ_SMOKE_DIR)/fuzz-summary.json $(FUZZ_SMOKE_DIR)/par-summary.json
-	@echo "fuzz-smoke: no divergence; summaries identical at -j 1 and -j $(PAR_JOBS)"
+	@echo "fuzz-smoke: no divergence; summary matches the golden at -j 1 and -j $(PAR_JOBS)"
 
 # Suspend/resume smoke: a sweep parked at a deadline (snapshotting its
 # mid-run engine state into the checkpoint store), then resumed with

@@ -193,12 +193,13 @@ let no_region =
 (* ------------------------------------------------------------------ *)
 
 (* The half of the translator that runs the guest: it owns the machine
-   and the block map, executes one basic block at a time and reports
-   the block's id, its outcome and the step count.  It keeps no
-   profile, region or cycle state — that is the translator model's,
-   below — so one driver can feed any number of models.  It lives in
-   this compilation unit so that [step] inlines into the loops that
-   feed models. *)
+   and the block map, executes one basic block at a time through
+   [Machine.exec_block] — one call per block, which runs the block's
+   translated closure chain — and reports the block's id, its outcome
+   and the step count.  It keeps no profile, region or cycle state —
+   that is the translator model's, below — so one driver can feed any
+   number of models.  It lives in this compilation unit so that [step]
+   inlines into the loops that feed models. *)
 module Driver = struct
   type t = {
     machine : Machine.t;
@@ -248,29 +249,23 @@ module Driver = struct
   let () =
     assert (
       took_not = 1 && took = 2
-      && Machine.ev_stepped < took_not
+      && Machine.ev_stepped = flowed
       && took < Machine.ev_jumped)
-
-  (* Top-level recursion over the block's instructions, so a block runs
-     with no closure and no allocation.  A branch's two codes are
-     adjacent, so one comparison passes either through without a
-     guess at the guest's direction. *)
-  let rec exec machine remaining =
-    let c = Machine.step_code machine in
-    if c = Machine.ev_stepped then
-      if remaining = 1 then flowed else exec machine (remaining - 1)
-    else if c <= took then c
-    else if c <= Machine.ev_returned then flowed (* jumped/called/returned *)
-    else if c = Machine.ev_halted then finished
-    else trapped
 
   (* Execute block [next], which must be a block id, and locate the one
      after it.  Control transfers end a block, so a block that keeps
      running has executed all of its instructions; a halt or a trap may
-     come sooner. *)
+     come sooner.  A branch's two codes are adjacent, so one comparison
+     passes either through without a guess at the guest's direction. *)
   let[@inline] step d =
     let size = d.sizes.(d.next) in
-    let outcome = exec d.machine size in
+    let c = Machine.exec_block d.machine size in
+    let outcome =
+      if c <= took then c (* [ev_stepped] is [flowed] *)
+      else if c <= Machine.ev_returned then flowed (* jumped/called/returned *)
+      else if c = Machine.ev_halted then finished
+      else trapped
+    in
     if outcome < finished then d.steps <- d.steps + size
     else d.steps <- Machine.steps d.machine;
     locate d;
@@ -409,8 +404,11 @@ type model = {
          touch *)
   mutable reg_use : int;
       (* the use count from which a profiled execution may register its
-         block or find it registered twice: the threshold, or [max_int]
-         once the model never optimises (threshold 0, or degraded) *)
+         block: the threshold, or [max_int] once the model never
+         optimises (threshold 0, or degraded) *)
+  mutable twice_use : int;
+      (* the use count from which a registered block fires the pool:
+         twice the threshold, or [max_int] as [reg_use] is *)
   clock : int ref;
       (* the guest step the model stands at: the step before the block
          it is accounting for, then the step after it.  Stamps events,
@@ -484,6 +482,7 @@ let model_create cfg program bmap sizes =
     trace;
     plain = (not trace) && cfg.cache_capacity = None;
     reg_use = (if cfg.threshold > 0 then cfg.threshold else max_int);
+    twice_use = (if cfg.threshold > 0 then 2 * cfg.threshold else max_int);
     clock;
     spans = Span.create ~clock:(fun () -> !clock) cfg.sink;
     stage_cycles = Array.make (Array.length stage_labels) 0.0;
@@ -891,13 +890,18 @@ let dissolve t (region : Region.t) =
 (* ------------------------------------------------------------------ *)
 
 (* The short path of a profiled block: [bid] is translated and not
-   optimised, and its use count after this execution, [use], stays below
-   [reg_use] while the pool stays below its trigger, so that the
-   execution can neither register the block nor fire the pool. *)
+   optimised, the pool stays below its trigger, and its use count after
+   this execution, [use], stays below [reg_use] for a cold block and
+   below [twice_use] for a registered one, so that the execution can
+   neither register the block nor fire the pool. *)
 let[@inline] short_path t bid use =
-  t.touched.(bid) && use < t.reg_use
+  t.touched.(bid)
   && t.pool_size < t.pool_trigger_now
-  && match t.state.(bid) with Cold | Registered -> true | Optimized -> false
+  &&
+  match t.state.(bid) with
+  | Cold -> use < t.reg_use
+  | Registered -> use < t.twice_use
+  | Optimized -> false
 
 (* Take the short path: update the counters, and return the cycle sum
    [cycles] plus the execution's charge, added in the general case's
@@ -1036,6 +1040,7 @@ let single t bid outcome ~before ~after =
 let degrade t =
   t.degraded <- true;
   t.reg_use <- max_int;
+  t.twice_use <- max_int;
   t.counters.Perf_model.watchdog_degraded <- 1;
   let rs =
     Hashtbl.fold (fun _ re acc -> re.r_region :: acc) t.regions []
@@ -2012,6 +2017,7 @@ let restore_model cfg program (d : Driver.t) image =
       quarantine_count = image.ex_quarantine_count;
       degraded = image.ex_degraded;
       reg_use = (if image.ex_degraded then max_int else t.reg_use);
+      twice_use = (if image.ex_degraded then max_int else t.twice_use);
       last_round_step = image.ex_last_round_step;
       inj =
         (if image.ex_pending = [] && image.ex_fired = [] then t.inj

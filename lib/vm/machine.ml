@@ -11,19 +11,11 @@ type trap =
   | Branch_out_of_range of { pc : int; target : int }
   | Invalid_rnd_bound of { pc : int; bound : int }
 
-type event =
-  | Stepped
-  | Branched of { taken : bool }
-  | Jumped
-  | Called
-  | Returned
-  | Halted
-
-(* Int event codes returned by [step_code].  Profiling-mode
-   interpretation is the phase the paper argues must be nearly free, so
-   the per-step report to the engine is an immediate int, not an
-   allocated [event] variant.  Codes 0..5 are "still running" (the
-   engine tests [c <= ev_returned]); 6..7 are terminal. *)
+(* Int event codes returned by [step_code] and [exec_block].
+   Profiling-mode interpretation is the phase the paper argues must be
+   nearly free, so the report to the engine is an immediate int, not an
+   allocated variant.  Codes 0..5 are "still running" (the engine tests
+   [c <= ev_returned]); 6..7 are terminal. *)
 let ev_stepped = 0
 let ev_branch_not_taken = 1
 let ev_branch_taken = 2
@@ -33,54 +25,13 @@ let ev_returned = 5
 let ev_halted = 6
 let ev_trapped = 7
 
-(* Flat opcode tags for the predecoded dispatch table.  Dense 0..36 so
-   the match in [step_code] compiles to a jump table. *)
-let op_movi = 0
-let op_mov = 1
-let op_load = 2
-let op_store = 3
-let op_jmp = 4
-let op_call = 5
-let op_ret = 6
-let op_rnd = 7
-let op_out = 8
-let op_halt = 9
-let op_nop = 10
-(* 11..20: Binop Add..Shr · 21..30: Binopi Add..Shr · 31..36: Br Eq..Gt *)
-
-let binop_tag = function
-  | Instr.Add -> 11
-  | Instr.Sub -> 12
-  | Instr.Mul -> 13
-  | Instr.Div -> 14
-  | Instr.Rem -> 15
-  | Instr.And -> 16
-  | Instr.Or -> 17
-  | Instr.Xor -> 18
-  | Instr.Shl -> 19
-  | Instr.Shr -> 20
-
-let cond_tag = function
-  | Instr.Eq -> 31
-  | Instr.Ne -> 32
-  | Instr.Lt -> 33
-  | Instr.Ge -> 34
-  | Instr.Le -> 35
-  | Instr.Gt -> 36
-
 type t = {
   prog : Program.t;
   code : Instr.t array;
   code_len : int;
-  (* Predecoded instruction stream: parallel int arrays indexed by pc.
-     [dec_a]/[dec_b]/[dec_c] are register indices, [dec_imm] the
-     immediate/offset/target.  Movi immediates are pre-wrapped to 32
-     bits at decode time (wrap32 is idempotent). *)
-  dec_op : int array;
-  dec_a : int array;
-  dec_b : int array;
-  dec_c : int array;
-  dec_imm : int array;
+  blocks : block array;
+      (* start pc -> the block translated there ([untranslated] if none):
+         derived state, rebuilt on use by a restored machine *)
   regs : int array;
   mutable memory : int array;
       (* materialised prefix of data memory: words at or past its length
@@ -101,71 +52,16 @@ type t = {
          executing one raises [Illegal_instruction] *)
 }
 
+(* A translated block: the chain of closures for the [b_size]
+   instructions from its start pc. *)
+and block = { b_size : int; b_run : t -> int }
+
+(* The empty slot of [blocks]: no block has size 0, so it never runs. *)
+let untranslated = { b_size = 0; b_run = (fun _ -> ev_halted) }
 let max_call_depth = 4096
 
 (* Normalise to signed 32-bit two's complement. *)
 let wrap32 v = ((v land 0xFFFFFFFF) lxor 0x80000000) - 0x80000000
-
-let decode code =
-  let n = Array.length code in
-  let dec_op = Array.make n 0
-  and dec_a = Array.make n 0
-  and dec_b = Array.make n 0
-  and dec_c = Array.make n 0
-  and dec_imm = Array.make n 0 in
-  for pc = 0 to n - 1 do
-    (match code.(pc) with
-    | Instr.Movi (rd, imm) ->
-        dec_op.(pc) <- op_movi;
-        dec_a.(pc) <- Reg.to_int rd;
-        dec_imm.(pc) <- wrap32 imm
-    | Instr.Mov (rd, rs) ->
-        dec_op.(pc) <- op_mov;
-        dec_a.(pc) <- Reg.to_int rd;
-        dec_b.(pc) <- Reg.to_int rs
-    | Instr.Binop (op, rd, rs1, rs2) ->
-        dec_op.(pc) <- binop_tag op;
-        dec_a.(pc) <- Reg.to_int rd;
-        dec_b.(pc) <- Reg.to_int rs1;
-        dec_c.(pc) <- Reg.to_int rs2
-    | Instr.Binopi (op, rd, rs, imm) ->
-        dec_op.(pc) <- binop_tag op + 10;
-        dec_a.(pc) <- Reg.to_int rd;
-        dec_b.(pc) <- Reg.to_int rs;
-        dec_imm.(pc) <- imm
-    | Instr.Load (rd, base, off) ->
-        dec_op.(pc) <- op_load;
-        dec_a.(pc) <- Reg.to_int rd;
-        dec_b.(pc) <- Reg.to_int base;
-        dec_imm.(pc) <- off
-    | Instr.Store (rsrc, base, off) ->
-        dec_op.(pc) <- op_store;
-        dec_a.(pc) <- Reg.to_int rsrc;
-        dec_b.(pc) <- Reg.to_int base;
-        dec_imm.(pc) <- off
-    | Instr.Br (c, rs1, rs2, target) ->
-        dec_op.(pc) <- cond_tag c;
-        dec_a.(pc) <- Reg.to_int rs1;
-        dec_b.(pc) <- Reg.to_int rs2;
-        dec_imm.(pc) <- target
-    | Instr.Jmp target ->
-        dec_op.(pc) <- op_jmp;
-        dec_imm.(pc) <- target
-    | Instr.Call target ->
-        dec_op.(pc) <- op_call;
-        dec_imm.(pc) <- target
-    | Instr.Ret -> dec_op.(pc) <- op_ret
-    | Instr.Rnd (rd, bound) ->
-        dec_op.(pc) <- op_rnd;
-        dec_a.(pc) <- Reg.to_int rd;
-        dec_imm.(pc) <- bound
-    | Instr.Out rs ->
-        dec_op.(pc) <- op_out;
-        dec_a.(pc) <- Reg.to_int rs
-    | Instr.Halt -> dec_op.(pc) <- op_halt
-    | Instr.Nop -> dec_op.(pc) <- op_nop)
-  done;
-  (dec_op, dec_a, dec_b, dec_c, dec_imm)
 
 (* Words materialised up front when nothing higher is bound.  Every
    suite workload keeps its data below this, so a machine normally never
@@ -192,16 +88,11 @@ let materialise ~mem_words ~what words =
 let create ?(mem_words = 1 lsl 20) ?(seed = 1L) prog =
   let memory = materialise ~mem_words ~what:"create" prog.Program.data_init in
   let code = prog.Program.code in
-  let dec_op, dec_a, dec_b, dec_c, dec_imm = decode code in
   {
     prog;
     code;
     code_len = Array.length code;
-    dec_op;
-    dec_a;
-    dec_b;
-    dec_c;
-    dec_imm;
+    blocks = Array.make (Array.length code) untranslated;
     regs = Array.make Reg.count 0;
     memory;
     mem_len = mem_words;
@@ -240,13 +131,15 @@ let grow t addr =
   Array.blit t.memory 0 bigger 0 len;
   t.memory <- bigger
 
-(* Word access for an address already checked against [mem_len]. *)
-let load_word t addr =
-  if addr < Array.length t.memory then t.memory.(addr) else 0
+(* Word access for an address already checked against [mem_len].  The
+   memory is read from [t] on every access: growth reallocates it. *)
+let[@inline] load_word t addr =
+  let memory = t.memory in
+  if addr < Array.length memory then Array.unsafe_get memory addr else 0
 
-let store_word t addr v =
+let[@inline] store_word t addr v =
   if addr >= Array.length t.memory then grow t addr;
-  t.memory.(addr) <- v
+  Array.unsafe_set t.memory addr v
 
 let mem t addr =
   if addr < 0 || addr >= t.mem_len then
@@ -284,6 +177,19 @@ let trapped t tr =
   t.trap <- Some tr;
   ev_trapped
 
+(* ------------------------------------------------------------------ *)
+(* The reference stepper                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* Unsafe register accesses are in range by construction: a [Reg.t] is
+   an index below [Reg.count], the length of [regs]. *)
+let[@inline] get regs r = Array.unsafe_get regs (Reg.to_int r)
+let[@inline] set regs r v = Array.unsafe_set regs (Reg.to_int r) v
+
+let[@inline] next t pc =
+  t.pc <- pc + 1;
+  ev_stepped
+
 (* Taken-branch helper shared by the six [Br] arms: explicit control
    transfers must land inside the code image. *)
 let take t pc target =
@@ -294,6 +200,12 @@ let take t pc target =
     ev_branch_taken
   end
 
+let[@inline] not_taken t pc =
+  t.pc <- pc + 1;
+  ev_branch_not_taken
+
+(* One match on [Instr.t], operator and condition included, so each
+   instruction costs one dispatch. *)
 let step_code t =
   if t.halted then
     match t.trap with None -> ev_halted | Some _ -> ev_trapped
@@ -308,390 +220,498 @@ let step_code t =
       t.steps <- t.steps + 1;
       if t.has_poison && Hashtbl.mem t.poisoned pc then
         trapped t (Illegal_instruction pc)
-      else begin
+      else
         let regs = t.regs in
-        (* Unsafe accesses below are in range by construction: [pc] was
-           bounds-checked against [code_len] above and the decode
-           arrays are code-length; register operands come out of
-           [Reg.to_int] at decode time, and [regs] has [Reg.count]
-           elements; memory addresses are explicitly checked against
-           [mem_len] before each access and against the materialised
-           prefix's length before each read or write of it. *)
-        let a = Array.unsafe_get t.dec_a pc
-        and b = Array.unsafe_get t.dec_b pc
-        and c = Array.unsafe_get t.dec_c pc
-        and imm = Array.unsafe_get t.dec_imm pc in
-        match Array.unsafe_get t.dec_op pc with
-        | 0 (* movi *) ->
-            Array.unsafe_set regs a imm;
-            t.pc <- pc + 1;
-            ev_stepped
-        | 1 (* mov *) ->
-            Array.unsafe_set regs a (Array.unsafe_get regs b);
-            t.pc <- pc + 1;
-            ev_stepped
-        | 2 (* load *) ->
-            let addr = Array.unsafe_get regs b + imm in
+        (* [pc] was bounds-checked against [code_len] above. *)
+        match Array.unsafe_get t.code pc with
+        | Instr.Movi (rd, imm) ->
+            set regs rd (wrap32 imm);
+            next t pc
+        | Instr.Mov (rd, rs) ->
+            set regs rd (get regs rs);
+            next t pc
+        | Instr.Load (rd, base, off) ->
+            let addr = get regs base + off in
             if addr < 0 || addr >= t.mem_len then
               trapped t (Memory_fault { pc; addr })
             else begin
-              let memory = t.memory in
-              Array.unsafe_set regs a
-                (if addr < Array.length memory then
-                   Array.unsafe_get memory addr
-                 else 0);
-              t.pc <- pc + 1;
-              ev_stepped
+              set regs rd (load_word t addr);
+              next t pc
             end
-        | 3 (* store *) ->
-            let addr = Array.unsafe_get regs b + imm in
+        | Instr.Store (rsrc, base, off) ->
+            let addr = get regs base + off in
             if addr < 0 || addr >= t.mem_len then
               trapped t (Memory_fault { pc; addr })
             else begin
-              if addr >= Array.length t.memory then grow t addr;
-              Array.unsafe_set t.memory addr (Array.unsafe_get regs a);
-              t.pc <- pc + 1;
-              ev_stepped
+              store_word t addr (get regs rsrc);
+              next t pc
             end
-        | 4 (* jmp *) ->
-            if imm < 0 || imm >= t.code_len then
-              trapped t (Branch_out_of_range { pc; target = imm })
+        | Instr.Jmp target ->
+            if target < 0 || target >= t.code_len then
+              trapped t (Branch_out_of_range { pc; target })
             else begin
-              t.pc <- imm;
+              t.pc <- target;
               ev_jumped
             end
-        | 5 (* call *) ->
+        | Instr.Call target ->
             if t.call_depth >= max_call_depth then
               trapped t (Call_stack_overflow pc)
-            else if imm < 0 || imm >= t.code_len then
-              trapped t (Branch_out_of_range { pc; target = imm })
+            else if target < 0 || target >= t.code_len then
+              trapped t (Branch_out_of_range { pc; target })
             else begin
               t.ret_stack.(t.call_depth) <- pc + 1;
               t.call_depth <- t.call_depth + 1;
-              t.pc <- imm;
+              t.pc <- target;
               ev_called
             end
-        | 6 (* ret *) ->
+        | Instr.Ret ->
             if t.call_depth = 0 then trapped t (Return_without_call pc)
             else begin
               t.call_depth <- t.call_depth - 1;
               t.pc <- t.ret_stack.(t.call_depth);
               ev_returned
             end
-        | 7 (* rnd *) ->
+        | Instr.Rnd (rd, bound) ->
             (* A non-positive bound is a guest bug, not a caller bug: it
                must trap like a division by zero, never leak the PRNG's
                [Invalid_argument] out of the step. *)
-            if imm <= 0 then trapped t (Invalid_rnd_bound { pc; bound = imm })
+            if bound <= 0 then trapped t (Invalid_rnd_bound { pc; bound })
             else begin
-              Array.unsafe_set regs a (Prng.below t.prng imm);
-              t.pc <- pc + 1;
-              ev_stepped
+              set regs rd (Prng.below t.prng bound);
+              next t pc
             end
-        | 8 (* out *) ->
-            push_out t (Array.unsafe_get regs a);
-            t.pc <- pc + 1;
-            ev_stepped
-        | 9 (* halt *) ->
+        | Instr.Out rs ->
+            push_out t (get regs rs);
+            next t pc
+        | Instr.Halt ->
             t.halted <- true;
             ev_halted
-        | 10 (* nop *) ->
-            t.pc <- pc + 1;
-            ev_stepped
-        | 11 (* add *) ->
-            Array.unsafe_set regs a
-              (wrap32 (Array.unsafe_get regs b + Array.unsafe_get regs c));
-            t.pc <- pc + 1;
-            ev_stepped
-        | 12 (* sub *) ->
-            Array.unsafe_set regs a
-              (wrap32 (Array.unsafe_get regs b - Array.unsafe_get regs c));
-            t.pc <- pc + 1;
-            ev_stepped
-        | 13 (* mul *) ->
-            Array.unsafe_set regs a
-              (wrap32 (Array.unsafe_get regs b * Array.unsafe_get regs c));
-            t.pc <- pc + 1;
-            ev_stepped
-        | 14 (* div *) ->
-            let d = Array.unsafe_get regs c in
+        | Instr.Nop -> next t pc
+        | Instr.Binop (Instr.Add, rd, rs1, rs2) ->
+            set regs rd (wrap32 (get regs rs1 + get regs rs2));
+            next t pc
+        | Instr.Binop (Instr.Sub, rd, rs1, rs2) ->
+            set regs rd (wrap32 (get regs rs1 - get regs rs2));
+            next t pc
+        | Instr.Binop (Instr.Mul, rd, rs1, rs2) ->
+            set regs rd (wrap32 (get regs rs1 * get regs rs2));
+            next t pc
+        | Instr.Binop (Instr.Div, rd, rs1, rs2) ->
+            let d = get regs rs2 in
             if d = 0 then trapped t (Division_by_zero pc)
             else begin
-              Array.unsafe_set regs a (wrap32 (Array.unsafe_get regs b / d));
-              t.pc <- pc + 1;
-              ev_stepped
+              set regs rd (wrap32 (get regs rs1 / d));
+              next t pc
             end
-        | 15 (* rem *) ->
-            let d = Array.unsafe_get regs c in
+        | Instr.Binop (Instr.Rem, rd, rs1, rs2) ->
+            let d = get regs rs2 in
             if d = 0 then trapped t (Division_by_zero pc)
             else begin
-              Array.unsafe_set regs a (wrap32 (Array.unsafe_get regs b mod d));
-              t.pc <- pc + 1;
-              ev_stepped
+              set regs rd (wrap32 (get regs rs1 mod d));
+              next t pc
             end
-        | 16 (* and *) ->
-            Array.unsafe_set regs a
-              (Array.unsafe_get regs b land Array.unsafe_get regs c);
-            t.pc <- pc + 1;
-            ev_stepped
-        | 17 (* or *) ->
-            Array.unsafe_set regs a
-              (Array.unsafe_get regs b lor Array.unsafe_get regs c);
-            t.pc <- pc + 1;
-            ev_stepped
-        | 18 (* xor *) ->
-            Array.unsafe_set regs a
-              (Array.unsafe_get regs b lxor Array.unsafe_get regs c);
-            t.pc <- pc + 1;
-            ev_stepped
-        | 19 (* shl *) ->
-            Array.unsafe_set regs a
-              (wrap32
-                 (Array.unsafe_get regs b lsl (Array.unsafe_get regs c land 31)));
-            t.pc <- pc + 1;
-            ev_stepped
-        | 20 (* shr *) ->
-            Array.unsafe_set regs a
-              (wrap32
-                 (Array.unsafe_get regs b asr (Array.unsafe_get regs c land 31)));
-            t.pc <- pc + 1;
-            ev_stepped
-        | 21 (* addi *) ->
-            Array.unsafe_set regs a (wrap32 (Array.unsafe_get regs b + imm));
-            t.pc <- pc + 1;
-            ev_stepped
-        | 22 (* subi *) ->
-            Array.unsafe_set regs a (wrap32 (Array.unsafe_get regs b - imm));
-            t.pc <- pc + 1;
-            ev_stepped
-        | 23 (* muli *) ->
-            Array.unsafe_set regs a (wrap32 (Array.unsafe_get regs b * imm));
-            t.pc <- pc + 1;
-            ev_stepped
-        | 24 (* divi *) ->
+        | Instr.Binop (Instr.And, rd, rs1, rs2) ->
+            set regs rd (get regs rs1 land get regs rs2);
+            next t pc
+        | Instr.Binop (Instr.Or, rd, rs1, rs2) ->
+            set regs rd (get regs rs1 lor get regs rs2);
+            next t pc
+        | Instr.Binop (Instr.Xor, rd, rs1, rs2) ->
+            set regs rd (get regs rs1 lxor get regs rs2);
+            next t pc
+        | Instr.Binop (Instr.Shl, rd, rs1, rs2) ->
+            set regs rd (wrap32 (get regs rs1 lsl (get regs rs2 land 31)));
+            next t pc
+        | Instr.Binop (Instr.Shr, rd, rs1, rs2) ->
+            set regs rd (wrap32 (get regs rs1 asr (get regs rs2 land 31)));
+            next t pc
+        | Instr.Binopi (Instr.Add, rd, rs, imm) ->
+            set regs rd (wrap32 (get regs rs + imm));
+            next t pc
+        | Instr.Binopi (Instr.Sub, rd, rs, imm) ->
+            set regs rd (wrap32 (get regs rs - imm));
+            next t pc
+        | Instr.Binopi (Instr.Mul, rd, rs, imm) ->
+            set regs rd (wrap32 (get regs rs * imm));
+            next t pc
+        | Instr.Binopi (Instr.Div, rd, rs, imm) ->
             if imm = 0 then trapped t (Division_by_zero pc)
             else begin
-              Array.unsafe_set regs a (wrap32 (Array.unsafe_get regs b / imm));
-              t.pc <- pc + 1;
-              ev_stepped
+              set regs rd (wrap32 (get regs rs / imm));
+              next t pc
             end
-        | 25 (* remi *) ->
+        | Instr.Binopi (Instr.Rem, rd, rs, imm) ->
             if imm = 0 then trapped t (Division_by_zero pc)
             else begin
-              Array.unsafe_set regs a
-                (wrap32 (Array.unsafe_get regs b mod imm));
-              t.pc <- pc + 1;
-              ev_stepped
+              set regs rd (wrap32 (get regs rs mod imm));
+              next t pc
             end
-        | 26 (* andi *) ->
-            Array.unsafe_set regs a (wrap32 (Array.unsafe_get regs b land imm));
-            t.pc <- pc + 1;
-            ev_stepped
-        | 27 (* ori *) ->
-            Array.unsafe_set regs a (wrap32 (Array.unsafe_get regs b lor imm));
-            t.pc <- pc + 1;
-            ev_stepped
-        | 28 (* xori *) ->
-            Array.unsafe_set regs a (wrap32 (Array.unsafe_get regs b lxor imm));
-            t.pc <- pc + 1;
-            ev_stepped
-        | 29 (* shli *) ->
-            Array.unsafe_set regs a
-              (wrap32 (Array.unsafe_get regs b lsl (imm land 31)));
-            t.pc <- pc + 1;
-            ev_stepped
-        | 30 (* shri *) ->
-            Array.unsafe_set regs a
-              (wrap32 (Array.unsafe_get regs b asr (imm land 31)));
-            t.pc <- pc + 1;
-            ev_stepped
-        | 31 (* beq *) ->
-            if Array.unsafe_get regs a = Array.unsafe_get regs b then
-              take t pc imm
-            else begin
-              t.pc <- pc + 1;
-              ev_branch_not_taken
-            end
-        | 32 (* bne *) ->
-            if Array.unsafe_get regs a <> Array.unsafe_get regs b then
-              take t pc imm
-            else begin
-              t.pc <- pc + 1;
-              ev_branch_not_taken
-            end
-        | 33 (* blt *) ->
-            if Array.unsafe_get regs a < Array.unsafe_get regs b then
-              take t pc imm
-            else begin
-              t.pc <- pc + 1;
-              ev_branch_not_taken
-            end
-        | 34 (* bge *) ->
-            if Array.unsafe_get regs a >= Array.unsafe_get regs b then
-              take t pc imm
-            else begin
-              t.pc <- pc + 1;
-              ev_branch_not_taken
-            end
-        | 35 (* ble *) ->
-            if Array.unsafe_get regs a <= Array.unsafe_get regs b then
-              take t pc imm
-            else begin
-              t.pc <- pc + 1;
-              ev_branch_not_taken
-            end
-        | _ (* 36, bgt *) ->
-            if Array.unsafe_get regs a > Array.unsafe_get regs b then
-              take t pc imm
-            else begin
-              t.pc <- pc + 1;
-              ev_branch_not_taken
-            end
-      end
+        | Instr.Binopi (Instr.And, rd, rs, imm) ->
+            set regs rd (wrap32 (get regs rs land imm));
+            next t pc
+        | Instr.Binopi (Instr.Or, rd, rs, imm) ->
+            set regs rd (wrap32 (get regs rs lor imm));
+            next t pc
+        | Instr.Binopi (Instr.Xor, rd, rs, imm) ->
+            set regs rd (wrap32 (get regs rs lxor imm));
+            next t pc
+        | Instr.Binopi (Instr.Shl, rd, rs, imm) ->
+            set regs rd (wrap32 (get regs rs lsl (imm land 31)));
+            next t pc
+        | Instr.Binopi (Instr.Shr, rd, rs, imm) ->
+            set regs rd (wrap32 (get regs rs asr (imm land 31)));
+            next t pc
+        | Instr.Br (Instr.Eq, rs1, rs2, target) ->
+            if get regs rs1 = get regs rs2 then take t pc target
+            else not_taken t pc
+        | Instr.Br (Instr.Ne, rs1, rs2, target) ->
+            if get regs rs1 <> get regs rs2 then take t pc target
+            else not_taken t pc
+        | Instr.Br (Instr.Lt, rs1, rs2, target) ->
+            if get regs rs1 < get regs rs2 then take t pc target
+            else not_taken t pc
+        | Instr.Br (Instr.Ge, rs1, rs2, target) ->
+            if get regs rs1 >= get regs rs2 then take t pc target
+            else not_taken t pc
+        | Instr.Br (Instr.Le, rs1, rs2, target) ->
+            if get regs rs1 <= get regs rs2 then take t pc target
+            else not_taken t pc
+        | Instr.Br (Instr.Gt, rs1, rs2, target) ->
+            if get regs rs1 > get regs rs2 then take t pc target
+            else not_taken t pc
     end
 
-let step t =
-  match step_code t with
-  | 0 -> Ok Stepped
-  | 1 -> Ok (Branched { taken = false })
-  | 2 -> Ok (Branched { taken = true })
-  | 3 -> Ok Jumped
-  | 4 -> Ok Called
-  | 5 -> Ok Returned
-  | 6 -> Ok Halted
-  | _ -> ( match t.trap with Some tr -> Error tr | None -> assert false)
+(* ------------------------------------------------------------------ *)
+(* Translated blocks                                                    *)
+(* ------------------------------------------------------------------ *)
 
-(* Reference decoder: the pre-dispatch-table interpreter, matching
-   directly on [Instr.t].  Kept as the executable specification the
-   dispatch table is differentially tested against
-   (test/test_hotpath.ml); not used on any hot path. *)
+(* A block is translated once into a chain of closures, one per
+   instruction, with its operands bound, each tail-calling the next; a
+   [nop] adds none.  While a chain runs, [t.pc] still holds the block's
+   start: the closure that ends it — a terminator, the fall-through
+   past the block's last instruction, or a trapping instruction — writes
+   the pc and adds the [pc + 1 - t.pc] instructions run to the step
+   count, once.  The closures read [t.memory] on every access, because
+   growth reallocates it. *)
 
-let eval_binop op a b ~pc =
-  match op with
-  | Instr.Add -> Ok (a + b)
-  | Instr.Sub -> Ok (a - b)
-  | Instr.Mul -> Ok (a * b)
-  | Instr.Div -> if b = 0 then Error (Division_by_zero pc) else Ok (a / b)
-  | Instr.Rem -> if b = 0 then Error (Division_by_zero pc) else Ok (a mod b)
-  | Instr.And -> Ok (a land b)
-  | Instr.Or -> Ok (a lor b)
-  | Instr.Xor -> Ok (a lxor b)
-  | Instr.Shl -> Ok (a lsl (b land 31))
-  | Instr.Shr -> Ok (a asr (b land 31))
+let[@inline] finish t pc target code =
+  t.steps <- t.steps + (pc + 1 - t.pc);
+  t.pc <- target;
+  code
 
-let step_spec t =
-  if t.halted then
-    match t.trap with None -> Ok Halted | Some trap -> Error trap
-  else if t.pc < 0 || t.pc >= t.code_len then begin
-    t.halted <- true;
-    Ok Halted
-  end
-  else begin
-    let pc = t.pc in
-    let instr = t.code.(pc) in
-    t.steps <- t.steps + 1;
-    let regs = t.regs in
-    let fail trap =
-      t.halted <- true;
-      t.trap <- Some trap;
-      Error trap
-    in
-    let continue event =
-      t.pc <- pc + 1;
-      Ok event
-    in
-    let transfer_to target event =
-      (* Explicit control transfers must land inside the code image;
-         plain fallthrough past the last instruction still halts. *)
-      if target < 0 || target >= t.code_len then
-        fail (Branch_out_of_range { pc; target })
-      else begin
-        t.pc <- target;
-        Ok event
-      end
-    in
-    if t.has_poison && Hashtbl.mem t.poisoned pc then
-      fail (Illegal_instruction pc)
-    else
-      match instr with
-      | Instr.Movi (rd, imm) ->
-          regs.(Reg.to_int rd) <- wrap32 imm;
-          continue Stepped
-      | Instr.Mov (rd, rs) ->
-          regs.(Reg.to_int rd) <- regs.(Reg.to_int rs);
-          continue Stepped
-      | Instr.Binop (op, rd, rs1, rs2) -> (
-          match
-            eval_binop op regs.(Reg.to_int rs1) regs.(Reg.to_int rs2) ~pc
-          with
-          | Ok v ->
-              regs.(Reg.to_int rd) <- wrap32 v;
-              continue Stepped
-          | Error trap -> fail trap)
-      | Instr.Binopi (op, rd, rs, imm) -> (
-          match eval_binop op regs.(Reg.to_int rs) imm ~pc with
-          | Ok v ->
-              regs.(Reg.to_int rd) <- wrap32 v;
-              continue Stepped
-          | Error trap -> fail trap)
-      | Instr.Load (rd, base, off) ->
-          let addr = regs.(Reg.to_int base) + off in
-          if addr < 0 || addr >= t.mem_len then fail (Memory_fault { pc; addr })
-          else begin
-            regs.(Reg.to_int rd) <- load_word t addr;
-            continue Stepped
-          end
-      | Instr.Store (rsrc, base, off) ->
-          let addr = regs.(Reg.to_int base) + off in
-          if addr < 0 || addr >= t.mem_len then fail (Memory_fault { pc; addr })
-          else begin
-            store_word t addr regs.(Reg.to_int rsrc);
-            continue Stepped
-          end
-      | Instr.Br (c, rs1, rs2, target) ->
-          let taken =
-            Instr.eval_cond c regs.(Reg.to_int rs1) regs.(Reg.to_int rs2)
-          in
-          if taken then transfer_to target (Branched { taken = true })
-          else begin
-            t.pc <- pc + 1;
-            Ok (Branched { taken = false })
-          end
-      | Instr.Jmp target -> transfer_to target Jumped
-      | Instr.Call target ->
-          if t.call_depth >= max_call_depth then fail (Call_stack_overflow pc)
-          else if target < 0 || target >= t.code_len then
-            fail (Branch_out_of_range { pc; target })
-          else begin
-            t.ret_stack.(t.call_depth) <- pc + 1;
-            t.call_depth <- t.call_depth + 1;
-            t.pc <- target;
-            Ok Called
-          end
-      | Instr.Ret ->
-          if t.call_depth = 0 then fail (Return_without_call pc)
-          else begin
-            t.call_depth <- t.call_depth - 1;
-            t.pc <- t.ret_stack.(t.call_depth);
-            Ok Returned
-          end
-      | Instr.Rnd (rd, bound) ->
-          (* A non-positive bound is a guest bug, not a caller bug: it
-             must trap like a division by zero, never leak the PRNG's
-             [Invalid_argument] out of [step]. *)
-          if bound <= 0 then fail (Invalid_rnd_bound { pc; bound })
-          else begin
-            regs.(Reg.to_int rd) <- Prng.below t.prng bound;
-            continue Stepped
-          end
-      | Instr.Out rs ->
-          push_out t regs.(Reg.to_int rs);
-          continue Stepped
-      | Instr.Halt ->
-          t.halted <- true;
-          Ok Halted
-      | Instr.Nop -> continue Stepped
-  end
+(* The instruction at [pc] traps: it counts, and the pc stays on it. *)
+let trap_at t pc tr =
+  t.steps <- t.steps + (pc + 1 - t.pc);
+  t.pc <- pc;
+  trapped t tr
+
+(* The block's last instruction, at [target - 1], ran and falls
+   through.  A local closure, not a partial application, so the chain
+   calls it directly. *)
+let fall target =
+  let run t =
+    t.steps <- t.steps + (target - t.pc);
+    t.pc <- target;
+    ev_stepped
+  in
+  run
+
+let[@inline] branch t pc target =
+  if target < 0 || target >= t.code_len then
+    trap_at t pc (Branch_out_of_range { pc; target })
+  else finish t pc target ev_branch_taken
+
+(* The closure for the instruction at [pc] when it ends the chain: a
+   terminator, or the block's last instruction, which falls through. *)
+let rec ending pc (ins : Instr.t) : t -> int =
+  match ins with
+  | Instr.Br (cond, rs1, rs2, target) -> (
+      let a = Reg.to_int rs1 and b = Reg.to_int rs2 in
+      match cond with
+      | Instr.Eq ->
+          fun t ->
+            let r = t.regs in
+            if Array.unsafe_get r a = Array.unsafe_get r b then
+              branch t pc target
+            else finish t pc (pc + 1) ev_branch_not_taken
+      | Instr.Ne ->
+          fun t ->
+            let r = t.regs in
+            if Array.unsafe_get r a <> Array.unsafe_get r b then
+              branch t pc target
+            else finish t pc (pc + 1) ev_branch_not_taken
+      | Instr.Lt ->
+          fun t ->
+            let r = t.regs in
+            if Array.unsafe_get r a < Array.unsafe_get r b then
+              branch t pc target
+            else finish t pc (pc + 1) ev_branch_not_taken
+      | Instr.Ge ->
+          fun t ->
+            let r = t.regs in
+            if Array.unsafe_get r a >= Array.unsafe_get r b then
+              branch t pc target
+            else finish t pc (pc + 1) ev_branch_not_taken
+      | Instr.Le ->
+          fun t ->
+            let r = t.regs in
+            if Array.unsafe_get r a <= Array.unsafe_get r b then
+              branch t pc target
+            else finish t pc (pc + 1) ev_branch_not_taken
+      | Instr.Gt ->
+          fun t ->
+            let r = t.regs in
+            if Array.unsafe_get r a > Array.unsafe_get r b then
+              branch t pc target
+            else finish t pc (pc + 1) ev_branch_not_taken)
+  | Instr.Jmp target ->
+      fun t ->
+        if target < 0 || target >= t.code_len then
+          trap_at t pc (Branch_out_of_range { pc; target })
+        else finish t pc target ev_jumped
+  | Instr.Call target ->
+      fun t ->
+        if t.call_depth >= max_call_depth then
+          trap_at t pc (Call_stack_overflow pc)
+        else if target < 0 || target >= t.code_len then
+          trap_at t pc (Branch_out_of_range { pc; target })
+        else begin
+          t.ret_stack.(t.call_depth) <- pc + 1;
+          t.call_depth <- t.call_depth + 1;
+          finish t pc target ev_called
+        end
+  | Instr.Ret ->
+      fun t ->
+        if t.call_depth = 0 then trap_at t pc (Return_without_call pc)
+        else begin
+          t.call_depth <- t.call_depth - 1;
+          finish t pc t.ret_stack.(t.call_depth) ev_returned
+        end
+  | Instr.Halt ->
+      fun t ->
+        t.halted <- true;
+        finish t pc pc ev_halted
+  | Instr.Movi _ | Instr.Mov _ | Instr.Binop _ | Instr.Binopi _
+  | Instr.Load _ | Instr.Store _ | Instr.Rnd _ | Instr.Out _ | Instr.Nop ->
+      link pc ins (fall (pc + 1))
+
+(* The closure for the instruction at [pc], running [k] after it.  A
+   terminator ends the chain, so it has no [k]. *)
+and link pc (ins : Instr.t) (k : t -> int) : t -> int =
+  match ins with
+  | Instr.Movi (rd, imm) ->
+      let a = Reg.to_int rd and v = wrap32 imm in
+      fun t ->
+        Array.unsafe_set t.regs a v;
+        k t
+  | Instr.Mov (rd, rs) ->
+      let a = Reg.to_int rd and b = Reg.to_int rs in
+      fun t ->
+        let r = t.regs in
+        Array.unsafe_set r a (Array.unsafe_get r b);
+        k t
+  | Instr.Load (rd, base, off) ->
+      let a = Reg.to_int rd and b = Reg.to_int base in
+      fun t ->
+        let r = t.regs in
+        let addr = Array.unsafe_get r b + off in
+        if addr < 0 || addr >= t.mem_len then
+          trap_at t pc (Memory_fault { pc; addr })
+        else begin
+          Array.unsafe_set r a (load_word t addr);
+          k t
+        end
+  | Instr.Store (rsrc, base, off) ->
+      let a = Reg.to_int rsrc and b = Reg.to_int base in
+      fun t ->
+        let r = t.regs in
+        let addr = Array.unsafe_get r b + off in
+        if addr < 0 || addr >= t.mem_len then
+          trap_at t pc (Memory_fault { pc; addr })
+        else begin
+          store_word t addr (Array.unsafe_get r a);
+          k t
+        end
+  | Instr.Rnd (rd, bound) ->
+      let a = Reg.to_int rd in
+      fun t ->
+        if bound <= 0 then trap_at t pc (Invalid_rnd_bound { pc; bound })
+        else begin
+          Array.unsafe_set t.regs a (Prng.below t.prng bound);
+          k t
+        end
+  | Instr.Out rs ->
+      let a = Reg.to_int rs in
+      fun t ->
+        push_out t (Array.unsafe_get t.regs a);
+        k t
+  | Instr.Nop -> k
+  | Instr.Binop (op, rd, rs1, rs2) -> (
+      let a = Reg.to_int rd and b = Reg.to_int rs1 and c = Reg.to_int rs2 in
+      match op with
+      | Instr.Add ->
+          fun t ->
+            let r = t.regs in
+            Array.unsafe_set r a
+              (wrap32 (Array.unsafe_get r b + Array.unsafe_get r c));
+            k t
+      | Instr.Sub ->
+          fun t ->
+            let r = t.regs in
+            Array.unsafe_set r a
+              (wrap32 (Array.unsafe_get r b - Array.unsafe_get r c));
+            k t
+      | Instr.Mul ->
+          fun t ->
+            let r = t.regs in
+            Array.unsafe_set r a
+              (wrap32 (Array.unsafe_get r b * Array.unsafe_get r c));
+            k t
+      | Instr.Div ->
+          fun t ->
+            let r = t.regs in
+            let d = Array.unsafe_get r c in
+            if d = 0 then trap_at t pc (Division_by_zero pc)
+            else begin
+              Array.unsafe_set r a (wrap32 (Array.unsafe_get r b / d));
+              k t
+            end
+      | Instr.Rem ->
+          fun t ->
+            let r = t.regs in
+            let d = Array.unsafe_get r c in
+            if d = 0 then trap_at t pc (Division_by_zero pc)
+            else begin
+              Array.unsafe_set r a (wrap32 (Array.unsafe_get r b mod d));
+              k t
+            end
+      | Instr.And ->
+          fun t ->
+            let r = t.regs in
+            Array.unsafe_set r a
+              (Array.unsafe_get r b land Array.unsafe_get r c);
+            k t
+      | Instr.Or ->
+          fun t ->
+            let r = t.regs in
+            Array.unsafe_set r a
+              (Array.unsafe_get r b lor Array.unsafe_get r c);
+            k t
+      | Instr.Xor ->
+          fun t ->
+            let r = t.regs in
+            Array.unsafe_set r a
+              (Array.unsafe_get r b lxor Array.unsafe_get r c);
+            k t
+      | Instr.Shl ->
+          fun t ->
+            let r = t.regs in
+            Array.unsafe_set r a
+              (wrap32
+                 (Array.unsafe_get r b lsl (Array.unsafe_get r c land 31)));
+            k t
+      | Instr.Shr ->
+          fun t ->
+            let r = t.regs in
+            Array.unsafe_set r a
+              (wrap32
+                 (Array.unsafe_get r b asr (Array.unsafe_get r c land 31)));
+            k t)
+  | Instr.Binopi (op, rd, rs, imm) -> (
+      let a = Reg.to_int rd and b = Reg.to_int rs in
+      match op with
+      | Instr.Add ->
+          fun t ->
+            let r = t.regs in
+            Array.unsafe_set r a (wrap32 (Array.unsafe_get r b + imm));
+            k t
+      | Instr.Sub ->
+          fun t ->
+            let r = t.regs in
+            Array.unsafe_set r a (wrap32 (Array.unsafe_get r b - imm));
+            k t
+      | Instr.Mul ->
+          fun t ->
+            let r = t.regs in
+            Array.unsafe_set r a (wrap32 (Array.unsafe_get r b * imm));
+            k t
+      | Instr.Div ->
+          fun t ->
+            if imm = 0 then trap_at t pc (Division_by_zero pc)
+            else begin
+              let r = t.regs in
+              Array.unsafe_set r a (wrap32 (Array.unsafe_get r b / imm));
+              k t
+            end
+      | Instr.Rem ->
+          fun t ->
+            if imm = 0 then trap_at t pc (Division_by_zero pc)
+            else begin
+              let r = t.regs in
+              Array.unsafe_set r a (wrap32 (Array.unsafe_get r b mod imm));
+              k t
+            end
+      | Instr.And ->
+          fun t ->
+            let r = t.regs in
+            Array.unsafe_set r a (wrap32 (Array.unsafe_get r b land imm));
+            k t
+      | Instr.Or ->
+          fun t ->
+            let r = t.regs in
+            Array.unsafe_set r a (wrap32 (Array.unsafe_get r b lor imm));
+            k t
+      | Instr.Xor ->
+          fun t ->
+            let r = t.regs in
+            Array.unsafe_set r a (wrap32 (Array.unsafe_get r b lxor imm));
+            k t
+      | Instr.Shl ->
+          fun t ->
+            let r = t.regs in
+            Array.unsafe_set r a
+              (wrap32 (Array.unsafe_get r b lsl (imm land 31)));
+            k t
+      | Instr.Shr ->
+          fun t ->
+            let r = t.regs in
+            Array.unsafe_set r a
+              (wrap32 (Array.unsafe_get r b asr (imm land 31)));
+            k t)
+  | Instr.Br _ | Instr.Jmp _ | Instr.Call _ | Instr.Ret | Instr.Halt ->
+      ending pc ins
+
+(* The chain for the [size] instructions from [start], which lie inside
+   the code image; it ends early at a terminator. *)
+let translate code start size =
+  let last = start + size - 1 in
+  let rec chain pc =
+    let ins = code.(pc) in
+    if pc = last || Instr.is_terminator ins then ending pc ins
+    else link pc ins (chain (pc + 1))
+  in
+  chain start
+
+(* [step_code] until an instruction does more than step, or [size]
+   have run. *)
+let rec step_block t size =
+  let c = step_code t in
+  if c = ev_stepped && size > 1 then step_block t (size - 1) else c
+
+let exec_block t size =
+  let pc = t.pc in
+  if t.has_poison || t.halted || pc < 0 || pc > t.code_len - size || size < 1
+  then
+    if size < 1 then invalid_arg "Machine.exec_block: size must be positive"
+    else step_block t size
+  else
+    let b = Array.unsafe_get t.blocks pc in
+    if b.b_size = size then b.b_run t
+    else begin
+      let run = translate t.code pc size in
+      t.blocks.(pc) <- { b_size = size; b_run = run };
+      run t
+    end
 
 (* ------------------------------------------------------------------ *)
 (* Mid-run images (snapshot / resume)                                  *)
@@ -701,7 +721,7 @@ let step_spec t =
    stored sparsely (only non-zero words) because the default data
    memory is 2^20 words and guest working sets are tiny.  The program
    itself is NOT part of the image: resume rebuilds it from the same
-   source the original run used, and the decode arrays are derived. *)
+   source the original run used, and translated blocks are derived. *)
 type image = {
   im_mem_words : int;
   im_regs : int array;

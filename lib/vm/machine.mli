@@ -1,4 +1,4 @@
-(** Guest machine state and single-step interpreter.
+(** Guest machine state and interpreter.
 
     The machine holds the program, 16 registers, a word-addressed data
     memory, a call stack (separate from data memory, so guest code cannot
@@ -6,10 +6,13 @@
     an output log.  Values are 32-bit two's-complement integers; all
     arithmetic wraps at 32 bits.
 
-    {!step} executes exactly one instruction and reports what kind of
-    control transfer (if any) it performed — the dynamic binary
-    translator layers its block discovery and profiling on top of these
-    events. *)
+    Two entry points execute guest code with the same semantics.
+    {!step_code} is the reference stepper: one instruction per call,
+    decoded from the program on every call.  {!exec_block} runs a whole
+    basic block through a chain of closures translated on the block's
+    first execution; the dynamic binary translator's driver calls it once
+    per block.  Both report, as an int event code, what kind of control
+    transfer (if any) the last instruction performed. *)
 
 type trap =
   | Division_by_zero of int  (** pc of the faulting instruction *)
@@ -27,20 +30,13 @@ type trap =
           a generated (fuzzed) program can carry, surfaced as a typed
           trap instead of the PRNG's [Invalid_argument] *)
 
-type event =
-  | Stepped  (** straight-line instruction *)
-  | Branched of { taken : bool }  (** conditional branch *)
-  | Jumped
-  | Called
-  | Returned
-  | Halted
-
 (** {2 Int event codes}
 
-    The allocation-free counterpart of {!event}, returned by
-    {!step_code}.  Codes [0..5] mean the machine is still running
-    ([c <= ev_returned]); [ev_halted]/[ev_trapped] are terminal.  After
-    [ev_trapped], {!last_trap} holds the trap. *)
+    What an instruction did, returned by {!step_code} and {!exec_block}
+    as an immediate int, so reporting it allocates nothing.  Codes
+    [0..5] mean the machine is still running ([c <= ev_returned]);
+    [ev_halted]/[ev_trapped] are terminal.  After [ev_trapped],
+    {!last_trap} holds the trap. *)
 
 val ev_stepped : int
 val ev_branch_not_taken : int
@@ -95,27 +91,39 @@ val poisoned : t -> int -> bool
 
 val step_code : t -> int
 (** Execute one instruction and report it as an int event code
-    ({!ev_stepped} … {!ev_trapped}).  This is the hot-path entry point:
-    instructions are predecoded into flat int dispatch tables at
-    {!create} time and a steady-state step allocates nothing.  After
-    [ev_halted] (or [ev_trapped]) the machine no longer advances;
-    further calls return the same code. *)
+    ({!ev_stepped} … {!ev_trapped}).  The reference stepper: it matches
+    on the instruction at the pc on every call, keeps no derived state
+    and allocates nothing in the steady state.  {!run}, the interpreter
+    every differential check compares against, and every machine with a
+    poisoned pc use it.  After [ev_halted] (or [ev_trapped]) the machine
+    no longer advances; further calls return the same code. *)
+
+val exec_block : t -> int -> int
+(** [exec_block t size] executes the instructions from the pc as
+    [step_code] would, until one of them returns a code other than
+    {!ev_stepped} (a control transfer, a halt or a trap) or [size] of
+    them have run, and returns the last code: {!ev_stepped} when all
+    [size] fell through.  It leaves exactly the state those calls of
+    {!step_code} leave: a trap counts its instruction and leaves the pc
+    on it, and halts, outputs, memory growth and [rnd] draws are the
+    same.
+
+    On the first call at a start pc and size, the block is translated
+    into a chain of closures, one per instruction with its operands
+    bound, each tail-calling the next; the pc and the step count are
+    written once, when the chain ends.  The chain is cached per machine
+    by start pc and runs only for the size it was built for (another
+    size translates anew).  A translated block allocates nothing when
+    it runs.  The cache is derived state: {!capture} does not carry it,
+    and a {!restore}d machine translates again on use.  A machine with
+    any poisoned pc, a halted machine and a block that would run past
+    the end of the code image take {!step_code} one instruction at a
+    time.
+    @raise Invalid_argument if [size < 1]. *)
 
 val last_trap : t -> trap option
 (** The trap that halted the machine, if any — the out-of-band channel
-    for {!step_code}'s [ev_trapped]. *)
-
-val step : t -> (event, trap) result
-(** Execute one instruction.  After [Ok Halted] (or an error) the machine
-    no longer advances; further [step] calls return [Ok Halted] /
-    the same trap.  Equivalent to {!step_code} plus an allocated
-    report; cold callers only. *)
-
-val step_spec : t -> (event, trap) result
-(** Reference decoder: executes one instruction by matching directly on
-    [Instr.t], with no dispatch table.  The executable specification
-    {!step_code} is differentially tested against; identical observable
-    semantics, slower and allocating. *)
+    for the [ev_trapped] code. *)
 
 val run : ?max_steps:int -> t -> (unit, trap) result
 (** Step until halt (or trap).  [max_steps] (default [max_int]) bounds

@@ -1,15 +1,20 @@
-(* The zero-allocation hot path.  Four contracts pin it down:
+(* The zero-allocation hot path.  Five contracts pin it down:
    - the hand-split 32-bit-halves PRNG must match a straightforward
      Int64 SplitMix64 reference bit for bit, on every derived draw;
-   - the predecoded dispatch table ([Machine.step]) must be
-     step-identical to the retained [Instr.t]-matching reference
-     decoder ([Machine.step_spec]) over a population of generated
-     programs, traps, PRNG draws and final memory images included, at
-     a memory size whose prefix grows on demand as well;
-   - the steady-state interpreter loop must not allocate (a hard
-     [Gc.minor_words] budget per million steps — this is the number
-     the CI alloc-gate keeps honest end to end), and neither may a
-     group of translator models fed by one driver;
+   - the reference stepper ([Machine.step_code]) must be step-identical
+     to the test tree's own interpreter ([Vm_ref]) over a population of
+     generated programs, traps, PRNG draws and final memory images
+     included, at a memory size whose prefix grows on demand as well;
+   - a block run through its translated closure chain
+     ([Machine.exec_block]) must leave exactly the machine the stepper
+     leaves, at every block boundary: on generated programs, on every
+     trap kind wherever it sits in a block, on a pc poisoned after its
+     block was translated, on a chain asked for another size and on a
+     machine restored from a mid-run image;
+   - the steady-state interpreter loop must not allocate, translated or
+     stepped (a hard [Gc.minor_words] budget per million steps — this
+     is the number the CI alloc-gate keeps honest end to end), and
+     neither may a group of translator models fed by one driver;
    - [tpdbt perfdiff] must refuse BENCH files without host metadata
      (exit 2) and must judge alloc_per_instr alone. *)
 
@@ -86,7 +91,7 @@ let test_prng_float_matches_reference () =
     seeds
 
 (* ------------------------------------------------------------------ *)
-(* Dispatch table vs reference decoder, in lockstep                     *)
+(* Reference stepper vs the test tree's interpreter, in lockstep        *)
 (* ------------------------------------------------------------------ *)
 
 (* Generated programs terminate (halt, trap, or fall off the end) well
@@ -94,49 +99,39 @@ let test_prng_float_matches_reference () =
 let lockstep_cap = 300_000
 
 let show_result = function
-  | Ok Machine.Stepped -> "stepped"
-  | Ok (Machine.Branched { taken }) ->
+  | Ok Vm_ref.Stepped -> "stepped"
+  | Ok (Vm_ref.Branched { taken }) ->
       if taken then "branch-taken" else "branch-not-taken"
-  | Ok Machine.Jumped -> "jumped"
-  | Ok Machine.Called -> "called"
-  | Ok Machine.Returned -> "returned"
-  | Ok Machine.Halted -> "halted"
+  | Ok Vm_ref.Jumped -> "jumped"
+  | Ok Vm_ref.Called -> "called"
+  | Ok Vm_ref.Returned -> "returned"
+  | Ok Vm_ref.Halted -> "halted"
   | Error t -> Format.asprintf "trap %a" Machine.pp_trap t
 
 let lockstep seed prog ~mem_words =
   let fast = Machine.create ~mem_words ~seed prog in
-  let spec = Machine.create ~mem_words ~seed prog in
+  let spec = Vm_ref.create ~mem_words ~seed prog in
   let steps = ref 0 in
   let running = ref true in
   while !running && !steps < lockstep_cap do
-    let ef = Machine.step fast in
-    let es = Machine.step_spec spec in
+    let ef = Vm_ref.machine_step fast in
+    let es = Vm_ref.step spec in
     if ef <> es then
-      Alcotest.failf "seed %Ld step %d: table %s vs spec %s" seed !steps
+      Alcotest.failf "seed %Ld step %d: machine %s vs spec %s" seed !steps
         (show_result ef) (show_result es);
-    if Machine.pc fast <> Machine.pc spec then
+    if Machine.pc fast <> spec.Vm_ref.pc then
       Alcotest.failf "seed %Ld step %d: pc %d vs %d" seed !steps
-        (Machine.pc fast) (Machine.pc spec);
+        (Machine.pc fast) spec.Vm_ref.pc;
     incr steps;
-    match ef with Ok Machine.Halted | Error _ -> running := false | Ok _ -> ()
+    match ef with Ok Vm_ref.Halted | Error _ -> running := false | Ok _ -> ()
   done;
   checkb "terminated under the cap" false !running;
-  checki "steps agree" (Machine.steps spec) (Machine.steps fast);
-  checkb "halt state agrees" true (Machine.halted fast = Machine.halted spec);
-  checkb "traps agree" true
-    (Machine.last_trap fast = Machine.last_trap spec);
-  List.iter
-    (fun reg ->
-      checki
-        (Printf.sprintf "seed %Ld: %s agrees" seed (Reg.to_string reg))
-        (Machine.reg spec reg) (Machine.reg fast reg))
-    Reg.all;
-  checkb "outputs agree" true (Machine.outputs fast = Machine.outputs spec);
+  checkb "traps agree" true (Machine.last_trap fast = spec.Vm_ref.trap);
   let image = Machine.capture fast in
   checkb
     (Printf.sprintf "seed %Ld: images agree" seed)
     true
-    (image = Machine.capture spec);
+    (image = Vm_ref.image spec);
   image
 
 (* Words a fresh machine materialises for [prog]: the 4096-word floor or
@@ -146,15 +141,16 @@ let initial_prefix prog =
     (fun top (addr, _) -> max top (addr + 1))
     4096 prog.Program.data_init
 
-(* Returns how many programs stored above their machine's initial
-   prefix, i.e. ran the memory growth path. *)
-let lockstep_population ~mem_words =
+(* Runs [check] over 30 generated programs and returns how many stored
+   above their machine's initial prefix, i.e. ran the memory growth
+   path, as the image [check] returns shows. *)
+let population check ~mem_words =
   let params = { Gen.default with Gen.mem_words } in
   let grew = ref 0 in
   for seed = 1 to 30 do
     let seed = Int64.of_int (seed * 7919) in
     let prog = Gen.program (Prng.create ~seed) params in
-    let image = lockstep seed prog ~mem_words in
+    let image = check seed prog ~mem_words in
     if
       Array.exists
         (fun (addr, _) -> addr >= initial_prefix prog)
@@ -163,12 +159,209 @@ let lockstep_population ~mem_words =
   done;
   !grew
 
-let test_dispatch_table_identity () =
-  (* At the fuzzer's 1024 words the whole memory is materialised up
-     front; at 2^16 generated addresses reach past the initial prefix. *)
-  ignore (lockstep_population ~mem_words:Gen.default.Gen.mem_words);
+(* At the fuzzer's 1024 words the whole memory is materialised up
+   front; at 2^16 generated addresses reach past the initial prefix. *)
+let test_population check () =
+  ignore (population check ~mem_words:Gen.default.Gen.mem_words);
   checkb "some programs grow memory" true
-    (lockstep_population ~mem_words:(1 lsl 16) > 0)
+    (population check ~mem_words:(1 lsl 16) > 0)
+
+(* ------------------------------------------------------------------ *)
+(* Translated blocks vs the reference stepper                           *)
+(* ------------------------------------------------------------------ *)
+
+module Block_map = Tpdbt_dbt.Block_map
+
+(* What [exec_block m size] must do: [step_code] until an instruction
+   does more than step, or [size] have run. *)
+let rec step_block m size =
+  let c = Machine.step_code m in
+  if c = Machine.ev_stepped && size > 1 then step_block m (size - 1) else c
+
+(* Run [translated] block by block through [exec_block] and [stepped]
+   through [step_block], each block's size given by [size_at] at the
+   pc, and compare the codes and the two machines' images at every
+   block boundary, up to a terminal code.  Returns the number of blocks
+   run. *)
+let agree ?(cap = 100_000) ~what ~size_at translated stepped =
+  let rec go n =
+    if n >= cap then Alcotest.failf "%s: still running after %d blocks" what n
+    else
+      let size = size_at (Machine.pc translated) in
+      let ct = Machine.exec_block translated size in
+      let cs = step_block stepped size in
+      if ct <> cs then
+        Alcotest.failf "%s: block %d (size %d): code %d translated, %d stepped"
+          what n size ct cs;
+      if Machine.capture translated <> Machine.capture stepped then
+        Alcotest.failf "%s: block %d (size %d): images differ (steps %d vs %d)"
+          what n size (Machine.steps translated) (Machine.steps stepped);
+      if ct <= Machine.ev_returned then go (n + 1) else n + 1
+  in
+  go 0
+
+(* The block map's size for the block starting at the pc, as the
+   engine's driver reads it; 1 where no block starts. *)
+let block_sizes prog =
+  match Block_map.build_result prog with
+  | Error e -> Alcotest.failf "block map: %s" (Tpdbt_dbt.Error.to_string e)
+  | Ok bmap -> (
+      fun pc ->
+        match Block_map.id_at bmap pc with
+        | -1 -> 1
+        | id -> (Block_map.block bmap id).Block_map.size)
+
+let translated seed prog ~mem_words =
+  let translated = Machine.create ~mem_words ~seed prog in
+  let stepped = Machine.create ~mem_words ~seed prog in
+  ignore
+    (agree
+       ~what:(Printf.sprintf "seed %Ld" seed)
+       ~size_at:(block_sizes prog) translated stepped);
+  Machine.capture translated
+
+(* A five-instruction block from pc 0 whose instruction at [at] is
+   [ins] and the others add to r1, then a halt.  The record is built
+   directly, so a branch target may lie outside the code. *)
+let trap_block ins ~at =
+  let filler = Instr.Binopi (Instr.Add, r 1, r 1, 1) in
+  {
+    Program.code =
+      Array.init 6 (fun pc ->
+          if pc = at then ins else if pc = 5 then Instr.Halt else filler);
+    entry = 0;
+    data_init = [];
+  }
+
+(* Every trap kind, each with the trap it must raise from [pc].  All
+   registers start at 0, so r2 divides by zero and a load or store at
+   r0 - 1 faults; the call-stack overflow calls the block itself until
+   the stack is full. *)
+let trap_kinds =
+  [
+    ("div", Instr.Binop (Instr.Div, r 3, r 1, r 2),
+     fun pc -> Machine.Division_by_zero pc);
+    ("rem", Instr.Binop (Instr.Rem, r 3, r 1, r 2),
+     fun pc -> Machine.Division_by_zero pc);
+    ("divi", Instr.Binopi (Instr.Div, r 3, r 1, 0),
+     fun pc -> Machine.Division_by_zero pc);
+    ("remi", Instr.Binopi (Instr.Rem, r 3, r 1, 0),
+     fun pc -> Machine.Division_by_zero pc);
+    ("load", Instr.Load (r 3, r 0, -1),
+     fun pc -> Machine.Memory_fault { pc; addr = -1 });
+    ("store", Instr.Store (r 3, r 0, -1),
+     fun pc -> Machine.Memory_fault { pc; addr = -1 });
+    ("rnd", Instr.Rnd (r 3, 0),
+     fun pc -> Machine.Invalid_rnd_bound { pc; bound = 0 });
+    ("br", Instr.Br (Instr.Eq, r 0, r 0, 99),
+     fun pc -> Machine.Branch_out_of_range { pc; target = 99 });
+    ("jmp", Instr.Jmp 99,
+     fun pc -> Machine.Branch_out_of_range { pc; target = 99 });
+    ("call", Instr.Call 99,
+     fun pc -> Machine.Branch_out_of_range { pc; target = 99 });
+    ("call overflow", Instr.Call 0,
+     fun pc -> Machine.Call_stack_overflow pc);
+    ("ret", Instr.Ret, fun pc -> Machine.Return_without_call pc);
+  ]
+
+(* Each trap at the first, a middle and the last instruction of a
+   five-instruction block: the trap counts its instruction, leaves the
+   pc on it, and no instruction after it runs. *)
+let test_translated_traps () =
+  List.iter
+    (fun (kind, ins, trap) ->
+      List.iter
+        (fun at ->
+          let prog = trap_block ins ~at in
+          let translated = Machine.create ~mem_words:64 prog in
+          let stepped = Machine.create ~mem_words:64 prog in
+          let what = Printf.sprintf "%s at %d" kind at in
+          let blocks = agree ~what ~size_at:(fun _ -> 5) translated stepped in
+          checkb (what ^ ": trapped") true
+            (Machine.last_trap translated = Some (trap at));
+          checki (what ^ ": pc on the trap") at (Machine.pc translated);
+          checki (what ^ ": steps")
+            (blocks * (at + 1))
+            (Machine.steps translated);
+          checki (what ^ ": no later instruction ran") (blocks * at)
+            (Machine.reg translated (r 1)))
+        [ 0; 2; 4 ])
+    trap_kinds
+
+(* A counted loop: the prologue block loads the trip count, the loop
+   body (pcs 1-3) calls a three-instruction callee (6-8) that prints,
+   and the branch at 4 closes the loop. *)
+let loop_prog trips =
+  Program.make ~data_init:[ (0, trips) ]
+    [|
+      Instr.Load (r 4, r 0, 0);
+      Instr.Binopi (Instr.Add, r 1, r 1, 1);
+      Instr.Binopi (Instr.Mul, r 2, r 1, 3);
+      Instr.Call 6;
+      Instr.Br (Instr.Lt, r 1, r 4, 1);
+      Instr.Halt;
+      Instr.Binopi (Instr.Xor, r 3, r 2, 5);
+      Instr.Out (r 3);
+      Instr.Ret;
+    |]
+
+(* Poisoning a pc inside a block that is already translated: the next
+   execution traps there, exactly as the stepper does. *)
+let test_poison_after_translation () =
+  let prog = loop_prog 1000 in
+  let size_at = block_sizes prog in
+  let translated = Machine.create ~mem_words:64 prog in
+  let stepped = Machine.create ~mem_words:64 prog in
+  for _ = 1 to 20 do
+    ignore (Machine.exec_block translated (size_at (Machine.pc translated)));
+    ignore (step_block stepped (size_at (Machine.pc stepped)))
+  done;
+  checkb "the loop is still running" false (Machine.halted translated);
+  List.iter (fun m -> Machine.poison m 2) [ translated; stepped ];
+  ignore (agree ~what:"poisoned" ~size_at translated stepped);
+  checkb "the poisoned pc traps" true
+    (Machine.last_trap translated = Some (Machine.Illegal_instruction 2));
+  checki "the pc stays on it" 2 (Machine.pc translated)
+
+(* A chain runs only for the size it was built for: the same start pc
+   asked for another size runs that many instructions, and a size that
+   reaches past the code takes the stepper. *)
+let test_translated_size () =
+  let add reg = Instr.Binopi (Instr.Add, r reg, r reg, 1) in
+  let prog = Program.make [| add 1; add 2; add 3; Instr.Jmp 0 |] in
+  let translated = Machine.create ~mem_words:64 prog in
+  let stepped = Machine.create ~mem_words:64 prog in
+  List.iteri
+    (fun i size ->
+      let what = Printf.sprintf "block %d (size %d)" i size in
+      let ct = Machine.exec_block translated size in
+      checki (what ^ ": code") (step_block stepped size) ct;
+      checkb (what ^ ": images agree") true
+        (Machine.capture translated = Machine.capture stepped))
+    [ 2; 2; 4; 1; 3; 4; 2; 9; 2 ]
+
+(* A machine restored from a mid-run image carries no translated block:
+   it translates again on use and runs on to the same end as the
+   machine it was captured from, and as the stepper. *)
+let test_translated_restore () =
+  let prog = loop_prog 500 in
+  let size_at = block_sizes prog in
+  let translated = Machine.create ~mem_words:64 prog in
+  let stepped = Machine.create ~mem_words:64 prog in
+  for _ = 1 to 333 do
+    ignore (Machine.exec_block translated (size_at (Machine.pc translated)));
+    ignore (step_block stepped (size_at (Machine.pc stepped)))
+  done;
+  let image = Machine.capture translated in
+  checkb "the image is the stepper's" true (image = Machine.capture stepped);
+  let restored = Machine.restore prog image in
+  ignore (agree ~what:"restored" ~size_at restored stepped);
+  ignore
+    (agree ~what:"original" ~size_at translated (Machine.restore prog image));
+  checkb "restored and original end alike" true
+    (Machine.capture restored = Machine.capture translated);
+  checkb "the run halted" true (Machine.halted restored);
+  checki "every trip printed" 500 (Machine.output_count restored)
 
 (* ------------------------------------------------------------------ *)
 (* Steady-state allocation budget                                       *)
@@ -190,31 +383,45 @@ let tight_loop trips =
       Instr.Halt;
     |]
 
-(* The tentpole's contract: interpreting guest code allocates nothing
-   per step.  The budget leaves room for GC bookkeeping noise but is
-   four orders of magnitude below the old ~9 words/instr. *)
+(* Interpreting guest code allocates nothing per step.  The budget
+   leaves room for GC bookkeeping noise but is four orders of magnitude
+   below the old ~9 words/instr. *)
 let alloc_budget_words_per_msteps = 10_000.0
 
-let test_steady_state_allocation () =
-  let trips = 200_000 in
-  let m = Machine.create ~mem_words:1024 ~seed:1L (tight_loop trips) in
-  (* Warm through decode-adjacent one-time costs before metering. *)
+(* Run [m] to its halt by [advance], after a warm-up that translates
+   every block the loop runs, and return the words allocated per
+   million steps of the metered stretch. *)
+let metered m advance =
   for _ = 1 to 100 do
-    ignore (Machine.step_code m)
+    ignore (advance m)
   done;
   let guard = ref 0 in
   let before = Gc.minor_words () in
-  while Machine.step_code m <= Machine.ev_returned && !guard < 2_000_000 do
+  while advance m <= Machine.ev_returned && !guard < 2_000_000 do
     incr guard
   done;
   let after = Gc.minor_words () in
   checkb "loop ran to the halt" true (Machine.halted m);
   checkb "loop was long enough to meter" true (Machine.steps m > 1_000_000);
-  let words = after -. before in
-  let per_msteps = words /. (float_of_int (Machine.steps m) /. 1e6) in
-  if per_msteps > alloc_budget_words_per_msteps then
-    Alcotest.failf "steady state allocates %.0f words per 1M steps (budget %.0f)"
-      per_msteps alloc_budget_words_per_msteps
+  (after -. before) /. (float_of_int (Machine.steps m) /. 1e6)
+
+(* The reference stepper, and the driver's path: one translated block
+   per call, each of the block map's size. *)
+let test_steady_state_allocation () =
+  let prog = tight_loop 200_000 in
+  let size_at = block_sizes prog in
+  List.iter
+    (fun (path, advance) ->
+      let m = Machine.create ~mem_words:1024 ~seed:1L prog in
+      let per_msteps = metered m advance in
+      if per_msteps > alloc_budget_words_per_msteps then
+        Alcotest.failf
+          "%s: steady state allocates %.0f words per 1M steps (budget %.0f)"
+          path per_msteps alloc_budget_words_per_msteps)
+    [
+      ("step_code", Machine.step_code);
+      ("exec_block", fun m -> Machine.exec_block m (size_at (Machine.pc m)));
+    ]
 
 (* One driver feeding a profiling model and optimising models, as the
    sweep's group does: past the first optimisation rounds every block
@@ -319,7 +526,17 @@ let suite =
     Alcotest.test_case "prng float matches reference" `Quick
       test_prng_float_matches_reference;
     Alcotest.test_case "dispatch table step-identical to spec" `Quick
-      test_dispatch_table_identity;
+      (test_population lockstep);
+    Alcotest.test_case "translated blocks match the stepper" `Quick
+      (test_population translated);
+    Alcotest.test_case "translated traps match the stepper" `Quick
+      test_translated_traps;
+    Alcotest.test_case "poison after translation traps" `Quick
+      test_poison_after_translation;
+    Alcotest.test_case "translated chain keeps its size" `Quick
+      test_translated_size;
+    Alcotest.test_case "restored machine translates again" `Quick
+      test_translated_restore;
     Alcotest.test_case "steady-state allocation budget" `Quick
       test_steady_state_allocation;
     Alcotest.test_case "group run allocation budget" `Quick

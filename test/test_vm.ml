@@ -274,15 +274,21 @@ let test_div_by_zero () =
   | Machine.Division_by_zero 2 -> ()
   | other -> Alcotest.failf "wrong trap: %a" Machine.pp_trap other
 
+(* The machine and the reference interpreter alike. *)
 let test_trap_sticky () =
   let p = Assembler.assemble_exn "ret\nhalt" in
   let m = Machine.create ~seed:1L p in
-  (match Machine.step m with
-  | Error (Machine.Return_without_call _) -> ()
-  | _ -> Alcotest.fail "expected trap");
-  match Machine.step m with
-  | Error (Machine.Return_without_call _) -> ()
-  | _ -> Alcotest.fail "trap should persist"
+  let spec = Vm_ref.create ~seed:1L p in
+  List.iter
+    (fun step ->
+      (match step () with
+      | Error (Machine.Return_without_call _) -> ()
+      | _ -> Alcotest.fail "expected trap");
+      match step () with
+      | Error (Machine.Return_without_call _) -> ()
+      | _ -> Alcotest.fail "trap should persist")
+    [ (fun () -> Vm_ref.machine_step m); (fun () -> Vm_ref.step spec) ];
+  checkb "images agree" true (Machine.capture m = Vm_ref.image spec)
 
 (* ------------------------------------------------------------------ *)
 (* Events, outputs, rnd, limits                                         *)
@@ -305,14 +311,20 @@ fn:
 |}
   in
   let m = Machine.create ~seed:1L p in
-  let step () = match Machine.step m with Ok e -> e | Error _ -> Alcotest.fail "trap" in
-  checkb "stepped" true (step () = Machine.Stepped);
-  checkb "branch not taken" true (step () = Machine.Branched { taken = false });
-  checkb "jumped" true (step () = Machine.Jumped);
-  checkb "called" true (step () = Machine.Called);
-  checkb "returned" true (step () = Machine.Returned);
-  checkb "halted" true (step () = Machine.Halted);
-  checkb "halted flag" true (Machine.halted m)
+  let spec = Vm_ref.create ~seed:1L p in
+  let step () =
+    match (Vm_ref.machine_step m, Vm_ref.step spec) with
+    | Ok e, Ok e' when e = e' -> e
+    | _ -> Alcotest.fail "trap, or the machine and the reference differ"
+  in
+  checkb "stepped" true (step () = Vm_ref.Stepped);
+  checkb "branch not taken" true (step () = Vm_ref.Branched { taken = false });
+  checkb "jumped" true (step () = Vm_ref.Jumped);
+  checkb "called" true (step () = Vm_ref.Called);
+  checkb "returned" true (step () = Vm_ref.Returned);
+  checkb "halted" true (step () = Vm_ref.Halted);
+  checkb "halted flag" true (Machine.halted m);
+  checkb "images agree" true (Machine.capture m = Vm_ref.image spec)
 
 let test_outputs_order () =
   let m = run_src "movi r1, 1\nout r1\nmovi r1, 2\nout r1\nmovi r1, 3\nout r1\nhalt" in
