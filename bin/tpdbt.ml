@@ -2,7 +2,7 @@
 
    Subcommands: asm, dis, check, run, dbt, bench, sweep, profile,
    perfdiff, analyze, report, ablate, trace, faults, cache, chaos,
-   fuzz, serve, request. *)
+   fuzz, serve, request, snapshot. *)
 
 open Cmdliner
 
@@ -39,6 +39,14 @@ let ensure_dir dir =
         exit exit_usage)
 
 let ensure_parent file = ensure_dir (Filename.dirname file)
+
+(* A suite benchmark by name; an unknown name is a usage error. *)
+let suite_bench name =
+  match Tpdbt_workloads.Suite.find name with
+  | Some b -> b
+  | None ->
+      prerr_endline ("unknown benchmark: " ^ name);
+      exit exit_usage
 
 (* A table as DIR/ID.csv, DIR already made by [ensure_dir]; a file that
    cannot be written is a usage error. *)
@@ -205,15 +213,29 @@ let policy_arg =
   in
   Arg.conv (parse, print)
 
+(* Checked here, once, so a count the runtime cannot spawn is a usage
+   error before any work runs. *)
 let jobs_arg =
+  let max = Tpdbt_parallel.Supervisor.max_jobs in
+  let parse s =
+    match int_of_string_opt s with
+    | Some j when j >= 1 && j <= max -> Ok j
+    | Some _ | None ->
+        Error
+          (`Msg
+             (Printf.sprintf "invalid value '%s', expected 1 to %d" s max))
+  in
   Arg.(
     value
-    & opt int (Tpdbt_parallel.Pool.default_jobs ())
+    & opt (conv (parse, Format.pp_print_int))
+        (Tpdbt_parallel.Supervisor.default_jobs ())
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:
-          "Worker domains for independent runs (default: the machine's \
-           recommended domain count).  1 runs sequentially in-process; any \
-           value produces byte-identical results.")
+          (Printf.sprintf
+             "Worker domains for independent runs, from 1 to %d (default: \
+              the machine's recommended domain count).  1 runs sequentially \
+              in-process; any value produces byte-identical results."
+             max))
 
 let shadow_arg =
   Arg.(
@@ -435,21 +457,17 @@ let bench_cmd =
     match name with
     | None ->
         List.iter print_endline Tpdbt_workloads.Suite.names
-    | Some name -> (
-        match Tpdbt_workloads.Suite.find name with
-        | None ->
-            prerr_endline ("unknown benchmark: " ^ name);
-            exit exit_usage
-        | Some bench ->
-            if dump_asm then print_string (Tpdbt_workloads.Spec.source bench)
-            else begin
-              let program, _, _ = Tpdbt_workloads.Spec.build bench in
-              let bmap = Tpdbt_dbt.Block_map.build program in
-              print_string (Tpdbt_workloads.Spec.describe bench);
-              Printf.printf "  => %d instructions, %d basic blocks\n"
-                (Tpdbt_isa.Program.length program)
-                (Tpdbt_dbt.Block_map.block_count bmap)
-            end)
+    | Some name ->
+        let bench = suite_bench name in
+        if dump_asm then print_string (Tpdbt_workloads.Spec.source bench)
+        else begin
+          let program, _, _ = Tpdbt_workloads.Spec.build bench in
+          let bmap = Tpdbt_dbt.Block_map.build program in
+          print_string (Tpdbt_workloads.Spec.describe bench);
+          Printf.printf "  => %d instructions, %d basic blocks\n"
+            (Tpdbt_isa.Program.length program)
+            (Tpdbt_dbt.Block_map.block_count bmap)
+        end
   in
   Cmd.v
     (Cmd.info "bench"
@@ -562,15 +580,7 @@ let sweep_cmd =
     let selected =
       match benches with
       | [] -> Tpdbt_workloads.Suite.all
-      | names ->
-          List.map
-            (fun n ->
-              match Tpdbt_workloads.Suite.find n with
-              | Some b -> b
-              | None ->
-                  prerr_endline ("unknown benchmark: " ^ n);
-                  exit exit_usage)
-            names
+      | names -> List.map suite_bench names
     in
     let progress n = function
       | Runner.Started -> Printf.eprintf "running %s...\n%!" n
@@ -1059,13 +1069,7 @@ let ablate_cmd =
           ~doc:"Also write each study's table as DIR/ablation-STUDY.csv.")
   in
   let run studies benches csv_dir =
-    List.iter
-      (fun n ->
-        if Tpdbt_workloads.Suite.find n = None then begin
-          prerr_endline ("unknown benchmark: " ^ n);
-          exit exit_usage
-        end)
-      benches;
+    List.iter (fun n -> ignore (suite_bench n)) benches;
     let benchmarks = match benches with [] -> None | l -> Some l in
     let all = Tpdbt_experiments.Ablations.all ?benchmarks () in
     List.iter
@@ -1146,13 +1150,7 @@ let faults_cmd =
       jobs =
     let module Campaign = Tpdbt_experiments.Campaign in
     let module Fault = Tpdbt_faults.Fault in
-    let bench =
-      match Tpdbt_workloads.Suite.find workload with
-      | Some b -> b
-      | None ->
-          prerr_endline ("unknown benchmark: " ^ workload);
-          exit exit_usage
-    in
+    let bench = suite_bench workload in
     let kinds =
       match kinds with
       | [] -> None
@@ -1254,16 +1252,7 @@ let cache_cmd =
   let run benches threshold fracs policies shadow_sample expect_evictions csv
       jobs max_steps =
     let benches = match benches with [] -> [ "gzip" ] | l -> l in
-    let selected =
-      List.map
-        (fun n ->
-          match Tpdbt_workloads.Suite.find n with
-          | Some b -> b
-          | None ->
-              prerr_endline ("unknown benchmark: " ^ n);
-              exit exit_usage)
-        benches
-    in
+    let selected = List.map suite_bench benches in
     (* Accept a directory (the sweep command's --csv convention, and
        the name results/ holds) as well as a file path; either way its
        directory exists before the sweep runs. *)
@@ -1439,18 +1428,7 @@ let chaos_cmd =
   in
   let run benches seed jobs dir summary max_steps serve_mode =
     let benches =
-      match benches with
-      | [] -> None
-      | names ->
-          Some
-            (List.map
-               (fun n ->
-                 match Tpdbt_workloads.Suite.find n with
-                 | Some b -> b
-                 | None ->
-                     prerr_endline ("unknown benchmark: " ^ n);
-                     exit exit_usage)
-               names)
+      match benches with [] -> None | names -> Some (List.map suite_bench names)
     in
     ensure_dir dir;
     Option.iter ensure_parent summary;

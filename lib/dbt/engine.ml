@@ -1581,57 +1581,45 @@ let begin_run t machine ~solo =
 
 (* One engine: the driver runs a block, then the model accounts for it,
    a region's blocks in an inner loop that keeps the region and the slot
-   in locals.  [true] when the run suspended at [g.suspend_step].
-   Inside a region the block the driver located next must be the next
-   slot's, checked before that block runs. *)
-let rec drive_one g d machine t =
-  let before = d.Driver.steps in
-  if before >= g.suspend_step then true
+   in locals, until the model stops.  A lone engine suspends only
+   through [settle], at a dispatch point.  Inside a region the block the
+   driver located next must be the next slot's, checked before that
+   block runs. *)
+let rec drive_one d machine t =
+  let bid = d.Driver.next in
+  if bid < 0 then no_block t d
+  else if t.cur >= 0 then in_region_one d machine t t.entry.(t.cur) t.slot
   else
-    let bid = d.Driver.next in
-    if bid < 0 then begin
-      no_block t d;
-      false
+    let before = d.Driver.steps in
+    let re = t.entry.(bid) in
+    if re != no_region && optimized t bid then begin
+      enter_region t re ~before;
+      in_region_one d machine t re 0
     end
-    else if t.cur >= 0 then in_region_one g d machine t t.entry.(t.cur) t.slot
-    else
-      let re = t.entry.(bid) in
-      if re != no_region && optimized t bid then begin
-        enter_region t re ~before;
-        in_region_one g d machine t re 0
-      end
-      else begin
-        let outcome = Driver.step d in
-        let after = d.Driver.steps in
-        single t bid outcome ~before ~after;
-        after_dispatch t machine outcome ~steps:after
-          ~outputs:(Machine.output_count machine);
-        t.live && drive_one g d machine t
-      end
+    else begin
+      let outcome = Driver.step d in
+      let after = d.Driver.steps in
+      single t bid outcome ~before ~after;
+      after_dispatch t machine outcome ~steps:after
+        ~outputs:(Machine.output_count machine);
+      if t.live then drive_one d machine t
+    end
 
-and in_region_one g d machine t re slot =
+and in_region_one d machine t re slot =
   let before = d.Driver.steps in
-  if before >= g.suspend_step then begin
-    t.slot <- slot;
-    true
+  let outcome = Driver.step d in
+  let after = d.Driver.steps in
+  let slot = region_slot t re slot outcome ~before ~after in
+  if slot < 0 then begin
+    leave_region t machine re outcome ~steps:after
+      ~outputs:(Machine.output_count machine);
+    if t.live then drive_one d machine t
   end
   else
-    let outcome = Driver.step d in
-    let after = d.Driver.steps in
-    let slot = region_slot t re slot outcome ~before ~after in
-    if slot < 0 then begin
-      leave_region t machine re outcome ~steps:after
-        ~outputs:(Machine.output_count machine);
-      t.live && drive_one g d machine t
-    end
+    let next = d.Driver.next in
+    if re.r_slots.(slot) = next then in_region_one d machine t re slot
     else
-      let next = d.Driver.next in
-      if re.r_slots.(slot) = next then in_region_one g d machine t re slot
-      else begin
-        lose t machine ~next ~steps:after
-          ~outputs:(Machine.output_count machine);
-        false
-      end
+      lose t machine ~next ~steps:after ~outputs:(Machine.output_count machine)
 
 (* Replay the common events of chunk [c] from event [i], for a member
    with no telemetry, an unbounded cache, no fault injector and no
@@ -1788,19 +1776,6 @@ let rec drive_chunks g d machine c models =
   end
   else drive_chunks g d machine c models
 
-(* Feed the models the guest's blocks until all have stopped, or until
-   the suspension step; [true] when the run suspended. *)
-let drive g =
-  let d = g.driver in
-  let machine = d.Driver.machine in
-  match g.chunk with
-  | None ->
-      let t = g.models.(0) in
-      t.live && drive_one g d machine t
-  | Some c ->
-      Array.exists (fun t -> t.live) g.models
-      && drive_chunks g d machine c g.models
-
 let of_parts ?chunk driver models =
   {
     driver;
@@ -1857,7 +1832,7 @@ let run g =
   let t = solo g in
   let machine = machine g in
   begin_run t machine ~solo:true;
-  ignore (drive g);
+  if t.live then drive_one g.driver machine t;
   result_of t machine
 
 let suspended (r : result) =
@@ -2173,7 +2148,14 @@ module Group = struct
     let steps = Machine.steps machine in
     g.suspend_step <-
       min g.hard_stop (if g.every > 0 then steps + g.every else max_int);
-    if drive g then
+    let suspended =
+      match g.chunk with
+      | Some c ->
+          Array.exists (fun t -> t.live) g.models
+          && drive_chunks g g.driver machine c g.models
+      | None -> false
+    in
+    if suspended then
       let steps = Machine.steps machine in
       Some (Error.Suspended { steps; deadline = steps >= g.hard_stop })
     else None

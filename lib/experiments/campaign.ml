@@ -100,14 +100,10 @@ let run ?(jobs = 1) ?(threshold = 20) ?(trials = 8) ?(arms = 4)
           counters = None;
         }
   in
-  let trials =
-    if jobs <= 1 then List.map run_trial tasks
-    else
-      let results, _ =
-        Tpdbt_parallel.Pool.map ~jobs run_trial (Array.of_list tasks)
-      in
-      Array.to_list results
+  let trials, _ =
+    Tpdbt_parallel.Pool.map ~jobs run_trial (Array.of_list tasks)
   in
+  let trials = Array.to_list trials in
   { bench; threshold; seed; clean; trials }
 
 type tally = { recovered : int; degraded : int; failed : int; uncaught : int }

@@ -362,14 +362,10 @@ let run_cache_sweep ?(jobs = 1) ?(threshold = 20)
     in
     { policy; frac; capacity; bounded = run_ref bench ~config }
   in
-  let points =
-    if jobs <= 1 then List.map point combos
-    else
-      let results, _ =
-        Tpdbt_parallel.Pool.map ~jobs point (Array.of_list combos)
-      in
-      Array.to_list results
+  let points, _ =
+    Tpdbt_parallel.Pool.map ~jobs point (Array.of_list combos)
   in
+  let points = Array.to_list points in
   { cache_bench = bench; cache_threshold = threshold; baseline; footprint; points }
 
 type status =
@@ -527,6 +523,6 @@ let run_many_par ?jobs ?max_steps benches =
   let jobs =
     match jobs with
     | Some j -> j
-    | None -> Tpdbt_parallel.Pool.default_jobs ()
+    | None -> Tpdbt_parallel.Supervisor.default_jobs ()
   in
   fst (run_sweep ~jobs ?max_steps benches)

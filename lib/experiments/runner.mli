@@ -278,7 +278,7 @@ val run_many : ?max_steps:int -> Tpdbt_workloads.Spec.t list -> sweep
 val run_many_par :
   ?jobs:int -> ?max_steps:int -> Tpdbt_workloads.Spec.t list -> sweep
 (** {!run_sweep} at [jobs] (default
-    {!Tpdbt_parallel.Pool.default_jobs}).  Kept because the performance
+    {!Tpdbt_parallel.Supervisor.default_jobs}).  Kept because the performance
     ledger ([ledger/]) calls it, and the ledger's sources stay the same
     across the changes it compares. *)
 

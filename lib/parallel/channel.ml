@@ -1,6 +1,6 @@
-(* The collector channel: workers talk to the collector exclusively
-   through this queue, so the collector is the only domain that ever
-   runs a callback.  Shared by [Pool] and [Supervisor]. *)
+(* The collector channel: [Supervisor]'s workers talk to the collector
+   exclusively through this queue, so the collector is the only domain
+   that ever runs a callback. *)
 
 type 'm t = { lock : Mutex.t; cond : Condition.t; q : 'm Queue.t }
 

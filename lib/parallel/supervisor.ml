@@ -19,6 +19,11 @@ let default_policy =
 
 let one_attempt = { default_policy with max_attempts = 1 }
 
+(* OCaml 5.1 runs at most 128 domains in a 64-bit process (Max_domains
+   in caml/domain.h), and the calling domain holds one of them. *)
+let max_jobs = 127
+let default_jobs () = min max_jobs (Domain.recommended_domain_count ())
+
 type 'b outcome = Done of 'b | Poisoned of { attempts : int; reason : string }
 
 type event =
@@ -68,10 +73,9 @@ let backoff policy ~task ~attempt =
 
 (* ---- shared job queue -------------------------------------------------- *)
 
-(* Unlike [Pool]'s static per-worker deques, supervised execution needs
-   a queue that grows at runtime (retries, crash requeues), so workers
-   draw from one shared blocking queue.  Contention is still one lock
-   operation per attempt — negligible against full engine runs. *)
+(* Workers draw from one shared blocking queue, which can grow at
+   runtime (retries, crash requeues).  Contention is one lock operation
+   per attempt — negligible against full engine runs. *)
 type job = { j_task : int; j_attempt : int }
 
 type jq = {
@@ -167,7 +171,7 @@ let run ?jobs ?(policy = default_policy) ?failed ?(on_event = fun _ -> ())
     ?(on_result = fun _ _ -> ()) f tasks =
   let n = Array.length tasks in
   let requested =
-    match jobs with Some j -> j | None -> Pool.default_jobs ()
+    match jobs with Some j -> j | None -> default_jobs ()
   in
   let jobs = max 0 (min requested n) in
   let t0 = Unix.gettimeofday () in
@@ -307,10 +311,9 @@ let run ?jobs ?(policy = default_policy) ?failed ?(on_event = fun _ -> ())
     schedule task
   done;
   (* With one attempt per task nothing is ever requeued, so the queue
-     can close now: each worker exits when it finds it empty, as
-     [Pool]'s do, instead of idling until the last task completes.  An
-     idle worker domain kept a two-benchmark sweep's peak RSS about 9%
-     higher. *)
+     can close now: each worker exits when it finds it empty, instead
+     of idling until the last task completes.  An idle worker domain
+     kept a two-benchmark sweep's peak RSS about 9% higher. *)
   if policy.max_attempts <= 1 then jq_close queue;
   while !unresolved > 0 do
     release_due ();

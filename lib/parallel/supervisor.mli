@@ -1,16 +1,16 @@
-(** Fault-tolerant job supervision over a domain pool.
+(** Fault-tolerant job supervision over worker domains: the one
+    scheduler behind every parallel run.
 
-    {!Pool.map} computes an array map and dies with the first (lowest
-    task index) exception; that is the right contract for trusted
-    workloads, and the wrong one for long campaigns where a single
-    stuck or crashing task should not cost hours of finished work.
     [Supervisor.run] is a job system on worker domains: every task is
     attempted, failures are retried on a deterministic backoff
     schedule, persistently failing tasks are quarantined as
     {!Poisoned} instead of aborting the sweep, and the pool itself
-    degrades gracefully when worker domains are lost.  Every threshold
-    sweep runs on it ([Tpdbt_experiments.Runner.run_sweep]); a plain
-    sweep is simply the {!one_attempt} policy.
+    degrades gracefully when worker domains are lost, so a single stuck
+    or crashing task does not cost hours of finished work.  Every
+    threshold sweep runs on it ([Tpdbt_experiments.Runner.run_sweep]);
+    a plain sweep is simply the {!one_attempt} policy.  {!Pool.map} is
+    an array map over {!one_attempt} whose tasks hand their exceptions
+    back as values, so they never fail here.
 
     {2 Supervision model}
 
@@ -39,10 +39,10 @@
 
     {2 Determinism}
 
-    As in {!Pool}, callbacks run on the calling domain only and
-    results are keyed by task index.  Because retry/poison decisions
-    depend only on what [f ~attempt] does for each [(task, attempt)]
-    pair — never on scheduling — the outcome array and the
+    Callbacks run on the calling domain only and results are keyed by
+    task index.  Because retry/poison decisions depend only on what
+    [f ~attempt] does for each [(task, attempt)] pair — never on
+    scheduling — the outcome array and the
     [attempts]/[retries]/[poisoned]/[crashes] counts are identical at
     every job count and across repeated runs with the same seed.  Only
     [degraded], [busy] and [elapsed] (and callback arrival order) are
@@ -71,6 +71,15 @@ val one_attempt : policy
     never retried, and the breaker (3 failures) cannot open.  Since
     nothing is requeued, each worker exits once the queue drains.  An
     unsupervised sweep runs under this policy. *)
+
+val max_jobs : int
+(** 127: the most worker domains a run can spawn, since OCaml 5.1 runs
+    at most 128 domains in a 64-bit process and the calling domain is
+    one of them. *)
+
+val default_jobs : unit -> int
+(** [Domain.recommended_domain_count ()], at most {!max_jobs}: the
+    default [jobs] of {!run} and of every [--jobs] option. *)
 
 type 'b outcome =
   | Done of 'b
@@ -128,6 +137,6 @@ val run :
 
     [on_event] and [on_result] run on the calling domain only;
     [on_result task v] fires once per [Done] task as it resolves.
-    [jobs] defaults to {!Pool.default_jobs}[ ()], clamped to the task
+    [jobs] defaults to {!default_jobs}[ ()], clamped to the task
     count; [jobs <= 1] runs inline with no domains spawned, through
     the identical supervision state machine. *)

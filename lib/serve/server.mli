@@ -22,8 +22,8 @@
     {2 Execution}
 
     One queued job executes per {!step}, on the calling domain; sweeps
-    fan out over the existing {!Tpdbt_parallel.Pool} via the
-    supervised, checkpointed runner, so a serving sweep inherits every
+    fan out over {!Tpdbt_parallel.Supervisor} via the supervised,
+    checkpointed runner, so a serving sweep inherits every
     batch-robustness property: per-task deadlines, bounded retry,
     breakers, worker-crash recovery, crash-consistent checkpoints, and
     byte-identical results at every job count.

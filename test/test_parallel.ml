@@ -1,8 +1,9 @@
-(* Tests for the domain-parallel schedulers: pool and supervisor
-   mechanics, the byte-identical-at-every-job-count guarantee for
-   threshold sweeps (against an independent in-order reference), cache
-   sweeps and fault campaigns, checkpoint bytes and crash-mid-sweep
-   resume, and the collector's single-writer invariant. *)
+(* Tests for the domain-parallel scheduler: supervisor mechanics and
+   the pool map over it, the byte-identical-at-every-job-count
+   guarantee for threshold sweeps (against an independent in-order
+   reference), cache sweeps and fault campaigns, checkpoint bytes and
+   crash-mid-sweep resume, and the collector's single-writer
+   invariant. *)
 
 module Pool = Tpdbt_parallel.Pool
 module Sup = Tpdbt_parallel.Supervisor
@@ -70,19 +71,16 @@ let test_pool_events_account () =
   List.iter
     (fun jobs ->
       let started = Hashtbl.create 16 and finished = Hashtbl.create 16 in
-      let stolen = ref 0 in
-      let results, stats =
+      let results, _ =
         Pool.map ~jobs
           ~on_event:(function
-            | Pool.Start { task; _ } ->
+            | Pool.Start { task } ->
                 checkb "started once" false (Hashtbl.mem started task);
                 Hashtbl.replace started task ()
             | Pool.Finish { task; _ } ->
                 checkb "start before finish" true (Hashtbl.mem started task);
                 Hashtbl.replace finished task ()
-            | Pool.Steal { worker; victim; task } ->
-                incr stolen;
-                checkb "no self-steal" true (worker <> victim);
+            | Pool.Steal { task } ->
                 checkb "stolen before start" false (Hashtbl.mem started task))
           (fun i -> i * 2)
           tasks
@@ -90,15 +88,55 @@ let test_pool_events_account () =
       checki "every task started" 12 (Hashtbl.length started);
       checki "every task finished" 12 (Hashtbl.length finished);
       checkb "every result in place" true
-        (results = Array.map (fun i -> i * 2) tasks);
-      checki "steal events counted" !stolen stats.Pool.steals;
-      if jobs = 1 then checki "sequential never steals" 0 stats.Pool.steals)
+        (results = Array.map (fun i -> i * 2) tasks))
+    job_counts
+
+(* A raising task, [Supervisor.Crash_worker] included, is still a task
+   that ran: one [Start], one [Finish], and the map re-raises the
+   lowest-indexed exception itself.  Were an exception to reach the
+   supervisor, its task would end in a give-up or a lost worker instead
+   of [Finish], and [Crash_worker] would take a worker down. *)
+let test_pool_contract_under_raises () =
+  let n = 16 in
+  let collector = (Domain.self () :> int) in
+  List.iter
+    (fun jobs ->
+      let ran = Array.init n (fun _ -> Atomic.make 0) in
+      let starts = Array.make n 0 and finishes = Array.make n 0 in
+      let off_collector = ref 0 in
+      let lowest = Failure "task 3" in
+      let f i =
+        Atomic.incr ran.(i);
+        if i = 3 then raise lowest
+        else if i = 5 then raise Sup.Crash_worker
+        else if i mod 4 = 2 && i > 5 then failwith (string_of_int i)
+        else i
+      in
+      let on_event ev =
+        if (Domain.self () :> int) <> collector then incr off_collector;
+        match ev with
+        | Pool.Start { task } -> starts.(task) <- starts.(task) + 1
+        | Pool.Finish { task; _ } -> finishes.(task) <- finishes.(task) + 1
+        | Pool.Steal _ -> Alcotest.fail "Steal is never emitted"
+      in
+      let label what = Printf.sprintf "%s at -j %d" what jobs in
+      (match Pool.map ~jobs ~on_event f (Array.init n Fun.id) with
+      | _ -> Alcotest.fail (label "expected a raise")
+      | exception e ->
+          checkb (label "the lowest-indexed exception, same value") true
+            (e == lowest));
+      checkb (label "every task ran once") true
+        (Array.for_all (fun c -> Atomic.get c = 1) ran);
+      checkb (label "one Start per task") true (Array.for_all (( = ) 1) starts);
+      checkb (label "one Finish per task") true
+        (Array.for_all (( = ) 1) finishes);
+      checki (label "events on the calling domain") 0 !off_collector)
     job_counts
 
 let test_pool_jobs_exceed_tasks () =
   (* More workers than tasks: jobs clamp to the task count, results
-     stay canonical, and error propagation stays lowest-index even
-     when the failing task is stolen. *)
+     stay canonical, and error propagation stays lowest-index whichever
+     worker finishes first. *)
   let tasks = [| 10; 20; 30 |] in
   let results, stats = Pool.map ~jobs:8 (fun i -> i + 1) tasks in
   checkb "results canonical" true (results = [| 11; 21; 31 |]);
@@ -108,9 +146,8 @@ let test_pool_jobs_exceed_tasks () =
    with
   | _ -> Alcotest.fail "expected a raise"
   | exception Failure msg -> checks "lowest-index failure wins" "t0" msg);
-  (* With steals in play (8 workers over 32 tasks, several failing —
-     including each worker's first steal candidates at the deque
-     backs), the raise is still the lowest-indexed one. *)
+  (* With 8 workers over 32 tasks, several failing, the raise is still
+     the lowest-indexed one, whatever the completion order. *)
   let tasks = Array.init 32 (fun i -> i) in
   match
     Pool.map ~jobs:8
@@ -118,7 +155,7 @@ let test_pool_jobs_exceed_tasks () =
       tasks
   with
   | _ -> Alcotest.fail "expected a raise"
-  | exception Failure msg -> checks "lowest-index under steals" "3" msg
+  | exception Failure msg -> checks "lowest-index over 8 workers" "3" msg
 
 (* ------------------------------------------------------------------ *)
 (* Supervisor                                                           *)
@@ -574,6 +611,7 @@ let suite =
     ("pool empty and singleton", `Quick, test_pool_empty_and_singleton);
     ("pool exception deterministic", `Quick, test_pool_exception_deterministic);
     ("pool events account", `Quick, test_pool_events_account);
+    ("pool contract under raises", `Quick, test_pool_contract_under_raises);
     ("pool jobs exceed tasks", `Quick, test_pool_jobs_exceed_tasks);
     ("supervisor all ok", `Quick, test_supervisor_all_ok);
     ("supervisor retry then succeed", `Quick, test_supervisor_retry_then_succeed);

@@ -620,7 +620,29 @@ let test_cli_exit_taxonomy () =
           rows;
         checki "unknown study is usage (1)" 1 (exit_of [ "ablate"; "-s"; "no-such" ]);
         checki "unknown ablation benchmark is usage (1)" 1
-          (exit_of [ "ablate"; "-b"; "no-such"; "-s"; "scheduling" ]))
+          (exit_of [ "ablate"; "-b"; "no-such"; "-s"; "scheduling" ]);
+        (* Every subcommand that takes a suite benchmark refuses an
+           unknown name before any work. *)
+        List.iter
+          (fun (what, args) ->
+            checki ("unknown " ^ what ^ " benchmark is usage (1)") 1
+              (exit_of args))
+          [
+            ("sweep -b", [ "sweep"; "-b"; "no-such"; "--max-steps"; "1000" ]);
+            ("faults", [ "faults"; "no-such"; "--trials"; "1" ]);
+            ("cache", [ "cache"; "no-such"; "--max-steps"; "1000" ]);
+            ( "chaos -b",
+              [ "chaos"; "-b"; "no-such"; "--max-steps"; "1000"; "--dir";
+                Filename.concat dir "chaos-unknown" ] );
+          ];
+        (* --jobs outside 1-127 (the runtime's domain cap, less the
+           calling domain) is refused before any work; one task would
+           run inline, so neither case could start a domain. *)
+        List.iter
+          (fun jobs ->
+            checki ("--jobs " ^ jobs ^ " is usage (1)") 1
+              (exit_of [ "fuzz"; "--budget"; "1"; "--jobs"; jobs ]))
+          [ "0"; "128" ])
   end
 
 let suite =
