@@ -158,6 +158,29 @@ let check_cmd =
 (* shared run options                                                   *)
 (* ------------------------------------------------------------------ *)
 
+(* An integer flag from [min] to [max], checked here, once, so a value
+   out of range is a usage error before any work runs. *)
+let int_from ?(max = max_int) min =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= min && n <= max -> Ok n
+    | Some _ | None ->
+        Error
+          (`Msg
+             (if max = max_int then
+                Printf.sprintf
+                  "invalid value '%s', expected an integer of at least %d" s
+                  min
+              else
+                Printf.sprintf "invalid value '%s', expected %d to %d" s min
+                  max))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+(* A count or a step number: zero keeps each flag's documented meaning,
+   a negative value is refused. *)
+let count = int_from 0
+
 let seed_arg =
   Arg.(
     value & opt int64 1L
@@ -166,7 +189,7 @@ let seed_arg =
 let max_steps_arg =
   Arg.(
     value
-    & opt int 200_000_000
+    & opt count 200_000_000
     & info [ "max-steps" ] ~docv:"N" ~doc:"Guest instruction budget.")
 
 let load_program file =
@@ -213,22 +236,13 @@ let policy_arg =
   in
   Arg.conv (parse, print)
 
-(* Checked here, once, so a count the runtime cannot spawn is a usage
-   error before any work runs. *)
+(* A count the runtime cannot spawn is a usage error before any work
+   runs. *)
 let jobs_arg =
   let max = Tpdbt_parallel.Supervisor.max_jobs in
-  let parse s =
-    match int_of_string_opt s with
-    | Some j when j >= 1 && j <= max -> Ok j
-    | Some _ | None ->
-        Error
-          (`Msg
-             (Printf.sprintf "invalid value '%s', expected 1 to %d" s max))
-  in
   Arg.(
     value
-    & opt (conv (parse, Format.pp_print_int))
-        (Tpdbt_parallel.Supervisor.default_jobs ())
+    & opt (int_from ~max 1) (Tpdbt_parallel.Supervisor.default_jobs ())
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:
           (Printf.sprintf
@@ -239,7 +253,7 @@ let jobs_arg =
 
 let shadow_arg =
   Arg.(
-    value & opt int 0
+    value & opt count 0
     & info [ "shadow" ] ~docv:"N"
         ~doc:
           "Shadow-execution oracle sampling period: replay every Nth region \
@@ -252,7 +266,7 @@ let dbt_cmd =
   in
   let threshold =
     Arg.(
-      value & opt int 1000
+      value & opt count 1000
       & info [ "threshold"; "t" ] ~docv:"T"
           ~doc:"Retranslation threshold (0 = profiling only).")
   in
@@ -268,7 +282,7 @@ let dbt_cmd =
   let cache_capacity =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some (int_from 1)) None
       & info [ "cache-capacity" ] ~docv:"INSTRS"
           ~doc:
             "Bound the code cache to this many translated guest \
@@ -295,7 +309,7 @@ let dbt_cmd =
   in
   let snapshot_every =
     Arg.(
-      value & opt int 0
+      value & opt count 0
       & info [ "snapshot-every" ] ~docv:"N"
           ~doc:
             "Snapshot every N guest instructions and keep running — a \
@@ -304,7 +318,7 @@ let dbt_cmd =
   let suspend_after =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some count) None
       & info [ "suspend-after" ] ~docv:"N"
           ~doc:
             "Suspend the run at guest instruction N, write the snapshot \
@@ -483,7 +497,7 @@ let bench_cmd =
 let budget_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some count) None
     & info [ "max-steps" ] ~docv:"N"
         ~doc:
           "Cap every constituent run at N guest instructions (default: the \
@@ -532,7 +546,7 @@ let sweep_cmd =
   let deadline =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some count) None
       & info [ "deadline" ] ~docv:"N"
           ~doc:
             "Fail any constituent run that executes more than N guest \
@@ -545,7 +559,7 @@ let sweep_cmd =
   let retries =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some count) None
       & info [ "retries" ] ~docv:"N"
           ~doc:
             "With $(b,--supervise): total attempts per benchmark before it \
@@ -553,7 +567,7 @@ let sweep_cmd =
   in
   let snapshot_every =
     Arg.(
-      value & opt int 0
+      value & opt count 0
       & info [ "snapshot-every" ] ~docv:"N"
           ~doc:
             "With $(b,--checkpoint): snapshot each benchmark's mid-run \
@@ -702,7 +716,7 @@ let profile_cmd =
   in
   let threshold =
     Arg.(
-      value & opt int 0
+      value & opt count 0
       & info [ "threshold"; "t" ] ~docv:"T"
           ~doc:
             "Retranslation threshold; 0 collects an AVEP-style full-run \
@@ -942,7 +956,7 @@ let trace_cmd =
   in
   let threshold =
     Arg.(
-      value & opt int 50
+      value & opt count 50
       & info [ "threshold"; "t" ] ~docv:"T"
           ~doc:"Retranslation threshold for the traced run.")
   in
@@ -960,7 +974,7 @@ let trace_cmd =
   in
   let max_events =
     Arg.(
-      value & opt int 1_000_000
+      value & opt count 1_000_000
       & info [ "max-events" ] ~docv:"N"
           ~doc:
             "Cap on events kept in memory for the summary and the Chrome \
@@ -1118,18 +1132,18 @@ let faults_cmd =
   in
   let threshold =
     Arg.(
-      value & opt int 20
+      value & opt count 20
       & info [ "threshold"; "t" ] ~docv:"T"
           ~doc:"Retranslation threshold for the campaign runs.")
   in
   let trials =
     Arg.(
-      value & opt int 8
+      value & opt count 8
       & info [ "trials"; "n" ] ~docv:"N" ~doc:"Number of faulty runs.")
   in
   let arms =
     Arg.(
-      value & opt int 4
+      value & opt count 4
       & info [ "arms" ] ~docv:"N" ~doc:"Fault arms per trial plan.")
   in
   let kinds =
@@ -1209,7 +1223,7 @@ let cache_cmd =
   in
   let threshold =
     Arg.(
-      value & opt int 20
+      value & opt count 20
       & info [ "threshold"; "t" ] ~docv:"T"
           ~doc:"Retranslation threshold for the sweep runs.")
   in
@@ -1391,7 +1405,7 @@ let chaos_cmd =
   in
   let chaos_steps =
     Arg.(
-      value & opt int 200_000
+      value & opt count 200_000
       & info [ "max-steps" ] ~docv:"N"
           ~doc:
             "Cap every constituent run at N guest instructions; capped runs \
@@ -1484,13 +1498,13 @@ let fuzz_cmd =
   let module Oracle = Tpdbt_fuzz.Oracle in
   let budget =
     Arg.(
-      value & opt int 100
+      value & opt (int_from 1) 100
       & info [ "budget" ] ~docv:"N"
           ~doc:"Number of generated programs to judge.")
   in
   let size =
     Arg.(
-      value & opt int 48
+      value & opt (int_from 1) 48
       & info [ "size" ] ~docv:"N"
           ~doc:"Target main-line instruction count per generated program.")
   in
@@ -1512,10 +1526,6 @@ let fuzz_cmd =
              byte-identical across job counts and repeated same-seed runs.")
   in
   let run budget size seed jobs corpus summary_file =
-    if budget <= 0 || size <= 0 then begin
-      prerr_endline "error: --budget and --size must be positive";
-      exit exit_usage
-    end;
     Option.iter ensure_parent summary_file;
     let config =
       {
@@ -1585,7 +1595,8 @@ let serve_cmd =
   let module Serve = Tpdbt_serve in
   let queue_limit =
     Arg.(
-      value & opt int Serve.Server.default_config.Serve.Server.queue_limit
+      value
+      & opt (int_from 1) Serve.Server.default_config.Serve.Server.queue_limit
       & info [ "queue-limit" ] ~docv:"N"
           ~doc:
             "Admission bound: expensive requests beyond N queued jobs are \
@@ -1594,7 +1605,7 @@ let serve_cmd =
   let deadline =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some count) None
       & info [ "deadline" ] ~docv:"STEPS"
           ~doc:
             "Per-run guest-step deadline (supervisor budget) applied to \
@@ -1603,7 +1614,7 @@ let serve_cmd =
   let serve_steps =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some count) None
       & info [ "max-steps" ] ~docv:"N"
           ~doc:
             "Server-wide guest-instruction cap; a request's own max_steps \
@@ -1629,7 +1640,9 @@ let serve_cmd =
   in
   let warm =
     Arg.(
-      value & opt int Serve.Server.default_config.Serve.Server.warm_capacity
+      value
+      & opt (int_from 1)
+          Serve.Server.default_config.Serve.Server.warm_capacity
       & info [ "warm-capacity" ] ~docv:"INSTRS"
           ~doc:
             "Warm reply cache budget, in translated guest instructions \
@@ -1644,7 +1657,7 @@ let serve_cmd =
   in
   let snapshot_every =
     Arg.(
-      value & opt int 0
+      value & opt count 0
       & info [ "snapshot-every" ] ~docv:"N"
           ~doc:
             "With $(b,--checkpoint): every N guest instructions each sweep \
@@ -1714,7 +1727,7 @@ let request_cmd =
   in
   let retries =
     Arg.(
-      value & opt int 0
+      value & opt count 0
       & info [ "retries" ] ~docv:"N"
           ~doc:
             "Retry an $(i,overloaded) reply up to N times with \

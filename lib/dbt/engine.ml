@@ -207,6 +207,9 @@ module Driver = struct
     code_len : int;
     starts : int array;  (* pc -> id of the block starting there, or -1 *)
     sizes : int array;  (* block id -> instruction count *)
+    schedules : Optimizer.block_result option array;
+        (* block id -> the block's optimised schedule, computed on first
+           use by any model the driver feeds and kept *)
     mutable steps : int;  (* the machine's step count *)
     mutable next : int;
         (* the block starting at the machine's pc, or -1: past the code
@@ -228,6 +231,7 @@ module Driver = struct
         sizes =
           Array.init (Block_map.block_count bmap) (fun b ->
               (Block_map.block bmap b).Block_map.size);
+        schedules = Array.make (Block_map.block_count bmap) None;
         steps = Machine.steps machine;
         next = -1;
       }
@@ -276,13 +280,17 @@ module Driver = struct
      step count and the machine's output count after it.  [c_bid] holds
      one more entry, so that [c_bid.(i + 1)] is always the block located
      after event [i]: the next event's, or, after the last, the block
-     the driver stands at (-1: none).  A group allocates one chunk and
-     reuses it for every stretch; a lone engine has none. *)
+     the driver stands at (-1: none).  [c_run.(i)] counts the events from
+     [i] to the chunk's end, [i] included, that repeat event [i]'s block
+     and outcome with no other event between them, so it is at least 1.
+     A group allocates one chunk and reuses it for every stretch; a lone
+     engine has none. *)
   type chunk = {
     c_bid : int array;
     c_outcome : int array;
     c_after : int array;
     c_outputs : int array;
+    c_run : int array;
     mutable c_len : int;
   }
 
@@ -294,6 +302,7 @@ module Driver = struct
       c_outcome = Array.make capacity 0;
       c_after = Array.make capacity 0;
       c_outputs = Array.make capacity 0;
+      c_run = Array.make capacity 0;
       c_len = 0;
     }
 
@@ -320,6 +329,21 @@ module Driver = struct
         Array.unsafe_set c.c_bid (n + 1) d.next
       end
     end
+
+  (* Mark the runs of chunk [c], from its last event back: one pass that
+     every member then reads.  A run never crosses the chunk's end. *)
+  let mark_runs c =
+    let last = c.c_len - 1 in
+    for i = last downto 0 do
+      Array.unsafe_set c.c_run i
+        (if
+           i < last
+           && Array.unsafe_get c.c_bid (i + 1) = Array.unsafe_get c.c_bid i
+           && Array.unsafe_get c.c_outcome (i + 1)
+              = Array.unsafe_get c.c_outcome i
+         then Array.unsafe_get c.c_run (i + 1) + 1
+         else 1)
+    done
 
   (* A final block that ends in a plain instruction falls through past
      the last one: the machine halts on its next step, which executes
@@ -349,6 +373,7 @@ type model = {
   program : Tpdbt_isa.Program.t;
   bmap : Block_map.t;
   sizes : int array;  (* block id -> instruction count, the driver's *)
+  schedules : Optimizer.block_result option array;  (* the driver's *)
   use : int array;
   taken : int array;
   state : block_state array;
@@ -444,7 +469,8 @@ type model = {
          point before it stops on none of them *)
 }
 
-let model_create cfg program bmap sizes =
+let model_create cfg program (d : Driver.t) =
+  let bmap = d.bmap in
   let n = Block_map.block_count bmap in
   let clock = ref 0 in
   let trace = not (Sink.is_null cfg.sink) in
@@ -452,7 +478,8 @@ let model_create cfg program bmap sizes =
     cfg;
     program;
     bmap;
-    sizes;
+    sizes = d.sizes;
+    schedules = d.schedules;
     use = Array.make n 0;
     taken = Array.make n 0;
     state = Array.make n Cold;
@@ -558,11 +585,21 @@ let region_instrs t (r : Region.t) =
     (fun acc b -> acc + (Block_map.block t.bmap b).Block_map.size)
     0 r.Region.slots
 
-let slot_cycles_of t r layout =
-  let code = t.program.Tpdbt_isa.Program.code in
-  if t.cfg.trace_scheduling then
-    Optimizer.region_slot_cycles_pipelined t.bmap ~code r layout
-  else Optimizer.region_slot_cycles t.bmap ~code r
+(* Block [b]'s optimised schedule.  It depends on the block alone, so
+   the driver keeps it from its first use: a group's members and every
+   re-install of a region share one computation. *)
+let block_schedule t b =
+  match t.schedules.(b) with
+  | Some s -> s
+  | None ->
+      let blk = Block_map.block t.bmap b in
+      let s =
+        Optimizer.optimize_block
+          (Array.sub t.program.Tpdbt_isa.Program.code blk.Block_map.start_pc
+             blk.Block_map.size)
+      in
+      t.schedules.(b) <- Some s;
+      s
 
 let build_rentry t (r : Region.t) mon =
   let layout = Region.layout r in
@@ -580,7 +617,14 @@ let build_rentry t (r : Region.t) mon =
   {
     r_region = r;
     r_mon = mon;
-    r_slot_cycles = slot_cycles_of t r layout;
+    r_slot_cycles =
+      Array.mapi
+        (fun slot b ->
+          float_of_int
+            (Optimizer.slot_cycles (block_schedule t b)
+               ~pipelined:t.cfg.trace_scheduling
+               ~has_succ:layout.Region.has_succ.(slot)))
+        r.Region.slots;
     r_slots = r.Region.slots;
     r_succ = succ;
     r_has_back = layout.Region.has_back;
@@ -891,31 +935,40 @@ let dissolve t (region : Region.t) =
 
 (* The short path of a profiled block: [bid] is translated and not
    optimised, the pool stays below its trigger, and its use count after
-   this execution, [use], stays below [reg_use] for a cold block and
-   below [twice_use] for a registered one, so that the execution can
-   neither register the block nor fire the pool. *)
-let[@inline] short_path t bid use =
-  t.touched.(bid)
-  && t.pool_size < t.pool_trigger_now
-  &&
-  match t.state.(bid) with
-  | Cold -> use < t.reg_use
-  | Registered -> use < t.twice_use
-  | Optimized -> false
+   this execution stays below [reg_use] for a cold block and below
+   [twice_use] for a registered one, so that the execution can neither
+   register the block nor fire the pool.  [short_bound] is that bound,
+   or 0 where the short path is closed; the path itself changes nothing
+   the bound reads. *)
+let[@inline] short_bound t bid =
+  if t.touched.(bid) && t.pool_size < t.pool_trigger_now then
+    match t.state.(bid) with
+    | Cold -> t.reg_use
+    | Registered -> t.twice_use
+    | Optimized -> 0
+  else 0
 
-(* Take the short path: update the counters, and return the cycle sum
-   [cycles] plus the execution's charge, added in the general case's
-   order. *)
-let[@inline] profile_short t bid outcome use cycles =
+(* Take the short path [n] times in a row, the first execution bringing
+   the use count to [use]: update the counters, and return the cycle sum
+   [cycles] plus [n] times the execution's charge, added one by one in
+   the general case's order, so that a run sums as its single steps
+   do. *)
+let[@inline] profile_short t bid outcome use n cycles =
   let perf = t.cfg.perf in
   (* a guest branch's direction is not worth a guess here: count it
      with no jump *)
   let took = Bool.to_int (outcome = Driver.took) in
-  t.use.(bid) <- use;
-  t.taken.(bid) <- t.taken.(bid) + took;
-  cycles
-  +. (float_of_int t.sizes.(bid) *. perf.Perf_model.profiled_exec_per_instr)
-  +. (float_of_int (1 + took) *. perf.Perf_model.profiling_op_cost)
+  let exec =
+    float_of_int t.sizes.(bid) *. perf.Perf_model.profiled_exec_per_instr
+  in
+  let ops = float_of_int (1 + took) *. perf.Perf_model.profiling_op_cost in
+  t.use.(bid) <- use + n - 1;
+  t.taken.(bid) <- t.taken.(bid) + (took * n);
+  let cycles = ref cycles in
+  for _ = 1 to n do
+    cycles := !cycles +. exec +. ops
+  done;
+  !cycles
 
 (* Block [bid] ran outside any region, from guest step [before] to
    [after], ending with [outcome]: charge its translation (first
@@ -926,8 +979,8 @@ let[@inline] profile_short t bid outcome use cycles =
    touch. *)
 let single t bid outcome ~before ~after =
   let use = t.use.(bid) + 1 in
-  if t.plain && short_path t bid use then
-    t.cycles_acc.(0) <- profile_short t bid outcome use t.cycles_acc.(0)
+  if t.plain && use < short_bound t bid then
+    t.cycles_acc.(0) <- profile_short t bid outcome use 1 t.cycles_acc.(0)
   else begin
     let b = Block_map.block t.bmap bid in
     let perf = t.cfg.perf in
@@ -1244,15 +1297,15 @@ let region_exit t re slot =
 let[@inline] successor re slot outcome =
   re.r_succ.((slot * Driver.roles) + outcome)
 
-(* Execution steps to slot [dst] of region [re]: count a step back to
-   slot 0 of a loop. *)
-let[@inline] count_step t re dst =
+(* Execution steps to slot [dst] of region [re] [n] times: count each
+   step back to slot 0 of a loop. *)
+let[@inline] count_steps t re dst n =
   if dst = 0 && re.r_is_loop then begin
-    t.counters.Perf_model.loop_backs <- t.counters.Perf_model.loop_backs + 1;
+    t.counters.Perf_model.loop_backs <- t.counters.Perf_model.loop_backs + n;
     (* Continuous loop profiling: the latch executed and looped. *)
     let mon = re.r_mon in
-    mon.m_lb_seen <- mon.m_lb_seen + 1;
-    mon.m_lb_taken <- mon.m_lb_taken + 1
+    mon.m_lb_seen <- mon.m_lb_seen + n;
+    mon.m_lb_taken <- mon.m_lb_taken + n
   end
 
 (* The block of slot [slot] of region [re] ran from [before] to [after]
@@ -1271,7 +1324,7 @@ let[@inline] region_slot t re slot outcome ~before ~after =
   if outcome >= Driver.finished then -1
   else
     let dst = successor re slot outcome in
-    if dst < 0 then region_exit t re slot else count_step t re dst;
+    if dst < 0 then region_exit t re slot else count_steps t re dst 1;
     dst
 
 (* ------------------------------------------------------------------ *)
@@ -1626,19 +1679,23 @@ and in_region_one d machine t re slot =
    corrupted code (a restored image can carry the last two): a profiled
    block's short path, a region entry, a region step to a slot whose
    block is the next one recorded, and an exit to a dispatch point below
-   [stop_step] with no adaptive side exit to answer.  The cycle sum, the
-   event, and the region ([no_region] at a dispatch point) and its slot
-   stay in locals; the function calls nothing, so they stay in
-   registers.  Returns the first event it did not take, or [c_len], with
-   the locals stored back into the model. *)
+   [stop_step] with no adaptive side exit to answer.  Two of these take
+   a run of repeated events in one step, as far as the member's state
+   cannot change inside it: the short path, while the use count stays
+   below its bound and the step count below [stop_step], and a step of
+   a one-block loop back to its own slot.  The cycle sum, the event,
+   and the region ([no_region] at a dispatch point) and its slot stay in
+   locals; the function calls nothing, so they stay in registers.
+   Returns the first event it did not take, or [c_len], with the locals
+   stored back into the model. *)
 let replay_inline t (c : Driver.chunk) i =
-  let len = c.c_len in
   let acc = ref t.cycles_acc.(0) in
   let i = ref i in
-  let go = ref true in
+  (* the loop ends at [c_len], or at the first event it cannot take *)
+  let stop = ref c.c_len in
   let re = ref (if t.cur >= 0 then t.entry.(t.cur) else no_region) in
   let slot = ref t.slot in
-  while !go && !i < len do
+  while !i < !stop do
     let ev = !i in
     let outcome = Array.unsafe_get c.c_outcome ev in
     let r = !re in
@@ -1654,28 +1711,55 @@ let replay_inline t (c : Driver.chunk) i =
       end
       else
         let use = t.use.(bid) + 1 in
+        let bound = short_bound t bid in
         if
           outcome < Driver.finished
           && Array.unsafe_get c.c_after ev < t.stop_step
-          && short_path t bid use
+          && use < bound
         then begin
-          acc := profile_short t bid outcome use !acc;
-          i := ev + 1
+          (* the run's events, up to the use count's bound and the last
+             that ends below [stop_step] *)
+          let run = Array.unsafe_get c.c_run ev in
+          let n = ref (if run < bound - use then run else bound - use) in
+          while Array.unsafe_get c.c_after (ev + !n - 1) >= t.stop_step do
+            decr n
+          done;
+          acc := profile_short t bid outcome use !n !acc;
+          i := ev + !n
         end
-        else go := false
+        else stop := ev
     end
-    else if outcome >= Driver.finished then go := false
+    else if outcome >= Driver.finished then stop := ev
     else
       let s = !slot in
       let dst = successor r s outcome in
-      if dst >= 0 then
+      if dst = s then begin
+        (* A one-block loop: each event of the run but the last steps
+           back to this slot, and so does the last when the event after
+           the run runs this block again. *)
+        let run = Array.unsafe_get c.c_run ev in
+        let n =
+          if r.r_slots.(s) = Array.unsafe_get c.c_bid (ev + run) then run
+          else run - 1
+        in
+        if n > 0 then begin
+          let cost = r.r_slot_cycles.(s) in
+          for _ = 1 to n do
+            acc := !acc +. cost
+          done;
+          count_steps t r s n;
+          i := ev + n
+        end
+        else stop := ev
+      end
+      else if dst >= 0 then
         if r.r_slots.(dst) = Array.unsafe_get c.c_bid (ev + 1) then begin
           acc := !acc +. r.r_slot_cycles.(s);
-          count_step t r dst;
+          count_steps t r dst 1;
           slot := dst;
           i := ev + 1
         end
-        else go := false
+        else stop := ev
       else if
         Array.unsafe_get c.c_after ev < t.stop_step
         && ((not t.cfg.adaptive) || closes r s)
@@ -1685,7 +1769,7 @@ let replay_inline t (c : Driver.chunk) i =
         re := no_region;
         i := ev + 1
       end
-      else go := false
+      else stop := ev
   done;
   t.cycles_acc.(0) <- !acc;
   t.slot <- !slot;
@@ -1764,6 +1848,7 @@ let replay_chunk t machine (c : Driver.chunk) before0 =
 let rec drive_chunks g d machine c models =
   let before = d.Driver.steps in
   Driver.record d c g.suspend_step 0;
+  Driver.mark_runs c;
   for i = 0 to Array.length models - 1 do
     let t = models.(i) in
     if t.live && c.Driver.c_len > 0 then replay_chunk t machine c before
@@ -1822,7 +1907,7 @@ let result_of t machine =
 let create ?config:(cfg = config ~threshold:1000 ()) ?mem_words ~seed program =
   let machine = Machine.create ?mem_words ~seed program in
   let d = Driver.of_machine machine (Block_map.build program) in
-  of_parts d [| model_create cfg program d.Driver.bmap d.Driver.sizes |]
+  of_parts d [| model_create cfg program d |]
 
 let solo g = g.models.(0)
 let block_map g = g.driver.Driver.bmap
@@ -1967,7 +2052,7 @@ let restore_model cfg program (d : Driver.t) image =
       if b < 0 || b >= n then
         invalid_arg (Printf.sprintf "Engine.restore: pooled block %d" b))
     image.ex_pool;
-  let t = model_create cfg program bmap d.sizes in
+  let t = model_create cfg program d in
   Array.blit image.ex_use 0 t.use 0 n;
   Array.blit image.ex_taken 0 t.taken 0 n;
   Array.iteri (fun b c -> t.state.(b) <- block_state_of_code c) image.ex_state;
@@ -2125,7 +2210,7 @@ module Group = struct
     of_models d configs
       (Array.of_list
          (List.map
-            (fun c -> model_create c program d.Driver.bmap d.Driver.sizes)
+            (fun c -> model_create c program d)
             configs))
 
   let run g =

@@ -35,8 +35,8 @@ type config = {
   enable_diamonds : bool;
   trace_scheduling : bool;
       (** Schedule regions as traces: result latencies overlap across
-          region-internal edges ({!Optimizer.region_slot_cycles_pipelined}).
-          Off by default — the ablation studies quantify it. *)
+          region-internal edges ({!Optimizer.slot_cycles}).  Off by
+          default — the ablation studies quantify it. *)
   regions_across_calls : bool;
       (** Let region formation follow call edges into hot callees
           (partial inlining); a [ret] ends the region.  Off by default —
@@ -311,6 +311,22 @@ val restore : ?config:config -> Tpdbt_isa.Program.t -> image -> t
     member with a sink or a bounded cache) goes through the same
     per-event code a lone engine runs, so each accounting rule has one
     home and the cycle sum is added in the same order.
+
+    The stream repeats itself: most events run the same block with the
+    same outcome as the event before them.  The driver marks each
+    recorded event with the length of the run of such events that
+    starts there, in one pass per chunk, and the loop takes a run in
+    one step where the member's state cannot change inside it: a
+    profiled block on the short path, up to the event whose use count
+    would register the block or fire the pool and the last event that
+    ends before the member's stop step, and a one-block loop region
+    stepping back to its own slot.  The run's counters rise by its
+    length, and its charges are still added one by one, in the order
+    the single steps add them, so the cycle sum is bit-identical for
+    any {!Perf_model.params}.  The driver also keeps each block's
+    optimised schedule ({!Optimizer.optimize_block}) from its first
+    use, so the members and every re-install of a region share one
+    computation.
 
     The members' suspension triggers act on the group as a whole:
     [snapshot_every] suspends it every that many guest instructions and

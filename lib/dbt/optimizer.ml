@@ -1,6 +1,11 @@
 module Instr = Tpdbt_isa.Instr
 
-type block_result = { ops_before : int; ops_after : int; cycles : int }
+type block_result = {
+  ops_before : int;
+  ops_after : int;
+  cycles : int;
+  issue_span : int;
+}
 
 (* ------------------------------------------------------------------ *)
 (* Constant propagation / folding                                      *)
@@ -214,28 +219,13 @@ let optimize_block instrs =
   let ops_before = List.length lowered in
   let optimized = dead_def_elim (const_fold lowered) in
   let ops_after = List.length optimized in
-  { ops_before; ops_after; cycles = schedule_cycles optimized }
+  let cycles, issue_span = schedule_internal optimized in
+  { ops_before; ops_after; cycles; issue_span }
 
-let region_slot_cycles block_map ~code region =
-  Array.map
-    (fun block_id ->
-      let b = Block_map.block block_map block_id in
-      let instrs = Array.sub code b.Block_map.start_pc b.Block_map.size in
-      float_of_int (optimize_block instrs).cycles)
-    region.Region.slots
-
-let region_slot_cycles_pipelined block_map ~code region layout =
-  (* A slot with a region-internal successor only pays its issue span:
-     the latency drain of its last results is hidden by the successor's
-     independent instructions.  Slots without an internal successor (the
-     trace tail and side-exit-only slots) pay the full schedule. *)
-  Array.mapi
-    (fun slot block_id ->
-      let b = Block_map.block block_map block_id in
-      let instrs = Array.sub code b.Block_map.start_pc b.Block_map.size in
-      let lowered = Ir.lower_block instrs in
-      let optimized = dead_def_elim (const_fold lowered) in
-      let finish, issue_span = schedule_internal optimized in
-      float_of_int
-        (if layout.Region.has_succ.(slot) then issue_span else finish))
-    region.Region.slots
+(* A slot with a region-internal successor pays only its issue span when
+   the region is trace scheduled: the latency drain of its last results
+   is hidden by the successor's independent instructions.  Every other
+   slot (the trace tail, side-exit-only slots, and any slot of a region
+   scheduled block by block) pays the full schedule. *)
+let slot_cycles r ~pipelined ~has_succ =
+  if pipelined && has_succ then r.issue_span else r.cycles

@@ -9,7 +9,12 @@
 type block_result = {
   ops_before : int;  (** IR ops after lowering *)
   ops_after : int;  (** IR ops surviving the scalar passes *)
-  cycles : int;  (** scheduled length (2-issue, with latencies) *)
+  cycles : int;
+      (** scheduled length (2-issue, with latencies): the cycle after
+          the last result is ready *)
+  issue_span : int;
+      (** the cycle after the last issue; at most [cycles], which adds
+          the latency drain of the last results *)
 }
 
 val const_fold : Ir.op list -> Ir.op list
@@ -27,23 +32,18 @@ val schedule_cycles : Ir.op list -> int
     dependences) on a 2-issue machine; returns the number of cycles. *)
 
 val optimize_block : Tpdbt_isa.Instr.t array -> block_result
+(** The whole pipeline over one block's instructions.  It depends on
+    the instructions alone, so a translator computes it once per block
+    and program and reads each region slot's cost from it
+    ({!slot_cycles}). *)
 
-val region_slot_cycles : Block_map.t -> code:Tpdbt_isa.Instr.t array -> Region.t -> float array
-(** Per-slot optimised cycle cost for a region (each slot's block run
-    through {!optimize_block}). *)
-
-val region_slot_cycles_pipelined :
-  Block_map.t ->
-  code:Tpdbt_isa.Instr.t array ->
-  Region.t ->
-  Region.layout ->
-  float array
-(** Trace scheduling (region-based compilation, Hank/Hwu/Rau):
-    instructions still issue within their own block (no speculation
-    across branches), but result latencies overlap across region edges —
-    a block's tail-latency "drain" cycles are hidden by its successor's
-    independent instructions.  Each slot's cost is its share of the
-    pipelined schedule of the region's hot path through that slot; costs
-    are never higher than {!region_slot_cycles}'s.  A slot with a
-    region-internal successor ([has_succ] in the region's
-    {!Region.layout}) pays only its issue span. *)
+val slot_cycles : block_result -> pipelined:bool -> has_succ:bool -> int
+(** The cycles one optimised execution of a block costs in a region
+    slot.  Scheduled block by block, a slot pays [cycles].  Under trace
+    scheduling (region-based compilation, Hank/Hwu/Rau), instructions
+    still issue within their own block (no speculation across
+    branches), but result latencies overlap across region edges: a slot
+    with a region-internal successor ([has_succ] in the region's
+    {!Region.layout}) pays only its [issue_span], its drain hidden by
+    the successor's independent instructions, and every other slot pays
+    [cycles].  So a trace-scheduled slot never costs more. *)

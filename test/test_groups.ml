@@ -268,6 +268,90 @@ let test_suspend_mid_chunk () =
       checks (Printf.sprintf "member %d" i) (result_text a) (result_text b))
     (List.combine (Engine.Group.results straight) (finish restored))
 
+(* A one-block loop of [inner] trips inside a loop of [outer] trips:
+   the stream is mostly runs of one block and outcome, [inner - 1]
+   events long, and they straddle the chunk edges. *)
+let runs_src ~outer ~inner =
+  Printf.sprintf
+    {|
+.entry main
+main:
+    movi r1, %d
+    movi r2, 0
+outer:
+    movi r3, %d
+inner:
+    addi r2, r2, 1
+    subi r3, r3, 1
+    bgt r3, r0, inner
+    out r2
+    out r1
+    subi r1, r1, 1
+    bgt r1, r0, outer
+    halt
+|}
+    outer inner
+
+(* Replay takes a run of repeated events in one step only as far as the
+   member's state cannot change inside it.  Here every edge of that
+   lands inside a run: the inner block's registration (T = 100, and
+   T = 1000 three trips of the outer loop later), its second threshold
+   (2T = 200 and 2000), a round fired by the registration itself
+   (pool trigger 1), the step budget, the chunk's end and a group
+   suspension.  The inner block's runs then replay as a one-block loop
+   region, whose loop-back counters rise by the run.  One member's
+   charges are not whole numbers, so its cycle sum is exact only if a
+   run's charges are added one by one. *)
+let test_runs_at_every_edge () =
+  let program = Assembler.assemble_exn (runs_src ~outer:12 ~inner:300) in
+  let stream = block_stream ~seed:1L program ~limit:(8 * chunk) in
+  (* Event [e] and its neighbours run the inner block, the only one of
+     three instructions. *)
+  let in_run e =
+    e >= 3
+    && e + 1 < Array.length stream
+    && List.for_all
+         (fun k -> stream.(k) - stream.(k - 1) = 3)
+         [ e - 1; e; e + 1 ]
+  in
+  let budgets =
+    List.map
+      (fun e ->
+        if not (in_run e) then Alcotest.failf "event %d is not inside a run" e;
+        stream.(e))
+      [ 50; 150; chunk - 1; chunk; chunk + 1; (2 * chunk) + 100 ]
+  in
+  let members =
+    [
+      Engine.profiling_only;
+      Engine.config ~threshold:1 ();
+      Engine.config ~threshold:37 ~pool_trigger:1 ();
+      Engine.config ~threshold:100 ();
+      Engine.config ~threshold:1000 ();
+      {
+        (Engine.config ~threshold:100 ()) with
+        Engine.perf =
+          {
+            Perf_model.default with
+            Perf_model.profiled_exec_per_instr = 0.1;
+            profiling_op_cost = 0.3;
+          };
+      };
+    ]
+  in
+  let at budgets =
+    List.concat_map
+      (fun max_steps ->
+        List.map (fun c -> { c with Engine.max_steps }) members)
+      budgets
+  in
+  check_group ~seed:1L "runs" program
+    (members @ at budgets @ configs_at budgets);
+  (* A suspension every [stream.(150)] steps: the first lands inside the
+     first trip's run, the next ones wherever the period falls. *)
+  check_group ~every:stream.(150) ~seed:1L "runs, suspending" program
+    (members @ at budgets)
+
 let suite =
   [
     Alcotest.test_case "suite member stops at chunk edges" `Quick
@@ -278,4 +362,5 @@ let suite =
       test_halt_and_trap_mid_chunk;
     Alcotest.test_case "suspend mid-chunk and resume" `Quick
       test_suspend_mid_chunk;
+    Alcotest.test_case "runs at every edge" `Quick test_runs_at_every_edge;
   ]

@@ -642,7 +642,43 @@ let test_cli_exit_taxonomy () =
           (fun jobs ->
             checki ("--jobs " ^ jobs ^ " is usage (1)") 1
               (exit_of [ "fuzz"; "--budget"; "1"; "--jobs"; jobs ]))
-          [ "0"; "128" ])
+          [ "0"; "128" ];
+        (* A negative count or step flag, and a queue limit or a cache
+           capacity below 1, are refused by one converter before any
+           work: no sweep, fault campaign or daemon starts.  Zero keeps
+           its meaning where it has one. *)
+        let sock = Filename.concat dir "refused.sock" in
+        List.iter
+          (fun (what, args) -> checki (what ^ " is usage (1)") 1 (exit_of args))
+          [
+            ( "sweep --max-steps=-5",
+              [ "sweep"; "-b"; "gzip"; "--max-steps=-5" ] );
+            ( "cache --threshold=-1",
+              [ "cache"; "gzip"; "--max-steps"; "1000"; "--threshold=-1" ] );
+            ( "sweep --supervise --retries=-2",
+              [ "sweep"; "-b"; "gzip"; "--max-steps"; "1000"; "--supervise";
+                "--retries=-2" ] );
+            ( "faults --shadow=-3",
+              [ "faults"; "gzip"; "--trials"; "1"; "--shadow=-3" ] );
+            ( "dbt --snapshot-every=-1",
+              [ "dbt"; good; "--snapshot-every=-1"; "--snapshot";
+                Filename.concat dir "s.snap" ] );
+            ("fuzz --budget 0", [ "fuzz"; "--budget"; "0" ]);
+            ( "dbt --cache-capacity 0",
+              [ "dbt"; good; "--cache-capacity"; "0" ] );
+            ( "serve --queue-limit=-1",
+              [ "serve"; "--socket"; sock; "--queue-limit=-1"; "--quiet" ] );
+            ( "serve --queue-limit 0",
+              [ "serve"; "--socket"; sock; "--queue-limit"; "0"; "--quiet" ] );
+            ( "serve --warm-capacity 0",
+              [ "serve"; "--socket"; sock; "--warm-capacity"; "0";
+                "--quiet" ] );
+          ];
+        checkb "no refused daemon made its socket" false (Sys.file_exists sock);
+        checki "dbt -t 0 --shadow 0 --snapshot-every 0 succeeds" 0
+          (exit_of
+             [ "dbt"; good; "-t"; "0"; "--shadow"; "0"; "--snapshot-every";
+               "0" ]))
   end
 
 let suite =
