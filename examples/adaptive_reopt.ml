@@ -18,6 +18,7 @@
 module Engine = Tpdbt_dbt.Engine
 module Perf_model = Tpdbt_dbt.Perf_model
 module Region = Tpdbt_dbt.Region
+module Metrics = Tpdbt_profiles.Metrics
 
 let () =
   let bench =
@@ -36,14 +37,14 @@ let () =
   let describe name result =
     let c = result.Engine.counters in
     let comparison =
-      Tpdbt_profiles.Metrics.compare_snapshots ~inip:result.Engine.snapshot
+      Metrics.compare_snapshots ~inip:result.Engine.snapshot
         ~avep:avep.Engine.snapshot
     in
     Printf.printf "%-16s cycles %12.0f   side exits %7d / %7d entries   \
                    dissolved %3d   Sd.BP %.3f\n"
       name c.Perf_model.cycles c.Perf_model.side_exits
       c.Perf_model.region_entries c.Perf_model.regions_dissolved
-      comparison.Tpdbt_profiles.Metrics.sd_bp
+      comparison.Metrics.sd_bp
   in
   let fixed, adaptive =
     match runs with [ f; a ] -> (f, a) | _ -> assert false
@@ -55,25 +56,30 @@ let () =
                  regions of the adaptive run):";
   Printf.printf "%8s  %10s  %12s  %12s\n" "region" "frozen LP" "live LP"
     "latch visits";
+  (* The frozen LP is the INIP side of the region's LP row. *)
+  let rows =
+    Metrics.rows ~inip:adaptive.Engine.snapshot ~avep:avep.Engine.snapshot
+  in
+  let frozen_lp id =
+    List.find_map
+      (fun { Metrics.kind; region; inip; _ } ->
+        match (kind, region) with
+        | Metrics.Lp, Some r when r.Region.id = id -> inip
+        | (Metrics.Bp | Metrics.Cp | Metrics.Lp), _ -> None)
+      rows
+  in
   List.iter
     (fun (id, stats) ->
       if stats.Engine.loop_back_seen > 200 then
-        match
-          Tpdbt_dbt.Snapshot.find_region adaptive.Engine.snapshot id
-        with
-        | Some region when region.Region.kind = Region.Loop ->
-            let frozen =
-              Tpdbt_profiles.Region_prob.loopback_probability
-                (Region.layout region)
-                ~prob:(Region.frozen_branch_prob region)
-            in
+        match frozen_lp id with
+        | Some frozen ->
             let live =
               float_of_int stats.Engine.loop_back_taken
               /. float_of_int stats.Engine.loop_back_seen
             in
             Printf.printf "%8d  %10.4f  %12.4f  %12d\n" id frozen live
               stats.Engine.loop_back_seen
-        | Some _ | None -> ())
+        | None -> ())
     adaptive.Engine.region_stats;
   print_endline
     "\nWhere frozen and live LP diverge, the loop's trip count changed \

@@ -28,6 +28,8 @@ inner:
     halt
 |}
 
+module Metrics = Tpdbt_profiles.Metrics
+
 let () =
   let program = Tpdbt_isa.Assembler.assemble_exn source in
   let bmap = Tpdbt_dbt.Block_map.build program in
@@ -36,36 +38,28 @@ let () =
     (fun b -> Format.printf "  %a@." Tpdbt_dbt.Block_map.pp_block b)
     (Tpdbt_dbt.Block_map.blocks bmap);
 
-  let config = Tpdbt_dbt.Engine.config ~threshold:40 () in
-  let inip =
-    Tpdbt_dbt.Engine.run (Tpdbt_dbt.Engine.create ~config ~seed:9L program)
+  let profile config =
+    (Tpdbt_dbt.Engine.run (Tpdbt_dbt.Engine.create ~config ~seed:9L program))
+      .Tpdbt_dbt.Engine.snapshot
   in
-  let avep =
-    Tpdbt_dbt.Engine.run
-      (Tpdbt_dbt.Engine.create ~config:Tpdbt_dbt.Engine.profiling_only ~seed:9L
-         program)
-  in
+  let inip = profile (Tpdbt_dbt.Engine.config ~threshold:40 ()) in
+  let avep = profile Tpdbt_dbt.Engine.profiling_only in
   print_endline "\nregions formed by the optimisation phase:";
+  (* Each region's CP or LP row: its INIP side is the probability
+     propagated through the region's frozen profile. *)
   List.iter
-    (fun region ->
-      Format.printf "  %a@." Tpdbt_dbt.Region.pp region;
-      let prob slot = Tpdbt_dbt.Region.frozen_branch_prob region slot in
-      match region.Tpdbt_dbt.Region.kind with
-      | Tpdbt_dbt.Region.Loop ->
-          Format.printf "    loop-back probability (frozen profile): %.4f@."
-            (Tpdbt_profiles.Region_prob.loopback_probability
-               (Tpdbt_dbt.Region.layout region) ~prob)
-      | Tpdbt_dbt.Region.Trace ->
-          Format.printf "    completion probability (frozen profile): %.4f@."
-            (Tpdbt_profiles.Region_prob.completion_probability
-               (Tpdbt_dbt.Region.layout region) ~prob))
-    inip.Tpdbt_dbt.Engine.snapshot.Tpdbt_dbt.Snapshot.regions;
+    (fun { Metrics.kind; region; inip = p; _ } ->
+      match (kind, region, p) with
+      | (Metrics.Cp | Metrics.Lp), Some region, Some p ->
+          Format.printf "  %a@.    %s probability (frozen profile): %.4f@."
+            Tpdbt_dbt.Region.pp region
+            (if kind = Metrics.Lp then "loop-back" else "completion")
+            p
+      | Metrics.Bp, _, _ | _, None, _ | _, _, None -> ())
+    (Metrics.rows ~inip ~avep);
 
   print_endline "\nNAVEP: average-profile frequencies per block copy:";
-  let navep =
-    Tpdbt_profiles.Navep.build ~inip:inip.Tpdbt_dbt.Engine.snapshot
-      ~avep:avep.Tpdbt_dbt.Engine.snapshot
-  in
+  let navep = Tpdbt_profiles.Navep.build ~inip ~avep in
   List.iter
     (fun (c : Tpdbt_profiles.Navep.copy) ->
       let where =
@@ -83,10 +77,5 @@ let () =
     "\nDuplicated blocks (same B id in several regions) split their AVEP\n\
      frequency between copies via the Markov flow equations — the paper's\n\
      Figure 3/4 normalisation.";
-  let comparison =
-    Tpdbt_profiles.Metrics.compare_snapshots
-      ~inip:inip.Tpdbt_dbt.Engine.snapshot
-      ~avep:avep.Tpdbt_dbt.Engine.snapshot
-  in
-  Format.printf "\nmetrics: %a@." Tpdbt_profiles.Metrics.pp_comparison
-    comparison
+  Format.printf "\nmetrics: %a@." Metrics.pp_comparison
+    (Metrics.compare_snapshots ~inip ~avep)

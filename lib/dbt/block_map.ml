@@ -192,6 +192,11 @@ let block t id =
 let block_opt t id =
   if id < 0 || id >= Array.length t.blocks then None else Some t.blocks.(id)
 
+let is_cond t id =
+  match (block t id).terminator with
+  | Cond _ -> true
+  | Goto _ | Call_to _ | Return | Stop | Fallthrough _ -> false
+
 let blocks t = Array.to_list t.blocks
 
 let block_at t pc =

@@ -63,6 +63,9 @@ val block : t -> int -> block
 val block_opt : t -> int -> block option
 (** Total variant of {!block}: [None] on a bad id. *)
 
+val is_cond : t -> int -> bool
+(** The block ends in a conditional branch; ids as for {!block}. *)
+
 val blocks : t -> block list
 (** In block-id order (i.e. ascending start pc). *)
 

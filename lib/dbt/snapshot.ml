@@ -6,16 +6,13 @@ type t = {
 }
 
 let branch_prob t block =
-  if block < 0 || block >= Array.length t.use then None
-  else
-    match (Block_map.block t.block_map block).Block_map.terminator with
-    | Block_map.Cond _ ->
-        let use = t.use.(block) in
-        if use <= 0 then None
-        else Some (float_of_int t.taken.(block) /. float_of_int use)
-    | Block_map.Goto _ | Block_map.Call_to _ | Block_map.Return
-    | Block_map.Stop | Block_map.Fallthrough _ ->
-        None
+  if
+    block < 0
+    || block >= Array.length t.use
+    || t.use.(block) <= 0
+    || not (Block_map.is_cond t.block_map block)
+  then None
+  else Some (float_of_int t.taken.(block) /. float_of_int t.use.(block))
 
 let block_freq t block =
   if block < 0 || block >= Array.length t.use then 0.0

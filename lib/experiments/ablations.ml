@@ -1,6 +1,7 @@
 module Engine = Tpdbt_dbt.Engine
 module Perf_model = Tpdbt_dbt.Perf_model
 module Metrics = Tpdbt_profiles.Metrics
+module Stats = Tpdbt_numerics.Stats
 module Suite = Tpdbt_workloads.Suite
 
 let default_benchmarks = [ "gzip"; "mcf"; "perlbmk"; "crafty"; "swim"; "wupwise" ]
@@ -23,11 +24,6 @@ let resolve names =
    benchmark-averaged metrics and cycles relative to the first variant. *)
 let study ~title ~variants ~benchmarks =
   let benches = resolve benchmarks in
-  let mean values =
-    match values with
-    | [] -> None
-    | l -> Some (List.fold_left ( +. ) 0.0 l /. float_of_int (List.length l))
-  in
   (* One pass per benchmark: its AVEP and every variant are models of
      one group over the reference input. *)
   let passes =
@@ -67,13 +63,12 @@ let study ~title ~variants ~benchmarks =
         List.map (fun (_, _, c) -> c) per_bench
       in
       let results = List.map (fun (r, _, _) -> r) per_bench in
-      let sd_bp =
-        mean (List.map (fun (c : Metrics.comparison) -> c.Metrics.sd_bp) comparisons)
-      in
-      let sd_cp = mean (List.map (fun c -> c.Metrics.sd_cp) comparisons) in
-      let sd_lp = mean (List.map (fun c -> c.Metrics.sd_lp) comparisons) in
+      let average metric = Stats.mean (List.map metric comparisons) in
+      let sd_bp = average (fun (c : Metrics.comparison) -> c.Metrics.sd_bp) in
+      let sd_cp = average (fun c -> c.Metrics.sd_cp) in
+      let sd_lp = average (fun c -> c.Metrics.sd_lp) in
       let side_exit_rate =
-        mean
+        Stats.mean
           (List.map
              (fun (r : Engine.result) ->
                let entries = r.Engine.counters.Perf_model.region_entries in
@@ -84,14 +79,14 @@ let study ~title ~variants ~benchmarks =
              results)
       in
       let dissolved =
-        mean
+        Stats.mean
           (List.map
              (fun (r : Engine.result) ->
                float_of_int r.Engine.counters.Perf_model.regions_dissolved)
              results)
       in
       let rel_cycles =
-        mean
+        Stats.mean
           (List.map2
              (fun (r : Engine.result) base ->
                let c = r.Engine.counters.Perf_model.cycles in

@@ -1,4 +1,5 @@
 module Metrics = Tpdbt_profiles.Metrics
+module Stats = Tpdbt_numerics.Stats
 module Spec = Tpdbt_workloads.Spec
 module Engine = Tpdbt_dbt.Engine
 module Perf_model = Tpdbt_dbt.Perf_model
@@ -11,9 +12,16 @@ let labels data =
 let of_suite suite data =
   List.filter (fun d -> d.Runner.bench.Spec.suite = suite) data
 
-let mean = function
-  | [] -> None
-  | l -> Some (List.fold_left ( +. ) 0.0 l /. float_of_int (List.length l))
+(* One row per suite present in [data], "int" then "fp", from the
+   suite's members. *)
+let suite_rows table data row =
+  List.fold_left
+    (fun table (name, suite) ->
+      match of_suite suite data with
+      | [] -> table
+      | subset -> Table.add_row table name (row subset))
+    table
+    [ ("int", `Int); ("fp", `Fp) ]
 
 (* Average a per-run metric over a benchmark subset, per threshold. *)
 let averaged_series subset ~metric =
@@ -22,139 +30,100 @@ let averaged_series subset ~metric =
   | first :: _ ->
       List.mapi
         (fun i _ ->
-          mean
+          Stats.mean
             (List.filter_map
                (fun d ->
                  match List.nth_opt d.Runner.runs i with
-                 | Some run -> Some (metric run)
+                 | Some run -> Some (metric run.Runner.comparison)
                  | None -> None)
                subset))
         first.Runner.runs
 
-let train_column subset ~metric =
-  mean (List.map (fun d -> metric d.Runner.train_flat) subset)
+(* -- averages with a train reference column ----------------------------
+   Sd.BP and the BP mismatch rate read the flat train comparison
+   ("train").  The paper has no train reference for CP and LP (§2.3):
+   its INIP(train) has no regions.  We additionally report a "train*"
+   column computed by forming regions OFFLINE in the training profile
+   (Offline_regions) — the comparison the paper lists as future work. *)
 
-(* -- Sd.BP / mismatch averages with a train reference column ---------- *)
+let averaged_with_train data ~title ~train_label ~train ~metric =
+  suite_rows
+    (Table.make ~title ~columns:(train_label :: labels data))
+    data
+    (fun subset ->
+      Stats.mean (List.map (fun d -> metric (train d)) subset)
+      :: averaged_series subset ~metric)
 
-let averaged_with_train data ~title ~run_metric ~train_metric =
-  let cols = "train" :: labels data in
-  let table = Table.make ~title ~columns:cols in
-  List.fold_left
-    (fun table (name, suite) ->
-      let subset = of_suite suite data in
-      if subset = [] then table
-      else
-        Table.add_row table name
-          (train_column subset ~metric:train_metric
-          :: averaged_series subset ~metric:run_metric))
-    table
-    [ ("int", `Int); ("fp", `Fp) ]
+let flat d = d.Runner.train_flat
+let offline d = d.Runner.train_regions
 
 let fig8 data =
   averaged_with_train data
     ~title:"Figure 8: standard deviation of branch probabilities (Sd.BP)"
-    ~run_metric:(fun r -> r.Runner.comparison.Metrics.sd_bp)
-    ~train_metric:(fun (f : Metrics.flat) -> f.Metrics.sd_bp)
+    ~train_label:"train" ~train:flat
+    ~metric:(fun c -> c.Metrics.sd_bp)
 
 let fig10 data =
   averaged_with_train data
     ~title:"Figure 10: branch probability mismatch rates"
-    ~run_metric:(fun r -> r.Runner.comparison.Metrics.bp_mismatch)
-    ~train_metric:(fun (f : Metrics.flat) -> f.Metrics.bp_mismatch)
+    ~train_label:"train" ~train:flat
+    ~metric:(fun c -> c.Metrics.bp_mismatch)
+
+let fig13 data =
+  averaged_with_train data
+    ~title:
+      "Figure 13: standard deviation of completion probabilities (Sd.CP) \
+       [train* = offline-formed regions, a paper future-work extension]"
+    ~train_label:"train*" ~train:offline
+    ~metric:(fun c -> c.Metrics.sd_cp)
+
+let fig14 data =
+  averaged_with_train data
+    ~title:
+      "Figure 14: standard deviation of loop-back probabilities (Sd.LP) \
+       [train* = offline-formed regions, a paper future-work extension]"
+    ~train_label:"train*" ~train:offline
+    ~metric:(fun c -> c.Metrics.sd_lp)
 
 (* -- per-benchmark tables --------------------------------------------- *)
 
-let per_benchmark data ~suite ~title ~run_metric ~train_metric =
-  let cols = "train" :: labels data in
-  let table = Table.make ~title ~columns:cols in
+let per_benchmark data ~suite ~title ~with_train ~metric =
+  let table = Table.make ~title ~columns:("train" :: labels data) in
   List.fold_left
     (fun table d ->
-      let train =
-        match train_metric with
-        | Some metric -> Some (metric d.Runner.train_flat)
-        | None -> None
-      in
       Table.add_row table d.Runner.bench.Spec.name
-        (train :: List.map (fun r -> Some (run_metric r)) d.Runner.runs))
+        ((if with_train then Some (metric d.Runner.train_flat) else None)
+        :: List.map (fun r -> Some (metric r.Runner.comparison)) d.Runner.runs))
     table (of_suite suite data)
 
 let fig9 data =
   per_benchmark data ~suite:`Int
-    ~title:"Figure 9: Sd.BP per SPEC2000 INT benchmark"
-    ~run_metric:(fun r -> r.Runner.comparison.Metrics.sd_bp)
-    ~train_metric:(Some (fun (f : Metrics.flat) -> f.Metrics.sd_bp))
+    ~title:"Figure 9: Sd.BP per SPEC2000 INT benchmark" ~with_train:true
+    ~metric:(fun c -> c.Metrics.sd_bp)
 
 let fig11 data =
   per_benchmark data ~suite:`Int
-    ~title:"Figure 11: BP mismatch rates per INT benchmark"
-    ~run_metric:(fun r -> r.Runner.comparison.Metrics.bp_mismatch)
-    ~train_metric:(Some (fun (f : Metrics.flat) -> f.Metrics.bp_mismatch))
+    ~title:"Figure 11: BP mismatch rates per INT benchmark" ~with_train:true
+    ~metric:(fun c -> c.Metrics.bp_mismatch)
 
 let fig12 data =
   per_benchmark data ~suite:`Fp
-    ~title:"Figure 12: BP mismatch rates per FP benchmark"
-    ~run_metric:(fun r -> r.Runner.comparison.Metrics.bp_mismatch)
-    ~train_metric:(Some (fun (f : Metrics.flat) -> f.Metrics.bp_mismatch))
-
-(* -- CP / LP averages --------------------------------------------------
-   The paper has no train reference here (§2.3): its INIP(train) has no
-   regions.  We additionally report a "train*" column computed by
-   forming regions OFFLINE in the training profile (Offline_regions) —
-   the comparison the paper lists as future work. *)
-
-let averaged_cp_lp data ~title ~run_metric ~train_metric =
-  let table = Table.make ~title ~columns:("train*" :: labels data) in
-  List.fold_left
-    (fun table (name, suite) ->
-      let subset = of_suite suite data in
-      if subset = [] then table
-      else
-        let train =
-          mean (List.map (fun d -> train_metric d.Runner.train_regions) subset)
-        in
-        Table.add_row table name
-          (train :: averaged_series subset ~metric:run_metric))
-    table
-    [ ("int", `Int); ("fp", `Fp) ]
-
-let fig13 data =
-  averaged_cp_lp data
-    ~title:
-      "Figure 13: standard deviation of completion probabilities (Sd.CP) \
-       [train* = offline-formed regions, a paper future-work extension]"
-    ~run_metric:(fun r -> r.Runner.comparison.Metrics.sd_cp)
-    ~train_metric:(fun c -> c.Metrics.sd_cp)
-
-let fig14 data =
-  averaged_cp_lp data
-    ~title:
-      "Figure 14: standard deviation of loop-back probabilities (Sd.LP) \
-       [train* = offline-formed regions, a paper future-work extension]"
-    ~run_metric:(fun r -> r.Runner.comparison.Metrics.sd_lp)
-    ~train_metric:(fun c -> c.Metrics.sd_lp)
+    ~title:"Figure 12: BP mismatch rates per FP benchmark" ~with_train:true
+    ~metric:(fun c -> c.Metrics.bp_mismatch)
 
 let fig15 data =
-  let table =
-    Table.make
-      ~title:"Figure 15: loop-back probability (trip-count range) mismatch rate"
-      ~columns:(labels data)
-  in
-  List.fold_left
-    (fun table (name, suite) ->
-      let subset = of_suite suite data in
-      if subset = [] then table
-      else
-        Table.add_row table name
-          (averaged_series subset ~metric:(fun r ->
-               r.Runner.comparison.Metrics.lp_mismatch)))
-    table
-    [ ("int", `Int); ("fp", `Fp) ]
+  suite_rows
+    (Table.make
+       ~title:"Figure 15: loop-back probability (trip-count range) mismatch rate"
+       ~columns:(labels data))
+    data
+    (averaged_series ~metric:(fun c -> c.Metrics.lp_mismatch))
 
 let fig16 data =
   per_benchmark data ~suite:`Int
     ~title:"Figure 16: loop-back mismatch rate per INT benchmark"
-    ~run_metric:(fun r -> r.Runner.comparison.Metrics.lp_mismatch)
-    ~train_metric:None
+    ~with_train:false
+    ~metric:(fun c -> c.Metrics.lp_mismatch)
 
 (* -- performance and overhead ----------------------------------------- *)
 
@@ -166,7 +135,7 @@ let relative_performance subset =
   | _ ->
       List.mapi
         (fun i _ ->
-          mean
+          Stats.mean
             (List.filter_map
                (fun d ->
                  match (d.Runner.runs, List.nth_opt d.Runner.runs i) with
@@ -205,34 +174,24 @@ let fig18 data =
         "Figure 18: profiling operations, normalised to the training run"
       ~columns:("train" :: labels data)
   in
-  let series subset =
-    match subset with
-    | [] -> []
-    | _ ->
-        Some 1.0
-        :: List.mapi
-             (fun i _ ->
-               mean
-                 (List.filter_map
-                    (fun d ->
-                      let train_ops =
-                        float_of_int d.Runner.train.Engine.profiling_ops
-                      in
-                      match List.nth_opt d.Runner.runs i with
-                      | Some run when train_ops > 0.0 ->
-                          Some
-                            (float_of_int run.Runner.result.Engine.profiling_ops
-                            /. train_ops)
-                      | Some _ | None -> None)
-                    subset))
-             (List.hd subset).Runner.runs
-  in
-  List.fold_left
-    (fun table (name, suite) ->
-      let subset = of_suite suite data in
-      if subset = [] then table else Table.add_row table name (series subset))
-    table
-    [ ("int", `Int); ("fp", `Fp) ]
+  suite_rows table data (fun subset ->
+      Some 1.0
+      :: List.mapi
+           (fun i _ ->
+             Stats.mean
+               (List.filter_map
+                  (fun d ->
+                    let train_ops =
+                      float_of_int d.Runner.train.Engine.profiling_ops
+                    in
+                    match List.nth_opt d.Runner.runs i with
+                    | Some run when train_ops > 0.0 ->
+                        Some
+                          (float_of_int run.Runner.result.Engine.profiling_ops
+                          /. train_ops)
+                    | Some _ | None -> None)
+                  subset))
+           (List.hd subset).Runner.runs)
 
 (* Not part of [all]: the cache sweep runs bounded configurations the
    paper's figures 8-18 never use, so it is produced only on demand

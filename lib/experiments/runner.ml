@@ -15,7 +15,7 @@ type data = {
   bench : Spec.t;
   avep : Engine.result;
   train : Engine.result;
-  train_flat : Metrics.flat;
+  train_flat : Metrics.comparison;
   train_regions : Metrics.comparison;
   runs : threshold_run list;
 }

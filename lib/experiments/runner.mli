@@ -25,7 +25,9 @@ type data = {
   bench : Tpdbt_workloads.Spec.t;
   avep : Tpdbt_dbt.Engine.result;
   train : Tpdbt_dbt.Engine.result;
-  train_flat : Tpdbt_profiles.Metrics.flat;
+  train_flat : Tpdbt_profiles.Metrics.comparison;
+      (** INIP(train) against AVEP block by block
+          ({!Tpdbt_profiles.Metrics.compare_flat}): BP only *)
   train_regions : Tpdbt_profiles.Metrics.comparison;
       (** regions formed {e offline} in the training profile
           ({!Tpdbt_profiles.Offline_regions}) compared against AVEP —

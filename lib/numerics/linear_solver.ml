@@ -82,12 +82,6 @@ let jacobi ?(max_iters = 10_000) ?(tolerance = 1e-12) a b =
     end
   end
 
-let residual_norm a x b =
-  let ax = Matrix.mul_vec a x in
-  let norm = ref 0.0 in
-  Array.iteri (fun i v -> norm := max !norm (abs_float (v -. b.(i)))) ax;
-  !norm
-
 type row = { cols : int array; vals : float array }
 
 let to_matrix rows =

@@ -44,6 +44,3 @@ val jacobi :
     the iteration fails to reach [tolerance] (default [1e-12]) within
     [max_iters] (default [10_000]).  Nothing falls back to it: it is a
     cross-check only. *)
-
-val residual_norm : Matrix.t -> float array -> float array -> float
-(** Max-norm of [A x - b]; used by tests to validate solutions. *)

@@ -1,33 +1,23 @@
-type sample = { predicted : float; actual : float; weight : float }
+type sums = { count : int; weight : float; squares : float; mismatched : float }
 
-let weighted_sd samples =
-  let num, den =
-    List.fold_left
-      (fun (num, den) { predicted; actual; weight } ->
-        let d = predicted -. actual in
-        (num +. (d *. d *. weight), den +. weight))
-      (0.0, 0.0) samples
-  in
-  if den <= 0.0 then 0.0 else sqrt (num /. den)
+let empty = { count = 0; weight = 0.0; squares = 0.0; mismatched = 0.0 }
 
-let weighted_mean pairs =
-  let num, den =
-    List.fold_left
-      (fun (num, den) (v, w) -> (num +. (v *. w), den +. w))
-      (0.0, 0.0) pairs
-  in
-  if den <= 0.0 then 0.0 else num /. den
+let add s ~predicted ~actual ~weight ~mismatched =
+  let d = predicted -. actual in
+  {
+    count = s.count + 1;
+    weight = s.weight +. weight;
+    squares = s.squares +. (d *. d *. weight);
+    mismatched = (if mismatched then s.mismatched +. weight else s.mismatched);
+  }
 
-let mismatch_rate ~ranges samples =
-  let num, den =
-    List.fold_left
-      (fun (num, den) { predicted; actual; weight } ->
-        let mismatched = ranges predicted <> ranges actual in
-        ((if mismatched then num +. weight else num), den +. weight))
-      (0.0, 0.0) samples
-  in
-  if den <= 0.0 then 0.0 else num /. den
+let count s = s.count
+
+let sd s = if s.weight <= 0.0 then 0.0 else sqrt (s.squares /. s.weight)
+
+let mismatch_rate s =
+  if s.weight <= 0.0 then 0.0 else s.mismatched /. s.weight
 
 let mean = function
-  | [] -> 0.0
-  | values -> List.fold_left ( +. ) 0.0 values /. float_of_int (List.length values)
+  | [] -> None
+  | l -> Some (List.fold_left ( +. ) 0.0 l /. float_of_int (List.length l))

@@ -6,19 +6,28 @@
     {v Sd = sqrt( sum_i (P(i) - A(i))^2 * W(i)  /  sum_i W(i) ) v}
 
     and every "mismatch rate" is a weighted fraction of samples whose
-    predicted and actual values fall in different ranges. *)
+    predicted and actual values fall in different ranges.  Both read
+    running sums, to which a caller {!add}s samples one at a time in
+    the order it wants them summed. *)
 
-type sample = { predicted : float; actual : float; weight : float }
+type sums
 
-val weighted_sd : sample list -> float
-(** The paper's Sd formula; [0.] on an empty list or zero total weight. *)
+val empty : sums
 
-val weighted_mean : (float * float) list -> float
-(** [(value, weight)] pairs; [0.] on zero total weight. *)
+val add :
+  sums -> predicted:float -> actual:float -> weight:float -> mismatched:bool ->
+  sums
+(** [mismatched]: the sample's two values fall in different ranges. *)
 
-val mismatch_rate : ranges:(float -> int) -> sample list -> float
-(** Fraction (by weight) of samples with
-    [ranges predicted <> ranges actual]. *)
+val count : sums -> int
+(** Samples added. *)
 
-val mean : float list -> float
-(** Unweighted mean; [0.] on an empty list. *)
+val sd : sums -> float
+(** The paper's Sd formula; [0.] on zero total weight. *)
+
+val mismatch_rate : sums -> float
+(** Fraction (by weight) of the samples added as mismatched; [0.] on
+    zero total weight. *)
+
+val mean : float list -> float option
+(** Unweighted mean; [None] on an empty list. *)

@@ -15,122 +15,149 @@ type comparison = {
   navep_fallback : bool;
 }
 
-type flat = { sd_bp : float; bp_mismatch : float; bp_samples : int }
+type kind = Bp | Cp | Lp
 
-let bp_range p = if p < 0.3 then 0 else if p <= 0.7 then 1 else 2
-let lp_range p = if p < 0.9 then 0 else if p <= 0.98 then 1 else 2
+type row = {
+  kind : kind;
+  region : Region.t option;
+  slot : int;
+  block : int;
+  inip : float option;
+  avep : float option;
+  weight : float;
+}
 
-let is_cond bmap block =
-  match (Block_map.block bmap block).Block_map.terminator with
-  | Block_map.Cond _ -> true
-  | Block_map.Goto _ | Block_map.Call_to _ | Block_map.Return | Block_map.Stop
-  | Block_map.Fallthrough _ ->
-      false
+let range kind p =
+  match kind with
+  | Bp | Cp -> if p < 0.3 then 0 else if p <= 0.7 then 1 else 2
+  | Lp -> if p < 0.9 then 0 else if p <= 0.98 then 1 else 2
 
-(* Branch-probability samples: one per NAVEP copy of a conditional block
-   executed in both profiles. *)
-let bp_samples_of navep ~inip ~avep =
-  let bmap = inip.Snapshot.block_map in
-  List.filter_map
-    (fun (c : Navep.copy) ->
-      if not (is_cond bmap c.Navep.block) then None
-      else
-        let actual = Snapshot.branch_prob avep c.Navep.block in
-        let predicted =
-          match c.Navep.location with
-          | Navep.In_region { slot; _ } ->
-              Option.bind (Navep.region_of_node navep c.Navep.node) (fun r ->
-                  Region.frozen_branch_prob r slot)
-          | Navep.Standalone -> Snapshot.branch_prob inip c.Navep.block
-        in
-        match (predicted, actual) with
-        | Some predicted, Some actual ->
-            let weight = Navep.freq navep c.Navep.node in
-            if weight <= 0.0 then None
-            else Some { Stats.predicted; actual; weight }
-        | (None, _ | _, None) -> None)
-    (Navep.copies navep)
+let trip_count_of_loopback lp =
+  if lp >= 1.0 -. 1e-9 then 1e9 else 1.0 /. (1.0 -. lp)
 
-(* Per-slot branch probabilities for region propagation. *)
-let frozen_prob region slot = Region.frozen_branch_prob region slot
+let bp_row ~avep region slot block inip weight =
+  {
+    kind = Bp;
+    region;
+    slot;
+    block;
+    inip;
+    avep = Snapshot.branch_prob avep block;
+    weight;
+  }
 
-let avep_prob avep region slot =
-  Snapshot.branch_prob avep region.Region.slots.(slot)
+(* A trace's CP row or a loop's LP row, propagated through [layout]
+   from the frozen profile and, given an AVEP, from its probabilities
+   of the slots' blocks. *)
+let region_row ~avep r layout =
+  let kind, propagate =
+    match r.Region.kind with
+    | Region.Trace -> (Cp, Region_prob.completion_probability)
+    | Region.Loop -> (Lp, Region_prob.loopback_probability)
+  in
+  let entry = Region.entry_block r in
+  let of_avep avep =
+    propagate layout ~prob:(fun slot ->
+        Snapshot.branch_prob avep r.Region.slots.(slot))
+  in
+  {
+    kind;
+    region = Some r;
+    slot = 0;
+    block = entry;
+    inip = Some (propagate layout ~prob:(Region.frozen_branch_prob r));
+    avep = Option.map of_avep avep;
+    weight =
+      Option.fold ~none:0.0 ~some:(fun a -> Snapshot.block_freq a entry) avep;
+  }
 
-let compare_snapshots ~inip ~avep =
+(* Every row of a comparison in {!rows}' order; returns the NAVEP the
+   BP rows were read from. *)
+let iter_rows ~inip ~avep f =
   let navep = Navep.build ~inip ~avep in
-  let bp = bp_samples_of navep ~inip ~avep in
+  let bmap = inip.Snapshot.block_map in
+  List.iter
+    (fun { Navep.node; block; location } ->
+      if Block_map.is_cond bmap block then
+        let weight = Navep.freq navep node in
+        f
+          (match location with
+          | Navep.In_region { slot; _ } ->
+              let region = Navep.region_of_node navep node in
+              bp_row ~avep region slot block
+                (Option.bind region (fun r -> Region.frozen_branch_prob r slot))
+                weight
+          | Navep.Standalone ->
+              bp_row ~avep None (-1) block (Snapshot.branch_prob inip block)
+                weight))
+    (Navep.copies navep);
   (* NAVEP derived each region's layout; the propagations read the same
      one. *)
-  let regions = Navep.region_layouts navep in
-  let cp =
-    List.filter_map
-      (fun (r, layout) ->
-        if r.Region.kind <> Region.Trace || Region.slot_count r < 2 then None
-        else begin
-          let ct =
-            Region_prob.completion_probability layout ~prob:(frozen_prob r)
-          in
-          let cm =
-            Region_prob.completion_probability layout ~prob:(avep_prob avep r)
-          in
-          let weight = Snapshot.block_freq avep (Region.entry_block r) in
-          if weight <= 0.0 then None
-          else Some { Stats.predicted = ct; actual = cm; weight }
-        end)
-      regions
-  in
-  let lp =
-    List.filter_map
-      (fun (r, layout) ->
-        if r.Region.kind <> Region.Loop then None
-        else begin
-          let lt =
-            Region_prob.loopback_probability layout ~prob:(frozen_prob r)
-          in
-          let lm =
-            Region_prob.loopback_probability layout ~prob:(avep_prob avep r)
-          in
-          let weight = Snapshot.block_freq avep (Region.entry_block r) in
-          if weight <= 0.0 then None
-          else Some { Stats.predicted = lt; actual = lm; weight }
-        end)
-      regions
-  in
+  List.iter
+    (fun (r, layout) -> f (region_row ~avep:(Some avep) r layout))
+    (Navep.region_layouts navep);
+  navep
+
+let rows ~inip ~avep =
+  let acc = ref [] in
+  ignore (iter_rows ~inip ~avep (fun row -> acc := row :: !acc));
+  List.rev !acc
+
+let region_rows snapshot =
+  List.map
+    (fun r -> region_row ~avep:None r (Region.layout r))
+    snapshot.Snapshot.regions
+
+(* A trace without side exits always completes: its CP is no sample. *)
+let one_slot_trace row =
+  match (row.kind, row.region) with
+  | Cp, Some r -> Region.slot_count r < 2
+  | (Bp | Cp | Lp), _ -> false
+
+let add sums row =
+  match (row.inip, row.avep) with
+  | Some predicted, Some actual
+    when not (row.weight <= 0.0 || one_slot_trace row) ->
+      Stats.add sums ~predicted ~actual ~weight:row.weight
+        ~mismatched:(range row.kind predicted <> range row.kind actual)
+  | (Some _ | None), _ -> sums
+
+let of_sums ~bp ~cp ~lp ~navep_fallback =
   {
-    sd_bp = Stats.weighted_sd bp;
-    sd_cp = Stats.weighted_sd cp;
-    sd_lp = Stats.weighted_sd lp;
-    bp_mismatch = Stats.mismatch_rate ~ranges:bp_range bp;
-    lp_mismatch = Stats.mismatch_rate ~ranges:lp_range lp;
-    bp_samples = List.length bp;
-    cp_samples = List.length cp;
-    lp_samples = List.length lp;
-    navep_fallback = Navep.used_fallback navep;
+    sd_bp = Stats.sd bp;
+    sd_cp = Stats.sd cp;
+    sd_lp = Stats.sd lp;
+    bp_mismatch = Stats.mismatch_rate bp;
+    lp_mismatch = Stats.mismatch_rate lp;
+    bp_samples = Stats.count bp;
+    cp_samples = Stats.count cp;
+    lp_samples = Stats.count lp;
+    navep_fallback;
   }
 
+let compare_snapshots ~inip ~avep =
+  let bp = ref Stats.empty and cp = ref Stats.empty and lp = ref Stats.empty in
+  let navep =
+    iter_rows ~inip ~avep (fun row ->
+        let sums = match row.kind with Bp -> bp | Cp -> cp | Lp -> lp in
+        sums := add !sums row)
+  in
+  of_sums ~bp:!bp ~cp:!cp ~lp:!lp ~navep_fallback:(Navep.used_fallback navep)
+
+(* A block without a conditional branch has no AVEP probability, so its
+   flat row is skipped like any row missing one. *)
 let compare_flat ~predicted ~avep =
-  let bmap = avep.Snapshot.block_map in
-  let samples =
-    List.filter_map
-      (fun block ->
-        if not (is_cond bmap block) then None
-        else
-          match
-            (Snapshot.branch_prob predicted block, Snapshot.branch_prob avep block)
-          with
-          | Some p, Some a ->
-              let weight = Snapshot.block_freq avep block in
-              if weight <= 0.0 then None
-              else Some { Stats.predicted = p; actual = a; weight }
-          | (None, _ | _, None) -> None)
+  let bp =
+    List.fold_left
+      (fun sums block ->
+        add sums
+          (bp_row ~avep None (-1) block
+             (Snapshot.branch_prob predicted block)
+             (Snapshot.block_freq avep block)))
+      Stats.empty
       (Snapshot.executed_blocks avep)
   in
-  {
-    sd_bp = Stats.weighted_sd samples;
-    bp_mismatch = Stats.mismatch_rate ~ranges:bp_range samples;
-    bp_samples = List.length samples;
-  }
+  of_sums ~bp ~cp:Stats.empty ~lp:Stats.empty ~navep_fallback:false
 
 let pp_comparison ppf (c : comparison) =
   Format.fprintf ppf

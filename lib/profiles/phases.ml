@@ -44,18 +44,11 @@ let window_branch_prob w block =
   if block < 0 || block >= Array.length w.use || w.use.(block) <= 0 then None
   else Some (float_of_int w.taken.(block) /. float_of_int w.use.(block))
 
-let is_cond bmap block =
-  match (Block_map.block bmap block).Block_map.terminator with
-  | Block_map.Cond _ -> true
-  | Block_map.Goto _ | Block_map.Call_to _ | Block_map.Return | Block_map.Stop
-  | Block_map.Fallthrough _ ->
-      false
-
 let distance bmap a b =
   let n = min (Array.length a.use) (Array.length b.use) in
   let num = ref 0.0 and den = ref 0.0 in
   for block = 0 to n - 1 do
-    if is_cond bmap block then
+    if Block_map.is_cond bmap block then
       match (window_branch_prob a block, window_branch_prob b block) with
       | Some pa, Some pb ->
           let weight = float_of_int (a.use.(block) + b.use.(block)) in
@@ -70,7 +63,7 @@ let max_shift ?(min_executions = 16) bmap a b =
   let worst = ref 0.0 in
   for block = 0 to n - 1 do
     if
-      is_cond bmap block
+      Block_map.is_cond bmap block
       && a.use.(block) >= min_executions
       && b.use.(block) >= min_executions
     then

@@ -44,14 +44,3 @@ let completion_probability (layout : Region.layout) ~prob =
 let loopback_probability (layout : Region.layout) ~prob =
   if layout.back_preds = [] then 0.0
   else (propagate layout ~prob ~with_dummy:true).(Array.length layout.order)
-
-let trip_count_of_loopback lp =
-  if lp >= 1.0 -. 1e-9 then 1e9 else 1.0 /. (1.0 -. lp)
-
-type trip_class = Low | Medium | High
-
-let classify_loopback lp =
-  if lp < 0.9 then Low else if lp <= 0.98 then Medium else High
-
-let classify_trip_count t =
-  if t < 10.0 then Low else if t <= 50.0 then Medium else High

@@ -12,6 +12,15 @@ module Stats = Tpdbt_numerics.Stats
 
 let checkf eps msg = Alcotest.check (Alcotest.float eps) msg
 
+(* The paper's Sd over (predicted, actual, weight) samples, summed in
+   list order. *)
+let weighted_sd samples =
+  Stats.sd
+    (List.fold_left
+       (fun s (predicted, actual, weight) ->
+         Stats.add s ~predicted ~actual ~weight ~mismatched:false)
+       Stats.empty samples)
+
 let mk_region ?(kind = Region.Trace) ?(edges = []) ?(back_edges = []) n =
   {
     Region.id = 0;
@@ -87,22 +96,22 @@ let test_fig5_sd_bp () =
                    0.68^2*6000) / 101000) = sqrt(0.0444) ~= 0.21. *)
   let samples =
     [
-      { Stats.predicted = 0.88; actual = 0.65; weight = 1000.0 };
-      { Stats.predicted = 0.977; actual = 0.90; weight = 44000.0 };
-      { Stats.predicted = 0.88; actual = 0.70; weight = 43000.0 };
-      { Stats.predicted = 0.88; actual = 0.20; weight = 6000.0 };
+      (0.88, 0.65, 1000.0);
+      (0.977, 0.90, 44000.0);
+      (0.88, 0.70, 43000.0);
+      (0.88, 0.20, 6000.0);
       (* zero-deviation copies contribute only weight *)
-      { Stats.predicted = 0.5; actual = 0.5; weight = 1000.0 };
-      { Stats.predicted = 0.9; actual = 0.9; weight = 6000.0 };
+      (0.5, 0.5, 1000.0);
+      (0.9, 0.9, 6000.0);
     ]
   in
-  checkf 5e-3 "Fig 5: Sd.BP ~= 0.21" 0.2106 (Stats.weighted_sd samples)
+  checkf 5e-3 "Fig 5: Sd.BP ~= 0.21" 0.2106 (weighted_sd samples)
 
 let test_fig5_sd_cp () =
   (* The single non-loop region completes with probability 1 in both
      profiles: Sd.CP = 0. *)
-  let samples = [ { Stats.predicted = 1.0; actual = 1.0; weight = 1000.0 } ] in
-  checkf 1e-12 "Fig 5: Sd.CP = 0" 0.0 (Stats.weighted_sd samples)
+  let samples = [ (1.0, 1.0, 1000.0) ] in
+  checkf 1e-12 "Fig 5: Sd.CP = 0" 0.0 (weighted_sd samples)
 
 let test_fig5_sd_lp () =
   (* Two loop regions.  Loop 1: INIP loop-back 0.977*0.88, AVEP
@@ -112,12 +121,12 @@ let test_fig5_sd_lp () =
   let lt1 = 0.977 *. 0.88 and lm1 = 0.90 *. 0.70 in
   let samples =
     [
-      { Stats.predicted = lt1; actual = lm1; weight = 44000.0 };
-      { Stats.predicted = 0.12; actual = 0.80; weight = 6000.0 };
+      (lt1, lm1, 44000.0);
+      (0.12, 0.80, 6000.0);
     ]
   in
   checkf 5e-3 "Fig 5: Sd.LP = 0.319 by the formula" 0.3193
-    (Stats.weighted_sd samples)
+    (weighted_sd samples)
 
 let test_fig5_loopback_products_from_regions () =
   (* The LP inputs above are products of chained branch probabilities;
@@ -143,13 +152,11 @@ let test_sd_interpretation () =
      every prediction is off by exactly 0.1 has Sd.BP = 0.1. *)
   let samples =
     List.init 10 (fun i ->
-        {
-          Stats.predicted = (float_of_int i /. 20.0) +. 0.1;
-          actual = float_of_int i /. 20.0;
-          weight = float_of_int (1 + i);
-        })
+        ( (float_of_int i /. 20.0) +. 0.1,
+          float_of_int i /. 20.0,
+          float_of_int (1 + i) ))
   in
-  checkf 1e-9 "uniform 0.1 deviation" 0.1 (Stats.weighted_sd samples)
+  checkf 1e-9 "uniform 0.1 deviation" 0.1 (weighted_sd samples)
 
 let suite =
   [
